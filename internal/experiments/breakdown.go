@@ -38,10 +38,10 @@ const breakdownMemhogFrac = hierarchyMemhogFrac
 // design's cycles go, not just how many. A final per-workload row runs
 // MIX under the scale's chaos rates with the oracle attached, so the
 // chaos-retry column shows the re-translation tax injected faults add.
-// Every row is audited in-cell: the ledger must attribute exactly
-// Stats.Cycles and agree with the walk/victim counters (runStream fails
-// the cell otherwise), making this table a live proof of conservation,
-// not just a report. One cell per workload.
+// The shares come from the MMU's cycle book, which sums to Stats.Cycles
+// by construction; every row also carries an attached ledger whose closed
+// translations runStream audits against Stats.Cycles, failing the cell on
+// any leak. One cell per workload.
 func Breakdown(ctx context.Context, s Scale) (*stats.Table, error) {
 	t := &stats.Table{
 		Title: "Cycle breakdown: exact attribution of translation cycles by category (audited)",
@@ -106,7 +106,7 @@ func Breakdown(ctx context.Context, s Scale) (*stats.Table, error) {
 }
 
 // breakdownRow measures one design over the environment with a ledger
-// attached and renders its attribution shares.
+// attached and renders its cycle book's shares.
 func breakdownRow(ctx context.Context, cs Scale, env *nativeEnv, spec workload.Spec,
 	ds mmu.DesignSpec, label string, in *chaos.Injector, or *chaos.Oracle) (Row, error) {
 	caches := cachesim.DefaultHierarchy()
@@ -124,10 +124,9 @@ func breakdownRow(ctx context.Context, cs Scale, env *nativeEnv, spec workload.S
 		m.AttachTelemetry(cs.Telemetry.With("workload", spec.Name))
 	}
 	// Attach explicitly rather than via Scale.LedgerAudit: the breakdown
-	// *is* the ledger readout, so attribution (and runStream's audit and
-	// tail flush) runs regardless of the scale's observer knobs.
-	led := ledger.New(cs.TailK)
-	m.AttachLedger(led)
+	// is the attribution readout, so runStream's audit and tail flush run
+	// regardless of the scale's observer knobs.
+	m.AttachLedger(ledger.New(cs.TailK))
 	stream := spec.Build(env.base, env.fp, simrand.New(cs.Seed))
 	st, err := runStream(ctx, cs, m, stream)
 	if err != nil {
@@ -137,7 +136,7 @@ func breakdownRow(ctx context.Context, cs Scale, env *nativeEnv, spec workload.S
 		m.FlushTelemetry()
 		env.flushTelemetry()
 	}
-	sh := perfmodel.AttributionShares(led.Entries())
+	sh := perfmodel.AttributionShares(m.Attribution())
 	return Row{label, spec.Name, st.CyclesPerAccess(),
 		sh[ledger.L1Probe], sh[ledger.L2Probe], sh[ledger.DeepProbe],
 		sh[ledger.ExtraProbe], sh[ledger.VictimProbe], sh[ledger.WalkFull],

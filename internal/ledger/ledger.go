@@ -1,15 +1,17 @@
-// Package ledger attributes every simulated translation cycle to exactly
-// one cost category, turning the MMU's aggregate cycle counter into an
-// explainable breakdown: probe cycles per hierarchy level, victim-level
-// cache probes, walk cycles (split by whether paging-structure caches
-// shortened the walk), dirty-bit assists, memo replays, chaos-retry
-// re-translations, and shootdown events.
+// Package ledger follows a single MMU's translation cycles one access at a
+// time. For each translation it keeps a bounded trail of merged charge
+// steps: probe cycles per hierarchy level, victim-level cache probes, walk
+// cycles (split by whether paging-structure caches shortened the walk),
+// dirty-bit assists, memo replays and chaos-retry re-translations. An
+// optional top-K tail flight recorder keeps the slowest translations with
+// their trails.
 //
-// The ledger is a passive observer with an exactness contract: Audit
-// fails unless the per-category cycle sums equal the MMU's total cycle
-// count, so any charging site added without attribution — or attributed
-// twice — is a test failure, not silent drift. It is schedule-
-// deterministic (state is per-MMU, mutated only on that MMU's own
+// The per-category cycle book is not kept here: it lives in the MMU,
+// which charges every cycle exactly once (mmu.MMU.Attribution). The ledger
+// observes the same charges per access. Audit closes the loop: the closed
+// accesses' totals must sum to the MMU's Stats.Cycles, so a cycle charged
+// outside a translation is a test failure, not silent drift. The ledger is
+// schedule-deterministic (state is per-MMU, mutated only on that MMU's own
 // translation path) and allocation-free on the hot path: all per-access
 // state lives in fixed arrays sized at construction.
 package ledger
@@ -66,10 +68,6 @@ const (
 	// the retry's probe and walk cycles are the cost of the fault, not of
 	// the design's steady state.
 	ChaosRetry
-	// Shootdown counts TLB invalidations and flushes (zero exposed
-	// cycles in the model; the refill cost they induce lands in the
-	// probe/walk categories of later accesses).
-	Shootdown
 
 	// NumCategories sizes per-category arrays.
 	NumCategories
@@ -78,7 +76,7 @@ const (
 var categoryNames = [NumCategories]string{
 	"l1-probe", "l2-probe", "deep-probe", "extra-probe", "victim-probe",
 	"walk-full", "walk-pwc", "walk-contig", "dirty-assist", "memo-replay",
-	"chaos-retry", "shootdown",
+	"chaos-retry",
 }
 
 // String names the category as used in tables and narrations.
@@ -101,7 +99,7 @@ func Categories() [NumCategories]Category {
 // Entry is one category's accumulated books.
 type Entry struct {
 	Cycles uint64 // attributed cycles
-	Events uint64 // charge sites hit (walks, probes, shootdowns, ...)
+	Events uint64 // charge sites hit (walks, probes, replays, ...)
 }
 
 // MaxTrail bounds the per-translation step trail. A worst-case access is
@@ -120,21 +118,27 @@ type Step struct {
 	Events uint32
 }
 
-// Ledger attributes one MMU's cycles. Not safe for concurrent use — like
-// the MMU it observes, it belongs to a single simulation goroutine.
-type Ledger struct {
-	entries [NumCategories]Entry
+// Access describes one translation as the ledger closes it.
+type Access struct {
+	VA       uint64
+	Size     addr.PageSize
+	HitLevel int8 // -1 = walked or faulted
+	Faulted  bool
+	WalkRefs uint16 // PTE references the translation's walks issued
+	Retries  uint8  // oracle-triggered re-translations
+}
 
-	// retry redirects charges to ChaosRetry while an oracle-triggered
-	// re-translation is in flight.
-	retry bool
+// Ledger follows one MMU's translations. Not safe for concurrent use —
+// like the MMU it observes, it belongs to a single simulation goroutine.
+type Ledger struct {
+	// closed sums the cycles of every access closed since Reset; Audit
+	// compares it with the MMU's total.
+	closed uint64
+	seq    uint64 // completed accesses (deterministic tie-break id)
 
 	// Per-access scratch, reset by Begin and harvested by End.
 	inAccess bool
-	seq      uint64 // completed accesses (deterministic tie-break id)
 	cycles   uint64 // cycles charged to the in-flight access
-	walkRefs uint16 // PTE references the in-flight access issued
-	retries  uint8  // oracle retries of the in-flight access
 	trail    [MaxTrail]Step
 	trailLen int
 
@@ -151,7 +155,7 @@ func New(tailK int) *Ledger {
 	return l
 }
 
-// Reset zeroes the books (and the tail recorder), separating warm-up
+// Reset clears the totals (and the tail recorder), separating warm-up
 // from measurement exactly as MMU.ResetStats does.
 func (l *Ledger) Reset() {
 	tail := l.tail
@@ -161,112 +165,51 @@ func (l *Ledger) Reset() {
 	}
 }
 
-// SetRetry marks (or unmarks) an oracle-triggered re-translation: while
-// set, every charge is redirected to ChaosRetry.
-func (l *Ledger) SetRetry(on bool) {
-	if on && l.inAccess {
-		l.retries++
-	}
-	l.retry = on
-}
-
-// Begin opens one translation's books. The MMU calls it once per access
+// Begin opens one translation's trail. The MMU calls it once per access
 // (memoized replays included) before any charge.
 func (l *Ledger) Begin() {
 	l.inAccess = true
 	l.cycles = 0
-	l.walkRefs = 0
-	l.retries = 0
 	l.trailLen = 0
 }
 
-// End closes the in-flight translation, feeding the tail recorder when
-// one is armed. hitLevel mirrors mmu.Result.HitLevel (-1 = walked or
-// faulted); faulted marks accesses the fault handler refused.
-func (l *Ledger) End(va uint64, size addr.PageSize, hitLevel int8, faulted bool) {
-	if !l.inAccess {
-		return
-	}
-	l.inAccess = false
-	seq := l.seq
-	l.seq++
-	if l.tail != nil {
-		l.tail.offer(l, va, size, hitLevel, faulted, seq)
-	}
-}
-
-// charge is the single attribution point: category redirect, books,
-// per-access scratch, trail.
-func (l *Ledger) charge(c Category, level int8, cycles uint64) {
-	if l.retry {
-		c = ChaosRetry
-		level = -1
-	}
-	l.entries[c].Cycles += cycles
-	l.entries[c].Events++
+// Step records one charge of the in-flight translation at hierarchy level
+// level (-1 when not a probe). Consecutive charges of the same category
+// and level merge (per-PTE walk charges, probe rounds) so trails stay
+// short and bounded. A charge outside Begin/End is not recorded, which
+// Audit then reports as a leak.
+func (l *Ledger) Step(c Category, level int8, cycles uint64) {
 	if !l.inAccess {
 		return
 	}
 	l.cycles += cycles
-	// Merge consecutive same-category steps (per-PTE walk charges, probe
-	// rounds) so trails stay short and bounded.
-	if n := l.trailLen; n > 0 && l.trail[n-1].Cat == c && l.trail[n-1].Level == level {
+	n := l.trailLen
+	if n > 0 && (n == MaxTrail || l.trail[n-1].Cat == c && l.trail[n-1].Level == level) {
 		l.trail[n-1].Cycles += cycles
 		l.trail[n-1].Events++
 		return
 	}
-	if l.trailLen == MaxTrail {
-		l.trail[MaxTrail-1].Cycles += cycles
-		l.trail[MaxTrail-1].Events++
-		return
-	}
-	l.trail[l.trailLen] = Step{Cat: c, Level: level, Cycles: cycles, Events: 1}
+	l.trail[n] = Step{Cat: c, Level: level, Cycles: cycles, Events: 1}
 	l.trailLen++
 }
 
-// Charge attributes cycles to a category (non-probe sites).
-func (l *Ledger) Charge(c Category, cycles uint64) { l.charge(c, -1, cycles) }
-
-// ChargeProbe attributes one SRAM probe at hierarchy level li
-// (0-indexed) to the level's probe category.
-func (l *Ledger) ChargeProbe(li int, cycles uint64) {
-	c := DeepProbe
-	switch li {
-	case 0:
-		c = L1Probe
-	case 1:
-		c = L2Probe
+// End closes the in-flight translation, adding its cycles to the audited
+// total and feeding the tail recorder when one is armed.
+func (l *Ledger) End(a Access) {
+	if !l.inAccess {
+		return
 	}
-	l.charge(c, int8(li), cycles)
-}
-
-// ChargeWalk attributes one page-table walk's issued PTE reference time:
-// cat is WalkFull or WalkPWC, refs the references actually charged.
-func (l *Ledger) ChargeWalk(cat Category, cycles uint64, refs int) {
-	l.charge(cat, -1, cycles)
-	if l.inAccess && refs > 0 {
-		r := l.walkRefs + uint16(refs)
-		if r < l.walkRefs { // saturate rather than wrap
-			r = ^uint16(0)
-		}
-		l.walkRefs = r
+	l.inAccess = false
+	l.closed += l.cycles
+	seq := l.seq
+	l.seq++
+	if l.tail != nil {
+		l.tail.offer(l, a, seq)
 	}
 }
 
-// Event counts a zero-cycle occurrence (shootdowns).
-func (l *Ledger) Event(c Category) { l.charge(c, -1, 0) }
-
-// Entries returns a snapshot of the per-category books.
-func (l *Ledger) Entries() [NumCategories]Entry { return l.entries }
-
-// Total sums attributed cycles across all categories.
-func (l *Ledger) Total() uint64 {
-	var t uint64
-	for i := range l.entries {
-		t += l.entries[i].Cycles
-	}
-	return t
-}
+// Total returns the cycles of every translation closed since Reset.
+func (l *Ledger) Total() uint64 { return l.closed }
 
 // Accesses returns how many translations have closed their books.
 func (l *Ledger) Accesses() uint64 { return l.seq }
@@ -275,36 +218,29 @@ func (l *Ledger) Accesses() uint64 { return l.seq }
 // aliases the ledger's scratch and is valid until the next translation.
 func (l *Ledger) Trail() []Step { return l.trail[:l.trailLen] }
 
-// ConservationError reports attributed cycles diverging from the MMU's
-// total — a charging site missing attribution (leak > 0 means the MMU
-// charged cycles the ledger never saw) or double-attributed (leak < 0).
+// ConservationError reports the closed translations' cycles diverging
+// from the MMU's total — a cycle charged outside a translation (leak > 0)
+// or a translation whose trail saw cycles the MMU never counted
+// (leak < 0).
 type ConservationError struct {
 	Attributed uint64
 	Total      uint64
-	Entries    [NumCategories]Entry
 }
 
 func (e *ConservationError) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "ledger: attributed %d cycles but the MMU charged %d (leak %d):",
+	return fmt.Sprintf("ledger: closed translations carry %d cycles but the MMU charged %d (leak %d)",
 		e.Attributed, e.Total, int64(e.Total)-int64(e.Attributed))
-	for c, en := range e.Entries {
-		if en.Cycles != 0 || en.Events != 0 {
-			fmt.Fprintf(&b, " %s=%d/%dev", Category(c), en.Cycles, en.Events)
-		}
-	}
-	return b.String()
 }
 
-// Audit asserts exact conservation: the per-category sums equal total
-// (the MMU's Stats.Cycles over the same interval). Nil-safe: an absent
-// ledger audits clean.
+// Audit asserts exact conservation: the closed translations' cycles equal
+// total (the MMU's Stats.Cycles over the same interval). Nil-safe: an
+// absent ledger audits clean.
 func (l *Ledger) Audit(total uint64) error {
 	if l == nil {
 		return nil
 	}
-	if att := l.Total(); att != total {
-		return &ConservationError{Attributed: att, Total: total, Entries: l.entries}
+	if l.closed != total {
+		return &ConservationError{Attributed: l.closed, Total: total}
 	}
 	return nil
 }

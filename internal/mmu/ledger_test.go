@@ -12,8 +12,9 @@ import (
 // TestLedgerConservationAllDesigns is the core invariant of the
 // attribution layer: for every registered design (split, MIX, rehash,
 // skew, COLT, ideal, PWC, victim-level variants, ...), a mixed
-// read/write stream with interleaved shootdowns attributes every single
-// cycle — the per-category sums equal Stats.Cycles exactly.
+// read/write stream with interleaved shootdowns closes every single
+// cycle inside a translation — the ledger's closed totals equal
+// Stats.Cycles exactly, before and after a mid-run ResetStats.
 func TestLedgerConservationAllDesigns(t *testing.T) {
 	const pages4k = 1024
 	for _, d := range allTestDesigns() {
@@ -36,23 +37,8 @@ func TestLedgerConservationAllDesigns(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := m.Stats()
-			e := led.Entries()
-			// The ledger's walk books must agree with the aggregate
-			// counters perfmodel consumes: retry-free runs attribute walk
-			// cycles and victim-probe cycles to their own categories,
-			// nothing else.
-			if got := e[ledger.WalkFull].Cycles + e[ledger.WalkPWC].Cycles; got != st.WalkCycles {
-				t.Errorf("walk attribution %d != Stats.WalkCycles %d", got, st.WalkCycles)
-			}
-			if got := e[ledger.VictimProbe].Cycles; got != st.VictimProbeCycles {
-				t.Errorf("victim attribution %d != Stats.VictimProbeCycles %d", got, st.VictimProbeCycles)
-			}
-			if e[ledger.ChaosRetry] != (ledger.Entry{}) {
-				t.Errorf("chaos-retry books nonzero without an oracle: %+v", e[ledger.ChaosRetry])
-			}
-			if e[ledger.Shootdown].Events != st.Invalidations+st.Flushes {
-				t.Errorf("shootdown events %d != invalidations+flushes %d",
-					e[ledger.Shootdown].Events, st.Invalidations+st.Flushes)
+			if e := m.Attribution()[ledger.ChaosRetry]; e != (ledger.Entry{}) {
+				t.Errorf("chaos-retry books nonzero without an oracle: %+v", e)
 			}
 			if led.Accesses() != st.Accesses {
 				t.Errorf("ledger closed %d accesses, Stats saw %d", led.Accesses(), st.Accesses)
@@ -73,8 +59,65 @@ func TestLedgerConservationAllDesigns(t *testing.T) {
 	}
 }
 
-// TestLedgerConservationUnderChaos audits the retry-redirect path: with
-// an injector corrupting hits and walks and the oracle scrubbing and
+// TestCycleConservation checks the one-book guarantee for every registry
+// design on an oracle-free stream with interleaved shootdowns: the sum of
+// per-access Result.Cycles, Stats().Cycles and the sum of Attribution()
+// are one number, and the derived walk and victim-probe fields equal
+// their categories.
+func TestCycleConservation(t *testing.T) {
+	const pages4k = 1024
+	reg := DefaultRegistry()
+	for _, name := range reg.Names() {
+		t.Run(name, func(t *testing.T) {
+			e, mapped := buildRefEnv(t, pages4k)
+			m, err := reg.Build(name, e.pt, e.pt, e.caches, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum uint64
+			for i, r := range randomRequests(0xc0c0+uint64(len(name)), mapped, 6000) {
+				sum += m.Translate(r).Cycles
+				if i%997 == 250 {
+					m.Invalidate(r.VA, addr.Page4K)
+				}
+			}
+			checkConservation(t, m, sum)
+		})
+	}
+}
+
+// checkConservation asserts that resultSum (the caller's sum of
+// Result.Cycles), Stats().Cycles and the Attribution() total agree, and
+// that the derived cycle fields match their categories.
+func checkConservation(t *testing.T, m *MMU, resultSum uint64) {
+	t.Helper()
+	st := m.Stats()
+	book := m.Attribution()
+	var total uint64
+	for _, e := range book {
+		total += e.Cycles
+	}
+	if resultSum != st.Cycles || total != st.Cycles {
+		t.Errorf("sum of Result.Cycles %d, Stats.Cycles %d, Attribution total %d: want one number",
+			resultSum, st.Cycles, total)
+	}
+	if st.Cycles == 0 {
+		t.Error("stream charged no cycles; test exercises nothing")
+	}
+	walk := book[ledger.WalkFull].Cycles + book[ledger.WalkPWC].Cycles + book[ledger.WalkContig].Cycles
+	if walk != st.WalkCycles {
+		t.Errorf("walk categories %d != Stats.WalkCycles %d", walk, st.WalkCycles)
+	}
+	if v := book[ledger.VictimProbe].Cycles; v != st.VictimProbeCycles {
+		t.Errorf("victim-probe category %d != Stats.VictimProbeCycles %d", v, st.VictimProbeCycles)
+	}
+	if got := book[ledger.DirtyAssist].Events; got != st.DirtyMicroOps {
+		t.Errorf("dirty-assist events %d != Stats.DirtyMicroOps %d", got, st.DirtyMicroOps)
+	}
+}
+
+// TestLedgerConservationUnderChaos audits the retry path: with an
+// injector corrupting hits and walks and the oracle scrubbing and
 // re-translating, conservation still holds exactly and the retries'
 // cycles land in the chaos-retry category instead of polluting the
 // steady-state ones.
@@ -100,10 +143,69 @@ func TestLedgerConservationUnderChaos(t *testing.T) {
 			if st.OracleMismatches == 0 {
 				t.Fatal("chaos rates never tripped the oracle; test exercises nothing")
 			}
-			if led.Entries()[ledger.ChaosRetry].Cycles == 0 {
+			if m.Attribution()[ledger.ChaosRetry].Cycles == 0 {
 				t.Error("oracle retries charged no cycles to chaos-retry")
 			}
 		})
+	}
+}
+
+// TestAttributionFoldsRetries pins how retry passes are booked: Stats
+// counts their walk cycles like any other (WalkCycles exceeds the walk
+// categories by exactly the retries' walk time), Attribution folds every
+// retry charge into chaos-retry so the book still sums to Stats.Cycles,
+// and the ledger's trails and tail records show them as level-less
+// chaos-retry steps.
+func TestAttributionFoldsRetries(t *testing.T) {
+	e, m, want := chaosEnv(t, DesignSplit)
+	m.InjectFaults(chaos.NewInjector(3, chaos.Rates{PTECorrupt: 0.2}))
+	m.AttachOracle(chaos.NewOracle(e.pt))
+	led := ledger.New(ledger.MaxTailK)
+	m.AttachLedger(led)
+	for round := 0; round < 40; round++ {
+		for va := range want {
+			m.Translate(tlb.Request{VA: va + 0x40})
+		}
+	}
+	st := m.Stats()
+	book := m.Attribution()
+	var total uint64
+	for _, en := range book {
+		total += en.Cycles
+	}
+	if total != st.Cycles {
+		t.Fatalf("Attribution total %d != Stats.Cycles %d", total, st.Cycles)
+	}
+	walk := book[ledger.WalkFull].Cycles + book[ledger.WalkPWC].Cycles + book[ledger.WalkContig].Cycles
+	if walk >= st.WalkCycles {
+		t.Fatalf("walk categories %d should fall short of Stats.WalkCycles %d by the retry walks",
+			walk, st.WalkCycles)
+	}
+	if book[ledger.ChaosRetry].Cycles < st.WalkCycles-walk {
+		t.Fatalf("chaos-retry %d cycles cannot hold the %d retry walk cycles",
+			book[ledger.ChaosRetry].Cycles, st.WalkCycles-walk)
+	}
+	retried := false
+	for _, r := range led.Top() {
+		if r.Retries == 0 {
+			continue
+		}
+		retried = true
+		found := false
+		for _, s := range r.Trail() {
+			if s.Cat == ledger.ChaosRetry {
+				found = true
+				if s.Level != -1 {
+					t.Errorf("chaos-retry step carries level %d", s.Level)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("retried access has no chaos-retry step: %s", ledger.TrailString(r.Trail()))
+		}
+	}
+	if !retried {
+		t.Fatal("no tail record saw a retry; test exercises nothing")
 	}
 }
 

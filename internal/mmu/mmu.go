@@ -30,12 +30,17 @@ import (
 
 // TranslationSource abstracts the page-table walker: the native
 // pagetable.PageTable, or a nested (2D) walker for virtualized systems.
+// Both methods write into caller-owned storage, so the MMU's walk and
+// dirty-assist paths stay allocation-free for every source.
 type TranslationSource interface {
-	// Walk performs a hardware walk for va.
-	Walk(va addr.V) pagetable.WalkResult
-	// SetDirty sets the dirty bit of the leaf covering va (the micro-op
-	// injected on a store through a non-dirty TLB entry).
-	SetDirty(va addr.V) bool
+	// WalkInto performs a hardware walk for va into res, reusing the
+	// capacity of res.Accesses and res.Line.
+	WalkInto(va addr.V, res *pagetable.WalkResult)
+	// SetDirtyLine sets the dirty bit of the leaf covering va (the
+	// micro-op injected on a store through a non-dirty TLB entry) and
+	// returns the translations sharing its PTE cache line, appended into
+	// buf[:0].
+	SetDirtyLine(va addr.V, buf []pagetable.Translation) []pagetable.Translation
 }
 
 // FaultHandler demand-maps va on a page fault, returning false if the
@@ -122,8 +127,8 @@ type Stats struct {
 	// Always zero on descriptors without one, including default x86-64.
 	ContigWalks uint64
 
-	Cycles     uint64 // total translation cycles
-	WalkCycles uint64 // subset spent in page-table walks
+	Cycles     uint64 // total translation cycles (derived from the book)
+	WalkCycles uint64 // subset spent in page-table walks (derived)
 
 	L1Lookup tlb.Cost // accumulated lookup costs
 	L2Lookup tlb.Cost
@@ -146,7 +151,7 @@ type Stats struct {
 	DemotionDrops     uint64 // evicted entries the victim level refused (e.g. 1GB)
 	VictimEvictions   uint64 // victim-level PTEs displaced by absorbing demotions
 	VictimProbes      uint64 // victim-level probes issued (hits and misses)
-	VictimProbeCycles uint64 // cycles those probes spent in the data caches
+	VictimProbeCycles uint64 // cycles those probes spent in the data caches (derived)
 
 	// Fault-injection accounting (zero unless chaos/oracle attached).
 	ECC              tlb.ECCStats
@@ -178,7 +183,8 @@ const maxOracleRetries = 3
 // hot path never repeats a type switch.
 type hierLevel struct {
 	tlb tlb.TLB
-	lat uint64 // cycles charged when this level is probed
+	lat uint64          // cycles charged when this level is probed
+	cat ledger.Category // the book category those cycles land in
 
 	hits   uint64
 	lookup tlb.Cost
@@ -204,12 +210,17 @@ type MMU struct {
 	pwc    *pwc.Cache
 	stats  Stats
 
-	// pt is src when it is the native page table; it enables the fused
-	// walk paths (WalkInto buffer reuse, single-traversal SetDirtyLine).
-	pt *pagetable.PageTable
-	// walkBuf is the reusable walk result for native sources, keeping
-	// steady-state misses allocation-free. Nothing retains a walk past the
-	// Translate call that produced it, so one buffer per MMU suffices.
+	// book is the one place cycles are accounted: every charge site goes
+	// through charge, which adds to the access's Result and to
+	// book[row][category]. Row 1 collects the charges of oracle-triggered
+	// retries, which Stats counts like any other cycle and Attribution
+	// folds into chaos-retry. Stats derives Cycles, WalkCycles and
+	// VictimProbeCycles from it.
+	book [2][ledger.NumCategories]ledger.Entry
+	row  int
+	// walkBuf is the reusable walk result, keeping steady-state misses
+	// allocation-free. Nothing retains a walk past the Translate call that
+	// produced it, so one buffer per MMU suffices.
 	walkBuf pagetable.WalkResult
 	// promoLine is the single-translation line used when a deeper-level
 	// hit without bundle members promotes into the levels above it.
@@ -274,6 +285,10 @@ func New(cfg Config, src TranslationSource, caches *cachesim.Hierarchy, fault Fa
 		lv := &m.levels[i]
 		lv.tlb = l.TLB
 		lv.lat = lat
+		lv.cat = ledger.DeepProbe
+		if i < 2 {
+			lv.cat = ledger.L1Probe + ledger.Category(i)
+		}
 		lv.promoter, _ = l.TLB.(tlb.Promoter)
 		lv.bundler, _ = l.TLB.(tlb.BundleProvider)
 		lv.refresher, _ = l.TLB.(tlb.DirtyRefresher)
@@ -295,7 +310,6 @@ func New(cfg Config, src TranslationSource, caches *cachesim.Hierarchy, fault Fa
 		}
 		en.SetEvictionSink(m.demote)
 	}
-	m.pt, _ = src.(*pagetable.PageTable)
 	if rc, ok := m.levels[0].tlb.(tlb.ReplayConsistent); ok && rc.LookupReplayConsistent() {
 		m.replayOK = true
 	}
@@ -353,9 +367,21 @@ func (m *MMU) LevelTLBs() []tlb.TLB {
 func (m *MMU) PWC() *pwc.Cache { return m.pwc }
 
 // Stats returns a snapshot of the counters, folding the per-level
-// counters into the legacy two-level fields.
+// counters into the legacy two-level fields and deriving the cycle
+// fields from the book.
 func (m *MMU) Stats() Stats {
 	s := m.stats
+	for r := range m.book {
+		for c, e := range m.book[r] {
+			s.Cycles += e.Cycles
+			switch ledger.Category(c) {
+			case ledger.WalkFull, ledger.WalkPWC, ledger.WalkContig:
+				s.WalkCycles += e.Cycles
+			case ledger.VictimProbe:
+				s.VictimProbeCycles += e.Cycles
+			}
+		}
+	}
 	s.L1Hits = m.levels[0].hits
 	s.L1Lookup = m.levels[0].lookup
 	s.L1Fill = m.levels[0].fill
@@ -385,6 +411,7 @@ func (m *MMU) LevelStats() []LevelStat {
 // separating warm-up from measurement.
 func (m *MMU) ResetStats() {
 	m.stats = Stats{}
+	m.book = [2][ledger.NumCategories]ledger.Entry{}
 	for i := range m.levels {
 		lv := &m.levels[i]
 		lv.hits, lv.lookup, lv.fill = 0, tlb.Cost{}, tlb.Cost{}
@@ -438,47 +465,67 @@ func (m *MMU) Translate(req tlb.Request) Result {
 		return res
 	}
 	m.stats.Accesses++
-	if m.led == nil {
-		return m.translateChecked(req)
+	if m.led != nil {
+		m.led.Begin()
 	}
-	m.led.Begin()
-	res := m.translateChecked(req)
-	m.led.End(uint64(req.VA), res.Size, res.HitLevel, res.Faulted)
+	refs := m.stats.WalkRefs
+	res, retries := m.translateChecked(req)
+	if m.led != nil {
+		// An access issues at most maxOracleRetries+1 walks of at most 24
+		// references each, so the narrowing conversions cannot wrap.
+		m.led.End(ledger.Access{VA: uint64(req.VA), Size: res.Size, HitLevel: res.HitLevel,
+			Faulted: res.Faulted, WalkRefs: uint16(m.stats.WalkRefs - refs), Retries: uint8(retries)})
+	}
 	return res
 }
 
+// charge is the single cycle-accounting site: it adds cycles to the
+// access's result and to the book row of the pass in flight, and lets an
+// attached ledger record the step (a retry pass's charges as
+// chaos-retry, with no level).
+func (m *MMU) charge(res *Result, c ledger.Category, level int8, cycles uint64) {
+	res.Cycles += cycles
+	e := &m.book[m.row][c]
+	e.Cycles += cycles
+	e.Events++
+	if m.led != nil {
+		if m.row != 0 {
+			c, level = ledger.ChaosRetry, -1
+		}
+		m.led.Step(c, level, cycles)
+	}
+}
+
 // translateChecked is Translate's body after the memo and ledger
-// bookkeeping: one hierarchy pass plus the oracle's scrub-and-retry loop.
-// Retry passes run with the ledger's charges redirected to its
-// chaos-retry category — their cycles are the cost of the injected
-// fault, not of the design.
-func (m *MMU) translateChecked(req tlb.Request) Result {
+// bookkeeping: one hierarchy pass plus the oracle's scrub-and-retry loop,
+// returning the result and how many retry passes ran. Retry passes charge
+// book row 1 — their cycles are the cost of the injected fault, not of
+// the design.
+func (m *MMU) translateChecked(req tlb.Request) (Result, int) {
 	res := m.translateOnce(req)
 	if m.oracle == nil || res.Faulted {
-		return res
+		return res, 0
 	}
 	mismatched := false
+	retries := 0
 	for try := 0; try <= maxOracleRetries; try++ {
 		mm := m.oracle.Check(m.cfg.Name, res.provenance(), req.VA, res.Size, res.PA)
 		if mm == nil {
 			if mismatched {
 				m.stats.OracleRecoveries++
 			}
-			return res
+			return res, retries
 		}
 		mismatched = true
 		m.stats.OracleMismatches++
 		m.scrubCorrupt(req.VA, res.Size)
 		if try < maxOracleRetries {
-			if m.led != nil {
-				m.led.SetRetry(true)
-			}
+			retries++
+			m.row = 1
 			res = m.translateOnce(req)
-			if m.led != nil {
-				m.led.SetRetry(false)
-			}
+			m.row = 0
 			if res.Faulted {
-				return res
+				return res, retries
 			}
 		}
 	}
@@ -491,7 +538,7 @@ func (m *MMU) translateChecked(req tlb.Request) Result {
 	} else {
 		m.stats.OracleUnrecovered++
 	}
-	return res
+	return res, retries
 }
 
 // replayMemo serves a consecutive access to the last memoized 4KB page
@@ -512,21 +559,19 @@ func (m *MMU) replayMemo(req tlb.Request) (Result, bool) {
 	m.stats.Accesses++
 	m.levels[0].hits++
 	m.levels[0].lookup.Add(m.memo.cost)
-	m.stats.Cycles += m.memo.cycles
-	if m.tel != nil {
-		m.tel.memoHits.Inc()
+	res := Result{
+		PA:    m.memo.paBase + addr.P(uint64(req.VA)&((1<<addr.Shift4K)-1)),
+		Size:  m.memo.size,
+		L1Hit: true,
 	}
 	if m.led != nil {
 		m.led.Begin()
-		m.led.Charge(ledger.MemoReplay, m.memo.cycles)
-		m.led.End(uint64(req.VA), m.memo.size, 0, false)
 	}
-	return Result{
-		PA:     m.memo.paBase + addr.P(uint64(req.VA)&((1<<addr.Shift4K)-1)),
-		Size:   m.memo.size,
-		Cycles: m.memo.cycles,
-		L1Hit:  true,
-	}, true
+	m.charge(&res, ledger.MemoReplay, -1, m.memo.cycles)
+	if m.led != nil {
+		m.led.End(ledger.Access{VA: uint64(req.VA), Size: res.Size})
+	}
+	return res, true
 }
 
 // TranslateBatch translates reqs[i] into out[i], amortizing per-call
@@ -557,10 +602,7 @@ func (m *MMU) translateOnce(req tlb.Request) Result {
 	for li := range m.levels {
 		lv := &m.levels[li]
 		if lv.cacheRes == nil {
-			res.Cycles += lv.lat
-			if m.led != nil {
-				m.led.ChargeProbe(li, lv.lat)
-			}
+			m.charge(&res, lv.cat, int8(li), lv.lat)
 		}
 		r := lv.tlb.Lookup(req)
 		if lv.cacheRes != nil {
@@ -572,11 +614,7 @@ func (m *MMU) translateOnce(req tlb.Request) Result {
 		}
 		lv.lookup.Add(r.Cost)
 		if r.Cost.Probes > 1 && lv.cacheRes == nil {
-			extra := uint64(r.Cost.Probes-1) * m.cfg.Lat.ExtraProbe
-			res.Cycles += extra
-			if m.led != nil {
-				m.led.Charge(ledger.ExtraProbe, extra)
-			}
+			m.charge(&res, ledger.ExtraProbe, -1, uint64(r.Cost.Probes-1)*m.cfg.Lat.ExtraProbe)
 		}
 		if r.Hit {
 			switch m.chaos.CorruptTLBHit(&r.T) {
@@ -634,7 +672,6 @@ func (m *MMU) translateOnce(req tlb.Request) Result {
 			}
 		}
 		m.handleDirty(req, r.Dirty, &res, nil)
-		m.stats.Cycles += res.Cycles
 		if li == 0 && m.memoOK && (!req.Write || r.Dirty) {
 			// A pure first-level hit (no dirty transition): memoize it so
 			// consecutive same-page accesses replay without re-probing.
@@ -655,7 +692,6 @@ func (m *MMU) translateOnce(req tlb.Request) Result {
 	if !walk.Found {
 		res.Faulted = true
 		m.stats.Faults++
-		m.stats.Cycles += res.Cycles
 		return res
 	}
 	if m.chaos.CorruptWalk(walk) {
@@ -670,7 +706,6 @@ func (m *MMU) translateOnce(req tlb.Request) Result {
 		m.levels[li].fill.Add(m.levels[li].tlb.Fill(req, *walk))
 	}
 	m.handleDirty(req, walk.Translation.Dirty, &res, walk)
-	m.stats.Cycles += res.Cycles
 	return res
 }
 
@@ -679,20 +714,14 @@ func (m *MMU) translateOnce(req tlb.Request) Result {
 // level's configured latency stands in.
 func (m *MMU) chargeCacheProbes(lv *hierLevel, res *Result) {
 	m.stats.VictimProbes++
-	start := res.Cycles
-	if m.caches == nil {
-		res.Cycles += lv.lat
-		m.stats.VictimProbeCycles += lv.lat
-	} else {
+	cycles := lv.lat
+	if m.caches != nil {
+		cycles = 0
 		for _, pa := range lv.cacheRes.ProbedLines() {
-			c := m.caches.Access(pa)
-			res.Cycles += c.Cycles
-			m.stats.VictimProbeCycles += c.Cycles
+			cycles += m.caches.Access(pa).Cycles
 		}
 	}
-	if m.led != nil {
-		m.led.Charge(ledger.VictimProbe, res.Cycles-start)
-	}
+	m.charge(res, ledger.VictimProbe, -1, cycles)
 }
 
 // demote is the eviction sink wired from the victim level's feeder: a
@@ -729,32 +758,17 @@ func (m *MMU) scrubCorrupt(va addr.V, size addr.PageSize) {
 // upper-level references on the fused WalkInto path: the traversal stays
 // functional (the simulator still resolves the leaf), but the skipped
 // PTE reads are never charged — exactly the architectural effect.
-// The returned result points at the MMU's reusable buffer for native
-// sources; it is consumed within the enclosing Translate call and never
-// retained.
+// The returned result points at the MMU's reusable buffer; it is
+// consumed within the enclosing Translate call and never retained.
 func (m *MMU) walk(req tlb.Request, res *Result) *pagetable.WalkResult {
 	m.stats.Walks++
 	walk := &m.walkBuf
-	if m.pt != nil {
-		m.pt.WalkInto(req.VA, walk)
-		if m.tel != nil {
-			m.tel.walkFused.Inc()
-		}
-	} else {
-		*walk = m.src.Walk(req.VA)
-		if m.tel != nil {
-			m.tel.walkScalar.Inc()
-		}
-	}
+	m.src.WalkInto(req.VA, walk)
 	if !walk.Found && m.fault != nil && m.fault(req.VA, req.Write) {
 		// Demand paging succeeded; the re-walk models the hardware retry
 		// after the OS returns. (OS fault-handling time itself is not
 		// part of the address-translation cost the paper measures.)
-		if m.pt != nil {
-			m.pt.WalkInto(req.VA, walk)
-		} else {
-			*walk = m.src.Walk(req.VA)
-		}
+		m.src.WalkInto(req.VA, walk)
 	}
 	if walk.ContigPages > 0 {
 		m.stats.ContigWalks++
@@ -777,31 +791,27 @@ func (m *MMU) walk(req tlb.Request, res *Result) *pagetable.WalkResult {
 		}
 	}
 	if !m.cfg.FreeWalks {
-		start := res.Cycles
+		var cycles uint64
 		for _, pa := range walk.Accesses[skip:] {
 			m.stats.WalkRefs++
-			c := m.caches.Access(pa)
-			res.Cycles += c.Cycles
-			m.stats.WalkCycles += c.Cycles
+			cycles += m.caches.Access(pa).Cycles
 		}
 		if m.tel != nil {
 			m.tel.walkDepth.Observe(uint64(len(walk.Accesses) - skip))
-			m.tel.walkCycles.Observe(res.Cycles - start)
+			m.tel.walkCycles.Observe(cycles)
 		}
-		if m.led != nil {
-			// Contig outcome takes precedence: on NAPOT/contig-hint
-			// descriptors the breakdown's question is how much walk time
-			// the architectural encoding covers, and a PWC-shortened
-			// contig walk still learned the block from its leaf.
-			cat := ledger.WalkFull
-			if skip > 0 {
-				cat = ledger.WalkPWC
-			}
-			if walk.ContigPages > 0 {
-				cat = ledger.WalkContig
-			}
-			m.led.ChargeWalk(cat, res.Cycles-start, len(walk.Accesses)-skip)
+		// Contig outcome takes precedence: on NAPOT/contig-hint
+		// descriptors the breakdown's question is how much walk time the
+		// architectural encoding covers, and a PWC-shortened contig walk
+		// still learned the block from its leaf.
+		cat := ledger.WalkFull
+		if skip > 0 {
+			cat = ledger.WalkPWC
 		}
+		if walk.ContigPages > 0 {
+			cat = ledger.WalkContig
+		}
+		m.charge(res, cat, -1, cycles)
 	}
 	return walk
 }
@@ -811,27 +821,23 @@ func (m *MMU) walk(req tlb.Request, res *Result) *pagetable.WalkResult {
 // dirty bit, then lets the TLBs set their entry bits where their policy
 // permits (always for 4KB entries; only singleton bundles for MIX/COLT).
 //
-// walk, when non-nil, is the just-completed miss walk for req.VA: its leaf
-// handle lets the assist set the D bit without re-traversing, and its Line
-// already holds the PTE cache line (only the demanded entry's Dirty bit
-// needs patching). Chaos injection can corrupt walk results, so fusion is
-// bypassed whenever an injector is attached.
+// walk, when non-nil, is the just-completed miss walk for req.VA: when it
+// carries a leaf handle (native page tables), the assist sets the D bit
+// without re-traversing, and its Line already holds the PTE cache line
+// (only the demanded entry's Dirty bit needs patching). Chaos injection
+// can corrupt walk results, so fusion is bypassed whenever an injector is
+// attached.
 func (m *MMU) handleDirty(req tlb.Request, entryDirty bool, res *Result, walk *pagetable.WalkResult) {
 	if !req.Write || entryDirty {
 		return
 	}
 	m.stats.DirtyMicroOps++
-	res.Cycles += m.cfg.Lat.DirtyMicroOp
-	if m.led != nil {
-		m.led.Charge(ledger.DirtyAssist, m.cfg.Lat.DirtyMicroOp)
-	}
+	m.charge(res, ledger.DirtyAssist, -1, m.cfg.Lat.DirtyMicroOp)
 	// The assist read the PTE's cache line to write the D bit; coalescing
 	// TLBs use the neighbouring D bits to refresh bundle dirty state
 	// (free: the access already happened and is priced above).
 	var line []pagetable.Translation
-	switch {
-	case walk != nil && walk.Leaf.Valid() && m.pt != nil && m.chaos == nil:
-		// Fused: the miss walk already located the leaf entry.
+	if walk != nil && walk.Leaf.Valid() && m.chaos == nil {
 		walk.Leaf.SetDirty()
 		for i := range walk.Line {
 			if walk.Line[i].VA == walk.Translation.VA {
@@ -839,21 +845,9 @@ func (m *MMU) handleDirty(req tlb.Request, entryDirty bool, res *Result, walk *p
 			}
 		}
 		line = walk.Line
-		if m.tel != nil {
-			m.tel.dirtyFused.Inc()
-		}
-	case m.pt != nil:
-		m.lineBuf = m.pt.SetDirtyLine(req.VA, m.lineBuf)
+	} else {
+		m.lineBuf = m.src.SetDirtyLine(req.VA, m.lineBuf)
 		line = m.lineBuf
-		if m.tel != nil {
-			m.tel.dirtyScalar.Inc()
-		}
-	default:
-		m.src.SetDirty(req.VA)
-		line = m.src.Walk(req.VA).Line
-		if m.tel != nil {
-			m.tel.dirtyGeneric.Inc()
-		}
 	}
 	for li := range m.levels {
 		lv := &m.levels[li]
@@ -871,9 +865,6 @@ func (m *MMU) handleDirty(req tlb.Request, entryDirty bool, res *Result, walk *p
 func (m *MMU) Invalidate(va addr.V, size addr.PageSize) {
 	m.stats.Invalidations++
 	m.memo = memoEntry{}
-	if m.led != nil {
-		m.led.Event(ledger.Shootdown)
-	}
 	for li := range m.levels {
 		m.levels[li].tlb.Invalidate(va, size)
 	}
@@ -886,15 +877,47 @@ func (m *MMU) Invalidate(va addr.V, size addr.PageSize) {
 func (m *MMU) Flush() {
 	m.stats.Flushes++
 	m.memo = memoEntry{}
-	if m.led != nil {
-		m.led.Event(ledger.Shootdown)
-	}
 	for li := range m.levels {
 		m.levels[li].tlb.Flush()
 	}
 	if m.pwc != nil {
 		m.pwc.Flush()
 	}
+}
+
+// Add accumulates o into s field by field — the one aggregation
+// multi-MMU systems (SMP cores, GPU shader cores) use.
+func (s *Stats) Add(o Stats) {
+	s.Accesses += o.Accesses
+	s.L1Hits += o.L1Hits
+	s.L2Hits += o.L2Hits
+	s.DeepHits += o.DeepHits
+	s.Walks += o.Walks
+	s.Faults += o.Faults
+	s.ContigWalks += o.ContigWalks
+	s.Cycles += o.Cycles
+	s.WalkCycles += o.WalkCycles
+	s.L1Lookup.Add(o.L1Lookup)
+	s.L2Lookup.Add(o.L2Lookup)
+	s.L1Fill.Add(o.L1Fill)
+	s.L2Fill.Add(o.L2Fill)
+	s.WalkRefs += o.WalkRefs
+	s.DirtyMicroOps += o.DirtyMicroOps
+	s.Invalidations += o.Invalidations
+	s.Flushes += o.Flushes
+	s.PWCHits += o.PWCHits
+	s.PWCMisses += o.PWCMisses
+	s.PWCSkippedRefs += o.PWCSkippedRefs
+	s.Demotions += o.Demotions
+	s.DemotionDrops += o.DemotionDrops
+	s.VictimEvictions += o.VictimEvictions
+	s.VictimProbes += o.VictimProbes
+	s.VictimProbeCycles += o.VictimProbeCycles
+	s.ECC.Add(o.ECC)
+	s.PTECorruptions += o.PTECorruptions
+	s.OracleMismatches += o.OracleMismatches
+	s.OracleRecoveries += o.OracleRecoveries
+	s.OracleUnrecovered += o.OracleUnrecovered
 }
 
 // MissRatio returns overall TLB miss ratio (walks / accesses).

@@ -1,6 +1,7 @@
 package mmu
 
 import (
+	"reflect"
 	"testing"
 
 	"mixtlb/internal/addr"
@@ -275,6 +276,64 @@ func TestStatsHelpers(t *testing.T) {
 	if s.String() == "" {
 		t.Error("empty String()")
 	}
+}
+
+// TestStatsAddSumsEveryField sets every numeric field of two Stats
+// (nested cost and ECC structs included) to distinct values and checks
+// that Add sums each one, so a field added to Stats without a line in
+// Add fails here instead of vanishing from SMP and GPU aggregates.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b Stats
+	la := numericFields(t, reflect.ValueOf(&a).Elem(), "Stats")
+	lb := numericFields(t, reflect.ValueOf(&b).Elem(), "Stats")
+	for i := range la {
+		setNumeric(la[i].v, uint64(i+1))
+		setNumeric(lb[i].v, uint64(100*(i+1)))
+	}
+	a.Add(b)
+	for i, f := range numericFields(t, reflect.ValueOf(&a).Elem(), "Stats") {
+		if got, want := getNumeric(f.v), uint64(101*(i+1)); got != want {
+			t.Errorf("%s = %d after Add, want %d", f.name, got, want)
+		}
+	}
+}
+
+type numericField struct {
+	name string
+	v    reflect.Value
+}
+
+// numericFields lists the integer leaves of struct v in declaration order.
+func numericFields(t *testing.T, v reflect.Value, path string) []numericField {
+	t.Helper()
+	var out []numericField
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), path+"."+v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Struct:
+			out = append(out, numericFields(t, f, name)...)
+		case reflect.Int, reflect.Uint64:
+			out = append(out, numericField{name, f})
+		default:
+			t.Fatalf("%s has kind %s; teach this test (and Stats.Add) about it", name, f.Kind())
+		}
+	}
+	return out
+}
+
+func setNumeric(v reflect.Value, x uint64) {
+	if v.Kind() == reflect.Int {
+		v.SetInt(int64(x))
+	} else {
+		v.SetUint(x)
+	}
+}
+
+func getNumeric(v reflect.Value) uint64 {
+	if v.Kind() == reflect.Int {
+		return uint64(v.Int())
+	}
+	return v.Uint()
 }
 
 func TestMissingL1Errors(t *testing.T) {

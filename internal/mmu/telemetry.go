@@ -3,6 +3,7 @@ package mmu
 import (
 	"fmt"
 
+	"mixtlb/internal/ledger"
 	"mixtlb/internal/telemetry"
 	"mixtlb/internal/tlb"
 )
@@ -11,15 +12,9 @@ import (
 // once at attach time keeps the hot path down to a single nil check per
 // site; a nil *mmuTel is the (default) disabled state.
 type mmuTel struct {
-	col          *telemetry.Collector
-	memoHits     *telemetry.Counter
-	walkFused    *telemetry.Counter
-	walkScalar   *telemetry.Counter
-	walkDepth    *telemetry.Histogram
-	walkCycles   *telemetry.Histogram
-	dirtyFused   *telemetry.Counter
-	dirtyScalar  *telemetry.Counter
-	dirtyGeneric *telemetry.Counter
+	col        *telemetry.Collector
+	walkDepth  *telemetry.Histogram
+	walkCycles *telemetry.Histogram
 }
 
 // walkDepthBounds covers native 4-level walks through nested (2D)
@@ -53,30 +48,28 @@ func (m *MMU) AttachTelemetry(c *telemetry.Collector) {
 	}
 	mc := c.With("mmu", m.cfg.Name)
 	m.tel = &mmuTel{
-		col:          mc,
-		memoHits:     mc.Counter("mmu_memo_hits_total"),
-		walkFused:    mc.Counter("mmu_walks_total", "path", "fused"),
-		walkScalar:   mc.Counter("mmu_walks_total", "path", "scalar"),
-		walkDepth:    mc.Histogram("mmu_walk_depth", walkDepthBounds),
-		walkCycles:   mc.Histogram("mmu_walk_cycles", walkCycleBounds),
-		dirtyFused:   mc.Counter("mmu_dirty_assists_total", "path", "fused"),
-		dirtyScalar:  mc.Counter("mmu_dirty_assists_total", "path", "scalar"),
-		dirtyGeneric: mc.Counter("mmu_dirty_assists_total", "path", "generic"),
+		col:        mc,
+		walkDepth:  mc.Histogram("mmu_walk_depth", walkDepthBounds),
+		walkCycles: mc.Histogram("mmu_walk_cycles", walkCycleBounds),
 	}
 }
 
-// FlushTelemetry exports the MMU's accumulated Stats counters and a
-// per-set occupancy snapshot of every hierarchy level into the registry.
-// Call it once, after measurement; it reads Stats but never writes
-// simulator state, so results are identical with telemetry on or off.
+// FlushTelemetry exports the MMU's accumulated Stats counters, the
+// book's memo-replay count, and a per-set occupancy snapshot of every
+// hierarchy level into the registry. Call it once, after measurement; it
+// reads Stats and the book but never writes simulator state, so results
+// are identical with telemetry on or off. Only the walk-depth and
+// walk-cycle histograms are recorded in line: a distribution cannot be
+// rebuilt from a sum.
 func (m *MMU) FlushTelemetry() {
 	if m.tel == nil {
 		return
 	}
 	mc := m.tel.col
-	s := m.stats
+	s := m.Stats()
 	mc.Counter("mmu_accesses_total").Add(s.Accesses)
-	mc.Counter("mmu_walks_charged_total").Add(s.Walks)
+	mc.Counter("mmu_memo_hits_total").Add(m.book[0][ledger.MemoReplay].Events)
+	mc.Counter("mmu_walks_total").Add(s.Walks)
 	mc.Counter("mmu_faults_total").Add(s.Faults)
 	mc.Counter("mmu_cycles_total").Add(s.Cycles)
 	mc.Counter("mmu_walk_cycles_total").Add(s.WalkCycles)

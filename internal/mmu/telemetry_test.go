@@ -1,9 +1,11 @@
 package mmu
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"mixtlb/internal/ledger"
 	"mixtlb/internal/telemetry"
 )
 
@@ -74,8 +76,8 @@ func TestTranslateZeroAllocTelemetryEnabled(t *testing.T) {
 }
 
 // TestTelemetryCountersAccumulate checks that an instrumented MMU records
-// walk-path counters in line and exports its Stats-derived families at
-// FlushTelemetry.
+// its walk histograms in line and exports its Stats- and book-derived
+// families at FlushTelemetry.
 func TestTelemetryCountersAccumulate(t *testing.T) {
 	const pages4k = 512
 	_, mapped := buildRefEnv(t, pages4k)
@@ -88,10 +90,17 @@ func TestTelemetryCountersAccumulate(t *testing.T) {
 	}
 	m.FlushTelemetry()
 	dump := reg.PrometheusString()
-	for _, want := range []string{"mmu_walks_total", "mmu_walk_depth", "mmu_accesses_total", "tlb_set_occupancy"} {
+	for _, want := range []string{"mmu_walks_total", "mmu_memo_hits_total", "mmu_walk_depth", "mmu_accesses_total", "tlb_set_occupancy"} {
 		if !strings.Contains(dump, want) {
 			t.Errorf("dump missing family %q", want)
 		}
+	}
+	st := m.Stats()
+	if want := fmt.Sprintf(`mmu_walks_total{mmu=%q} %d`, m.cfg.Name, st.Walks); !strings.Contains(dump, want) {
+		t.Errorf("dump lacks %s", want)
+	}
+	if want := fmt.Sprintf(`mmu_memo_hits_total{mmu=%q} %d`, m.cfg.Name, m.Attribution()[ledger.MemoReplay].Events); !strings.Contains(dump, want) {
+		t.Errorf("dump lacks %s", want)
 	}
 	if strings.Contains(dump, `mmu_accesses_total{mmu="`) {
 		// Collector had no exp/cell scope here; just sanity-check the

@@ -14,9 +14,9 @@ import (
 // TestLedgerConservationUnderShootdowns audits attribution on a
 // multi-core system whose cores take shootdown IPIs — including lost
 // IPIs that the retry protocol re-delivers — between translation rounds.
-// Each core carries its own ledger: conservation must hold per core, and
-// every delivered invalidation must appear in that core's shootdown
-// books.
+// Each core carries its own ledger: conservation must hold per core, the
+// core's cycle book must sum to its Stats.Cycles, and the shared
+// aggregate must sum the cores.
 func TestLedgerConservationUnderShootdowns(t *testing.T) {
 	const cores = 3
 	sys, _, base, fp := newSMP(t, mmu.DesignMix, cores)
@@ -41,18 +41,30 @@ func TestLedgerConservationUnderShootdowns(t *testing.T) {
 	if sys.Stats().IPIsLost == 0 {
 		t.Fatal("IPI loss never exercised; lost-IPI path untested")
 	}
+	var cycles, invalidations uint64
 	for i, c := range sys.Cores() {
 		if err := c.AuditLedger(); err != nil {
 			t.Errorf("core %d: %v", i, err)
 		}
 		st := c.Stats()
-		e := ledgers[i].Entries()
-		if e[ledger.Shootdown].Events != st.Invalidations+st.Flushes {
-			t.Errorf("core %d: shootdown events %d != invalidations+flushes %d",
-				i, e[ledger.Shootdown].Events, st.Invalidations+st.Flushes)
+		var booked uint64
+		for _, e := range c.Attribution() {
+			booked += e.Cycles
+		}
+		if booked != st.Cycles {
+			t.Errorf("core %d: book holds %d cycles, Stats.Cycles %d", i, booked, st.Cycles)
+		}
+		if ledgers[i].Accesses() != st.Accesses {
+			t.Errorf("core %d: ledger closed %d accesses, Stats saw %d", i, ledgers[i].Accesses(), st.Accesses)
 		}
 		if st.Invalidations == 0 {
 			t.Errorf("core %d: munmap storm delivered no invalidations", i)
 		}
+		cycles += st.Cycles
+		invalidations += st.Invalidations
+	}
+	if agg := sys.Aggregate(); agg.Cycles != cycles || agg.Invalidations != invalidations {
+		t.Errorf("aggregate cycles/invalidations %d/%d, cores sum to %d/%d",
+			agg.Cycles, agg.Invalidations, cycles, invalidations)
 	}
 }

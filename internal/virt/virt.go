@@ -174,12 +174,18 @@ func (vm *VM) ensureBacked(gpa addr.P) error {
 func (vm *VM) EnsureBacked(gpa addr.P) error { return vm.ensureBacked(gpa) }
 
 // NestedWalker implements mmu.TranslationSource for a VM, performing
-// two-dimensional page walks.
+// two-dimensional page walks. It owns scratch walk results for the guest
+// and host dimensions, so steady-state walks and dirty assists are
+// allocation-free; like the MMU it serves, a walker belongs to one
+// simulation goroutine.
 type NestedWalker struct {
-	vm *VM
+	vm    *VM
+	guest pagetable.WalkResult // guest-dimension walk scratch
+	host  pagetable.WalkResult // host-dimension walk scratch
+	dirty pagetable.WalkResult // SetDirtyLine's re-walk scratch
 }
 
-// Walker returns the VM's nested walker.
+// Walker returns a new nested walker over the VM.
 func (vm *VM) Walker() *NestedWalker { return &NestedWalker{vm: vm} }
 
 // hostResolve translates a guest-physical address to system-physical,
@@ -188,43 +194,57 @@ func (w *NestedWalker) hostResolve(gpa addr.P, accesses *[]addr.P) (pagetable.Tr
 	if err := w.vm.ensureBacked(gpa); err != nil {
 		return pagetable.Translation{}, false
 	}
-	hres := w.vm.hostPT.Walk(addr.V(gpa))
-	*accesses = append(*accesses, hres.Accesses...)
-	return hres.Translation, hres.Found
+	w.vm.hostPT.WalkInto(addr.V(gpa), &w.host)
+	*accesses = append(*accesses, w.host.Accesses...)
+	return w.host.Translation, w.host.Found
 }
 
-// Walk implements mmu.TranslationSource: a 2D walk over guest and host
-// tables. With 4-level tables and 4KB pages in both dimensions this
-// produces the canonical 24 memory references.
+// Walk is WalkInto returning a fresh result, for tests and examples.
 func (w *NestedWalker) Walk(va addr.V) pagetable.WalkResult {
-	var out pagetable.WalkResult
-	gres := w.vm.guestAS.PageTable().Walk(va)
+	var res pagetable.WalkResult
+	w.WalkInto(va, &res)
+	return res
+}
+
+// WalkInto implements mmu.TranslationSource: a 2D walk over guest and
+// host tables into a caller-owned result, reusing the capacity of
+// res.Accesses and res.Line. With 4-level tables and 4KB pages in both
+// dimensions this produces the canonical 24 memory references. The result
+// never carries a leaf handle: an effective translation is not one PTE.
+func (w *NestedWalker) WalkInto(va addr.V, res *pagetable.WalkResult) {
+	res.Found = false
+	res.Translation = pagetable.Translation{}
+	res.Accesses = res.Accesses[:0]
+	res.Line = res.Line[:0]
+	res.Leaf = pagetable.LeafRef{}
+	res.ContigPages = 0
+	gres := &w.guest
+	w.vm.guestAS.PageTable().WalkInto(va, gres)
 	// Each guest PTE reference is a guest-physical access that the
 	// hardware must itself translate via the host dimension.
 	for _, gpa := range gres.Accesses {
-		htr, ok := w.hostResolve(gpa, &out.Accesses)
+		htr, ok := w.hostResolve(gpa, &res.Accesses)
 		if !ok {
-			return out
+			return
 		}
-		out.Accesses = append(out.Accesses, htr.Translate(addr.V(gpa)))
+		res.Accesses = append(res.Accesses, htr.Translate(addr.V(gpa)))
 	}
 	if !gres.Found {
-		return out // guest page fault
+		return // guest page fault
 	}
 	// Resolve the final guest physical address through the host.
 	gpa := gres.Translation.Translate(va)
-	htr, ok := w.hostResolve(gpa, &out.Accesses)
+	htr, ok := w.hostResolve(gpa, &res.Accesses)
 	if !ok {
-		return out
+		return
 	}
 	eff, ok := effective(va, gres.Translation, htr)
 	if !ok {
-		return out
+		return
 	}
-	out.Found = true
-	out.Translation = eff
-	out.Line = w.effectiveLine(eff)
-	return out
+	res.Found = true
+	res.Translation = eff
+	res.Line = w.effectiveLine(res.Line, eff)
 }
 
 // effective computes the gVA→sPA translation the TLB may cache for va:
@@ -246,17 +266,16 @@ func effective(va addr.V, guest, host pagetable.Translation) (pagetable.Translat
 	}, perm&addr.PermRead != 0
 }
 
-// effectiveLine reconstructs the 8-translation PTE cache-line window
+// effectiveLine appends to out the 8-translation PTE cache-line window
 // around tr in effective terms: the adjacent effective-size pages whose
 // guest and host mappings both exist, resolve to the same effective size,
 // and carry the same permissions. This is what the coalescing logic can
 // observe during a nested walk. (Resolutions here are architectural
 // lookups, not extra memory references: the 2D walker already fetched
 // these lines.)
-func (w *NestedWalker) effectiveLine(tr pagetable.Translation) []pagetable.Translation {
+func (w *NestedWalker) effectiveLine(out []pagetable.Translation, tr pagetable.Translation) []pagetable.Translation {
 	pn := tr.VA.PageNum(tr.Size)
 	lineStart := pn &^ (addr.PTEsPerCacheLine - 1)
-	out := make([]pagetable.Translation, 0, addr.PTEsPerCacheLine)
 	for i := uint64(0); i < addr.PTEsPerCacheLine; i++ {
 		nva := addr.V((lineStart + i) << tr.Size.Shift())
 		if nva == tr.VA {
@@ -285,8 +304,8 @@ func (w *NestedWalker) effectiveLine(tr pagetable.Translation) []pagetable.Trans
 	return out
 }
 
-// SetDirty implements mmu.TranslationSource: the dirty micro-op updates
-// the guest PTE and the host backing's PTE.
+// SetDirty is the dirty micro-op: it updates the guest PTE and the host
+// backing's PTE, reporting whether both dimensions map va.
 func (w *NestedWalker) SetDirty(va addr.V) bool {
 	gtr, ok := w.vm.guestAS.PageTable().Lookup(va)
 	if !ok {
@@ -294,6 +313,15 @@ func (w *NestedWalker) SetDirty(va addr.V) bool {
 	}
 	w.vm.guestAS.PageTable().SetDirty(va)
 	return w.vm.hostPT.SetDirty(addr.V(gtr.Translate(va)))
+}
+
+// SetDirtyLine implements mmu.TranslationSource: SetDirty, then a 2D
+// re-walk (with its A-bit and demand-backing side effects) whose
+// effective line is appended into buf[:0].
+func (w *NestedWalker) SetDirtyLine(va addr.V, buf []pagetable.Translation) []pagetable.Translation {
+	w.SetDirty(va)
+	w.WalkInto(va, &w.dirty)
+	return append(buf[:0], w.dirty.Line...)
 }
 
 // HandleFault adapts the guest OS fault handler to mmu.FaultHandler. The

@@ -7,6 +7,7 @@ import (
 	"mixtlb/internal/cachesim"
 	"mixtlb/internal/mmu"
 	"mixtlb/internal/osmm"
+	"mixtlb/internal/pagetable"
 	"mixtlb/internal/simrand"
 	"mixtlb/internal/tlb"
 )
@@ -240,4 +241,109 @@ func TestEffectiveContiguityReport(t *testing.T) {
 	if got := rep.AverageContiguity(addr.Page2M); got < 2 {
 		t.Errorf("effective 2MB contiguity = %v", got)
 	}
+}
+
+// TestNestedSetDirtyLineMatchesTwoStep checks the single-call dirty
+// assist against the path it replaced — SetDirty(va) then Walk(va).Line —
+// on twin VMs built from the same seeds: at random VAs (some unmapped)
+// both must return the same line and leave identical guest and host
+// A/D bits. The same twins also pin WalkInto on a reused result to a
+// fresh Walk.
+func TestNestedSetDirtyLineMatchesTwoStep(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		policy  osmm.Policy
+		host2MB bool
+	}{
+		{"ths-on-2mb", osmm.THS, true},
+		{"4kb-on-4kb", osmm.BasePages, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			twin := func() (*VM, addr.V) {
+				m := NewMachine(1<<30, simrand.New(21))
+				m.Host2MBBacking = tc.host2MB
+				vm, err := m.AddVM(256<<20, osmm.Config{Policy: tc.policy}, simrand.New(22))
+				if err != nil {
+					t.Fatal(err)
+				}
+				start, _ := vm.GuestAS().Mmap(16 << 20)
+				if _, err := vm.Populate(start, 16<<20); err != nil {
+					t.Fatal(err)
+				}
+				return vm, start
+			}
+			vmA, start := twin()
+			vmB, startB := twin()
+			if start != startB {
+				t.Fatalf("twins mapped at %v and %v", start, startB)
+			}
+			fused, ref := vmA.Walker(), vmB.Walker()
+			rng := simrand.New(23)
+			var buf []pagetable.Translation
+			var walk pagetable.WalkResult
+			for i := 0; i < 2000; i++ {
+				va := start + addr.V(rng.Uint64n(20<<20)) // past the end: unmapped
+				if i%2 == 0 {
+					fused.WalkInto(va, &walk)
+					if want := ref.Walk(va); !sameWalk(walk, want) {
+						t.Fatalf("WalkInto(%v) = %+v, Walk = %+v", va, walk, want)
+					}
+					continue
+				}
+				buf = fused.SetDirtyLine(va, buf)
+				ref.SetDirty(va)
+				want := ref.Walk(va).Line
+				if len(buf) != len(want) {
+					t.Fatalf("SetDirtyLine(%v) line has %d entries, want %d", va, len(buf), len(want))
+				}
+				for j := range want {
+					if buf[j] != want[j] {
+						t.Fatalf("SetDirtyLine(%v) line[%d] = %v, want %v", va, j, buf[j], want[j])
+					}
+				}
+			}
+			for _, pts := range [][2]*pagetable.PageTable{
+				{vmA.GuestAS().PageTable(), vmB.GuestAS().PageTable()},
+				{vmA.NestedPT(), vmB.NestedPT()},
+			} {
+				a, b := dumpPT(pts[0]), dumpPT(pts[1])
+				if len(a) != len(b) {
+					t.Fatalf("twins map %d vs %d pages", len(a), len(b))
+				}
+				for j := range a {
+					if a[j] != b[j] {
+						t.Fatalf("page-table entry %d: %v, want %v", j, a[j], b[j])
+					}
+				}
+			}
+		})
+	}
+}
+
+func sameWalk(a, b pagetable.WalkResult) bool {
+	if a.Found != b.Found || a.Translation != b.Translation || a.ContigPages != b.ContigPages ||
+		a.Leaf.Valid() || len(a.Accesses) != len(b.Accesses) || len(a.Line) != len(b.Line) {
+		return false
+	}
+	for i := range a.Accesses {
+		if a.Accesses[i] != b.Accesses[i] {
+			return false
+		}
+	}
+	for i := range a.Line {
+		if a.Line[i] != b.Line[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// dumpPT lists every live translation, A/D bits included.
+func dumpPT(pt *pagetable.PageTable) []pagetable.Translation {
+	var out []pagetable.Translation
+	pt.ForEach(func(tr pagetable.Translation) bool {
+		out = append(out, tr)
+		return true
+	})
+	return out
 }

@@ -19,6 +19,12 @@ go vet ./...
 echo "== go test -race ./..."
 go test -race -timeout 20m ./...
 
+# The benchmark (cmd/mixbench) is its own Go module, so the root ./...
+# patterns above skip it. Its smoke test pins SHA-256 digests of
+# mmu.Stats, so it also guards the shape of the simulator's public API.
+echo "== cmd/mixbench vet + test"
+(cd cmd/mixbench && go vet ./... && go test ./...)
+
 # Fuzz smoke: run each fuzz target briefly beyond its seed corpus. The
 # corpora under testdata/fuzz/ already ran as regular test cases above;
 # this adds a short mutation pass to catch fresh encode/decode breakage.
@@ -209,14 +215,17 @@ fi
 echo "== telemetry zero-alloc guard"
 go test ./internal/mmu/ -run 'TestTranslateZeroAllocTelemetry' -count=1 > /dev/null
 
-# Cycle-provenance ledger: conservation must hold per cell across every
-# registry design (chaos and shootdowns included), attribution must be an
-# observer (armed vs disarmed tables byte-identical), and the translate
-# loop must stay zero-alloc with the ledger attached and detached.
-echo "== ledger conservation audit"
+# Cycle book and ledger: per-access results, Stats.Cycles and the MMU's
+# Attribution must be one number for every registry design and for nested
+# MMUs; the ledger's closed accesses must conserve per cell (chaos retries
+# and shootdowns included); attribution must be an observer (armed vs
+# disarmed tables byte-identical); and the translate loop must stay
+# zero-alloc with the ledger attached and detached, native and nested.
+echo "== cycle book and ledger conservation"
 go test ./internal/ledger/ -count=1 > /dev/null
-go test ./internal/mmu/ -run 'TestLedgerConservation|TestLedgerObserverOnly|TestTranslateZeroAllocLedger' -count=1 > /dev/null
+go test ./internal/mmu/ -run 'TestCycleConservation|TestLedgerConservation|TestAttributionFoldsRetries|TestLedgerObserverOnly|TestTranslateZeroAllocLedger|TestTranslateZeroAllocNested|TestStatsAddSumsEveryField' -count=1 > /dev/null
 go test ./internal/smp/ -run 'TestLedgerConservationUnderShootdowns' -count=1 > /dev/null
+go test ./internal/virt/ -run 'TestNestedSetDirtyLineMatchesTwoStep' -count=1 > /dev/null
 go test ./internal/perfmodel/ -count=1 > /dev/null
 
 # The breakdown experiment (the ledger's table readout, audited in-cell)
