@@ -41,12 +41,17 @@ benchdiff:
 	./scripts/benchdiff.sh $(OLD) $(NEW)
 
 # Short mutation pass over each fuzz target (seed corpora also run as
-# plain test cases in `make test`).
+# plain test cases in `make test`). Keep this list equal to the one in
+# scripts/check.sh.
 fuzz:
 	$(GO) test ./internal/trace/ -fuzz 'FuzzRoundTrip' -fuzztime 10s -run ^$$
 	$(GO) test ./internal/trace/ -fuzz 'FuzzReader' -fuzztime 10s -run ^$$
 	$(GO) test ./internal/addr/ -fuzz 'FuzzAddrArithmetic' -fuzztime 10s -run ^$$
+	$(GO) test ./internal/addr/ -fuzz 'FuzzSpaceArithmetic' -fuzztime 10s -run ^$$
+	$(GO) test ./internal/pagetable/ -fuzz 'FuzzPTE' -fuzztime 10s -run ^$$
 	$(GO) test ./internal/journal/ -fuzz 'FuzzJournalDecode' -fuzztime 10s -run ^$$
+	$(GO) test ./internal/tlb/ -fuzz 'FuzzVictimBundle' -fuzztime 10s -run ^$$
+	$(GO) test ./cmd/mixtlbd/ -fuzz 'FuzzDecodeJob' -fuzztime 10s -run ^$$
 
 # Regenerate the golden experiment tables after an intentional change in
 # simulator behavior (records at -jobs=1; the test verifies at -jobs=8).

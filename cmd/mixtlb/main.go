@@ -58,7 +58,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mixtlb/internal/chaos"
 	"mixtlb/internal/experiments"
 	"mixtlb/internal/isa"
 	"mixtlb/internal/journal"
@@ -83,20 +82,15 @@ func main() {
 	var expName string
 	flag.StringVar(&expName, "exp", "", "experiment or group to run (see -list), or 'all'")
 	flag.StringVar(&expName, "experiment", "", "alias for -exp")
+	// The run's settings are an experiments.RunSpec, shared with mixtlbd;
+	// everything else here observes or steers the process.
+	spec := experiments.DefaultRunSpec()
+	spec.RegisterFlags(flag.CommandLine)
 	var (
 		list       = flag.Bool("list", false, "list available experiments and groups")
-		quick      = flag.Bool("quick", false, "use the small quick scale instead of the default")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		memGB      = flag.Uint64("mem-gb", 0, "override system memory (GiB)")
-		footGB     = flag.Uint64("footprint-gb", 0, "override workload footprint (GiB)")
-		refs       = flag.Uint64("refs", 0, "override measured references per simulation")
-		seed       = flag.Uint64("seed", 0, "override random seed")
-		workloads  = flag.String("workloads", "", "comma-separated workload subset (default: all)")
 		chaosRun   = flag.Bool("chaos", false, "shorthand for -exp chaos")
-		faultScale = flag.Float64("fault-scale", 1, "multiply the default chaos fault rates")
 		timeout    = flag.Duration("timeout", 10*time.Minute, "per-experiment wall-clock timeout (0 disables)")
-		jobs       = flag.Int("jobs", 0, "worker-pool size for experiment cells (0 = GOMAXPROCS)")
-		cell       = flag.String("cell", "", "run only grid cells whose name contains this substring")
 		benchOut   = flag.String("bench-out", "", "write per-cell wall-clock timings to this JSON file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (pprof) to this file at exit")
 		memProfile = flag.String("memprofile", "", "write a heap profile (pprof) to this file at exit")
@@ -105,23 +99,16 @@ func main() {
 		eventsOut  = flag.String("events-out", "", "write the raw telemetry event stream as JSONL to this file")
 		pprofAddr  = flag.String("pprof-addr", "", "serve /metrics, /trace, /debug/vars and /debug/pprof/ on this address (e.g. localhost:6060)")
 		progress   = flag.Bool("progress", false, "print live per-cell progress (done/total, ETA) to stderr")
-		designs    = flag.String("designs", "", "comma-separated design subset for the hierarchy experiment (default: its built-in set)")
-		isaName    = flag.String("isa", "", "translation ISA descriptor for every native environment (see -list; default x86-64)")
 		designFile = flag.String("design-file", "", "JSON file of extra TLB design specs to register (see examples/designs.json)")
 
 		journalPath  = flag.String("journal", "", "checkpoint each completed cell to this JSONL file (crash-safe)")
 		resume       = flag.Bool("resume", false, "replay completed cells from the -journal file instead of truncating it")
-		maxRetries   = flag.Int("max-retries", 0, "re-run a transiently failing cell up to this many times (seeded backoff)")
 		retryBackoff = flag.Duration("retry-backoff", 0, "base backoff before the first cell retry (0 = built-in default)")
-		cellDeadline = flag.Duration("cell-deadline", 0, "per-cell watchdog: cancel and requeue cells exceeding this wall time (0 disables)")
-		failSoft     = flag.Bool("fail-soft", false, "record cells that exhaust retries as FAILED table markers instead of aborting")
 		injectFail   = flag.String("inject-cell-failure", "", "fail every cell whose name contains this substring (fault-injection testing)")
 		killAfter    = flag.Int("kill-after-cells", 0, "exit(137) after this many cells complete (crash-testing the journal)")
 
-		logFormat   = flag.String("log-format", "text", "stderr log format: text or json")
-		ledgerAudit = flag.Bool("ledger-audit", false, "attach the cycle-attribution ledger to every cell and fail cells whose books do not balance")
-		tailK       = flag.Int("tail", 0, "record the K slowest translations per cell in the tail flight recorder (0 disables)")
-		explain     = flag.Bool("explain", false, "replay one translation with full cost narration: mixtlb -explain vaddr=0x... design=...")
+		logFormat = flag.String("log-format", "text", "stderr log format: text or json")
+		explain   = flag.Bool("explain", false, "replay one translation with full cost narration: mixtlb -explain vaddr=0x... design=...")
 	)
 	flag.Parse()
 
@@ -205,42 +192,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	scale := experiments.DefaultScale()
-	if *quick {
-		scale = experiments.QuickScale()
+	// Reject bad settings up front (a typo'd workload would otherwise run
+	// every experiment over an empty set and print empty tables).
+	scale, err := spec.Scale(registry)
+	if err != nil {
+		lg.Error("invalid run settings", "err", err)
+		stopProfiles()
+		os.Exit(2)
 	}
-	if *memGB > 0 {
-		scale.MemoryBytes = *memGB << 30
-	}
-	if *footGB > 0 {
-		scale.FootprintBytes = *footGB << 30
-	}
-	if *refs > 0 {
-		scale.MeasureRefs = *refs
-		scale.WarmupRefs = *refs / 2
-	}
-	if *seed > 0 {
-		scale.Seed = *seed
-	}
-	if *workloads != "" {
-		scale.Workloads = strings.Split(*workloads, ",")
-	}
-	if *faultScale != 1 {
-		scale.Chaos = chaos.DefaultRates().Scaled(*faultScale)
-	}
-	scale.Jobs = *jobs
-	scale.Cell = *cell
-	scale.Registry = registry
-	scale.LedgerAudit = *ledgerAudit
-	scale.TailK = *tailK
-	if *designs != "" {
-		scale.Designs = strings.Split(*designs, ",")
-	}
-	scale.ISA = *isaName
-	scale.MaxRetries = *maxRetries
 	scale.RetryBackoff = *retryBackoff
-	scale.CellDeadline = *cellDeadline
-	scale.FailSoft = *failSoft
 	scale.Failures = &experiments.FailureLog{}
 	if *injectFail != "" {
 		pat := *injectFail
@@ -250,26 +210,6 @@ func main() {
 			}
 			return nil
 		}
-	}
-
-	// Reject workload typos up front; without this check a bad -workloads
-	// value runs every experiment over an empty set and prints empty tables.
-	if err := scale.ValidateWorkloads(); err != nil {
-		lg.Error("invalid -workloads", "err", err)
-		stopProfiles()
-		os.Exit(2)
-	}
-	// Same for -designs: every name must resolve in the registry.
-	if err := scale.ValidateDesigns(); err != nil {
-		lg.Error("invalid -designs", "err", err)
-		stopProfiles()
-		os.Exit(2)
-	}
-	// And -isa: the typed error lists every valid descriptor name.
-	if err := scale.ValidateISA(); err != nil {
-		lg.Error("invalid -isa", "err", err)
-		stopProfiles()
-		os.Exit(2)
 	}
 
 	// Single-translation replay: narrate one address's cost and exit.
@@ -403,7 +343,7 @@ func main() {
 		toRun = []experiments.Experiment{e}
 	}
 
-	bench := experiments.NewBenchLog(*jobs)
+	bench := experiments.NewBenchLog(spec.Jobs)
 	scale.Bench = bench
 	ctx := context.Background()
 

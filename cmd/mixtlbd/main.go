@@ -7,7 +7,8 @@
 // exhaust their retries become FAILED(...) markers in the result instead
 // of killing the job.
 //
-//	POST   /jobs             submit a JobSpec, returns {"id": "job-000001"}
+//	POST   /jobs             submit {"experiment": ...} plus any experiments.RunSpec
+//	                         fields, returns {"id": "job-000001"}
 //	GET    /jobs             list jobs
 //	GET    /jobs/{id}        status (state, timings, replayed/failed cells)
 //	GET    /jobs/{id}/result finished table as CSV (202 while running)

@@ -22,30 +22,16 @@ import (
 	"mixtlb/internal/telemetry"
 )
 
-// JobSpec is the submission body of POST /jobs. Refs is the per-cell
-// measured-reference count — the unit the per-job work budget is
-// denominated in; zero takes the scale default.
-type JobSpec struct {
-	Experiment string   `json:"experiment"`
-	Quick      bool     `json:"quick,omitempty"`
-	Seed       uint64   `json:"seed,omitempty"`
-	Workloads  []string `json:"workloads,omitempty"`
-	// ISA names the translation descriptor every native environment's
-	// page table implements (empty = default x86-64). Validated up
-	// front: an unknown name rejects the submission as bad_spec.
-	ISA          string `json:"isa,omitempty"`
-	Refs         uint64 `json:"refs,omitempty"`
-	Jobs         int    `json:"jobs,omitempty"` // worker pool for the job's cells
-	MaxRetries   int    `json:"max_retries,omitempty"`
-	CellDeadline string `json:"cell_deadline,omitempty"` // Go duration, e.g. "2m"
-	FailSoft     *bool  `json:"fail_soft,omitempty"`     // default true under the daemon
-	// LedgerAudit arms the cycle-attribution ledger on every cell;
-	// TailK records the K slowest translations per cell, surfaced at
-	// GET /debug/tail. Both are observers: result tables are
-	// byte-identical with them on or off.
-	LedgerAudit bool `json:"ledger_audit,omitempty"`
-	TailK       int  `json:"tail_k,omitempty"`
+// jobBody is the submission body of POST /jobs: an experiment name and
+// the run's settings, flat on the wire. Refs is the per-cell measured
+// reference count the per-job work budget is denominated in.
+type jobBody struct {
+	Experiment string `json:"experiment"`
+	experiments.RunSpec
 }
+
+// maxBodyBytes bounds a POST /jobs body; a real one is a few hundred bytes.
+const maxBodyBytes = 64 << 10
 
 // job states.
 const (
@@ -58,8 +44,9 @@ const (
 
 // job is one queued or completed experiment run.
 type job struct {
-	ID   string
-	Spec JobSpec
+	ID    string
+	exp   experiments.Experiment
+	scale experiments.Scale
 
 	mu       sync.Mutex
 	state    string
@@ -206,7 +193,7 @@ func (s *Server) runLoop() {
 		if canceled {
 			continue
 		}
-		s.lg.Info("job started", "job", j.ID, "experiment", j.Spec.Experiment)
+		s.lg.Info("job started", "job", j.ID, "experiment", j.exp.Name)
 		s.runJob(ctx, j)
 		j.mu.Lock()
 		j.finished = time.Now()
@@ -223,12 +210,12 @@ func (s *Server) runLoop() {
 		j.mu.Unlock()
 		switch state {
 		case stateFailed:
-			s.lg.Error("job failed", "job", j.ID, "experiment", j.Spec.Experiment,
+			s.lg.Error("job failed", "job", j.ID, "experiment", j.exp.Name,
 				"err", errMsg, "elapsed", elapsed.String())
 		case stateCanceled:
-			s.lg.Warn("job canceled", "job", j.ID, "experiment", j.Spec.Experiment, "reason", errMsg)
+			s.lg.Warn("job canceled", "job", j.ID, "experiment", j.exp.Name, "reason", errMsg)
 		default:
-			s.lg.Info("job done", "job", j.ID, "experiment", j.Spec.Experiment,
+			s.lg.Info("job done", "job", j.ID, "experiment", j.exp.Name,
 				"elapsed", elapsed.String())
 		}
 	}
@@ -245,39 +232,6 @@ func (s *Server) journalPath(experiment, fingerprint string) string {
 	return filepath.Join(s.cfg.DataDir, fmt.Sprintf("%s-%016x.journal", experiment, h.Sum64()))
 }
 
-// scaleFor turns a validated spec into the run's Scale.
-func (s *Server) scaleFor(spec JobSpec) experiments.Scale {
-	scale := experiments.DefaultScale()
-	if spec.Quick {
-		scale = experiments.QuickScale()
-	}
-	if spec.Seed > 0 {
-		scale.Seed = spec.Seed
-	}
-	if len(spec.Workloads) > 0 {
-		scale.Workloads = spec.Workloads
-	}
-	scale.ISA = spec.ISA
-	if spec.Refs > 0 {
-		scale.MeasureRefs = spec.Refs
-		scale.WarmupRefs = spec.Refs / 2
-	}
-	scale.Jobs = spec.Jobs
-	if scale.Jobs == 0 {
-		scale.Jobs = s.cfg.CellJobs
-	}
-	scale.MaxRetries = spec.MaxRetries
-	if d, err := time.ParseDuration(spec.CellDeadline); err == nil && spec.CellDeadline != "" {
-		scale.CellDeadline = d
-	}
-	scale.FailSoft = spec.FailSoft == nil || *spec.FailSoft
-	scale.Failures = &experiments.FailureLog{}
-	scale.Telemetry = s.col
-	scale.LedgerAudit = spec.LedgerAudit
-	scale.TailK = spec.TailK
-	return scale
-}
-
 // runExperiment is the real job runner: open (or resume) the spec's
 // journal, run under RunSafe, and store the rendered table.
 func (s *Server) runExperiment(ctx context.Context, j *job) {
@@ -288,14 +242,7 @@ func (s *Server) runExperiment(ctx context.Context, j *job) {
 // (cells whose name contains faultCell fail every attempt) — the test
 // hook for exercising the fail-soft path over the real simulator.
 func (s *Server) runExperimentWithFault(ctx context.Context, j *job, faultCell string) {
-	e, err := experiments.ByName(j.Spec.Experiment)
-	if err != nil {
-		j.mu.Lock()
-		j.err = err.Error()
-		j.mu.Unlock()
-		return
-	}
-	scale := s.scaleFor(j.Spec)
+	e, scale := j.exp, j.scale
 	if faultCell != "" {
 		scale.RetryBackoff = time.Millisecond
 		scale.CellFault = func(exp, cell string) error {
@@ -393,22 +340,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, apiError{"draining: not accepting jobs"})
 		return
 	}
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		s.countRejected("bad_spec")
-		writeJSON(w, http.StatusBadRequest, apiError{"bad spec: " + err.Error()})
-		return
-	}
-	if err := s.validate(spec); err != nil {
-		s.countRejected(err.reason)
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+	e, scale, serr := s.decodeJob(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if serr != nil {
+		s.countRejected(serr.reason)
+		writeJSON(w, http.StatusBadRequest, apiError{serr.Error()})
 		return
 	}
 	j := &job{
 		ID:       fmt.Sprintf("job-%06d", s.idSeq.Add(1)),
-		Spec:     spec,
+		exp:      e,
+		scale:    scale,
 		state:    stateQueued,
 		enqueued: time.Now(),
 	}
@@ -426,7 +367,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
 	s.mu.Unlock()
-	s.lg.Info("job accepted", "job", j.ID, "experiment", spec.Experiment, "quick", spec.Quick)
+	s.lg.Info("job accepted", "job", j.ID, "experiment", e.Name, "refs", scale.MeasureRefs)
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": j.ID})
 }
 
@@ -438,30 +379,44 @@ type specError struct {
 
 func (e *specError) Error() string { return e.msg }
 
-// validate enforces the spec's shape and the per-job work budget before
-// anything is queued.
-func (s *Server) validate(spec JobSpec) *specError {
-	if _, err := experiments.ByName(spec.Experiment); err != nil {
-		return &specError{"bad_spec", err.Error()}
+// decodeJob parses one POST /jobs body into the job's experiment and
+// Scale. A malformed body (unknown field, trailing data), an unknown
+// experiment or a bad setting is bad_spec; a run wanting more refs per
+// cell than -max-refs is over_budget. The daemon's own defaults fill in
+// around the spec: fail-soft unless the body says otherwise, -jobs when
+// the body names no pool size, and the daemon's telemetry.
+func (s *Server) decodeJob(r io.Reader) (experiments.Experiment, experiments.Scale, *specError) {
+	var none experiments.Scale
+	body := jobBody{RunSpec: experiments.DefaultRunSpec()}
+	body.FailSoft = true
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&body); err != nil {
+		return experiments.Experiment{}, none, &specError{"bad_spec", "bad spec: " + err.Error()}
 	}
-	if spec.CellDeadline != "" {
-		if _, err := time.ParseDuration(spec.CellDeadline); err != nil {
-			return &specError{"bad_spec", "cell_deadline: " + err.Error()}
-		}
+	if _, err := dec.Token(); err != io.EOF {
+		return experiments.Experiment{}, none, &specError{"bad_spec", "bad spec: trailing data after the JSON object"}
 	}
-	scale := s.scaleFor(spec)
-	if err := scale.ValidateWorkloads(); err != nil {
-		return &specError{"bad_spec", err.Error()}
+	e, err := experiments.ByName(body.Experiment)
+	if err != nil {
+		return e, none, &specError{"bad_spec", err.Error()}
 	}
-	if err := scale.ValidateISA(); err != nil {
-		return &specError{"bad_spec", err.Error()}
+	scale, err := body.Scale(nil)
+	if err != nil {
+		return e, none, &specError{"bad_spec", err.Error()}
 	}
-	if s.cfg.MaxRefs > 0 && scale.WarmupRefs+scale.MeasureRefs > s.cfg.MaxRefs {
-		return &specError{"over_budget",
-			fmt.Sprintf("job wants %d refs per cell, budget is %d",
-				scale.WarmupRefs+scale.MeasureRefs, s.cfg.MaxRefs)}
+	// refs < MeasureRefs catches a sum that wrapped around uint64.
+	if refs := scale.WarmupRefs + scale.MeasureRefs; s.cfg.MaxRefs > 0 && (refs < scale.MeasureRefs || refs > s.cfg.MaxRefs) {
+		return e, none, &specError{"over_budget",
+			fmt.Sprintf("job wants %d warm-up + %d measured refs per cell, budget is %d",
+				scale.WarmupRefs, scale.MeasureRefs, s.cfg.MaxRefs)}
 	}
-	return nil
+	if scale.Jobs == 0 {
+		scale.Jobs = s.cfg.CellJobs
+	}
+	scale.Telemetry = s.col
+	scale.Failures = &experiments.FailureLog{}
+	return e, scale, nil
 }
 
 func (s *Server) lookup(id string) *job {
@@ -474,7 +429,7 @@ func (s *Server) status(j *job) jobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := jobStatus{
-		ID: j.ID, State: j.state, Experiment: j.Spec.Experiment,
+		ID: j.ID, State: j.state, Experiment: j.exp.Name,
 		Error: j.err, EnqueuedAt: j.enqueued.UTC().Format(time.RFC3339),
 		ReplayedCells: j.replayed, FailedCells: append([]string(nil), j.failures...),
 	}

@@ -3,12 +3,17 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"mixtlb/internal/experiments"
 	"mixtlb/internal/telemetry"
 )
 
@@ -104,21 +109,96 @@ func TestSubmitStatusResult(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	_, ts := testServer(t, Config{MaxRefs: 1000}, instantStub)
-	cases := []string{
-		`{"experiment":"nope"}`,
-		`{"experiment":"fig12","quick":true,"workloads":["zzz"]}`,
-		`{"experiment":"fig12","quick":true,"cell_deadline":"soon"}`,
-		`{"experiment":"fig12","quick":true,"isa":"pdp-11"}`,
-		`{"experiment":"fig12","quick":true,"refs":999999}`, // over budget
-		`{"experiment":"fig12","unknown_field":1}`,
-		`not json`,
+	s, ts := testServer(t, Config{MaxRefs: 1000}, instantStub)
+	cases := []struct{ body, reason string }{
+		{`{"experiment":"nope"}`, "bad_spec"},
+		{`{"experiment":"fig12","quick":true,"workloads":["zzz"]}`, "bad_spec"},
+		{`{"experiment":"fig12","quick":true,"cell_deadline":"soon"}`, "bad_spec"},
+		{`{"experiment":"fig12","quick":true,"isa":"pdp-11"}`, "bad_spec"},
+		{`{"experiment":"hierarchy","quick":true,"designs":["nope"]}`, "bad_spec"},
+		// 2^34 GiB shifts to 0 bytes; 2^34-1 and 65536 GiB would ask for
+		// buddy trees the host cannot hold; 257 is one above the ceiling.
+		{`{"experiment":"fig12","quick":true,"mem_gb":17179869184}`, "bad_spec"},
+		{`{"experiment":"fig12","quick":true,"mem_gb":17179869183}`, "bad_spec"},
+		{`{"experiment":"fig12","quick":true,"mem_gb":65536}`, "bad_spec"},
+		{`{"experiment":"fig12","quick":true,"footprint_gb":257}`, "bad_spec"},
+		{`{"experiment":"fig12","quick":true} garbage`, "bad_spec"},
+		{`{"experiment":"fig12","quick":true}{}`, "bad_spec"},
+		{`{"experiment":"fig12","quick":true,"cell":"` + strings.Repeat("x", maxBodyBytes) + `"}`, "bad_spec"},
+		{`{"experiment":"fig12","unknown_field":1}`, "bad_spec"},
+		{`not json`, "bad_spec"},
+		{`{"experiment":"fig12","quick":true,"refs":999999}`, "over_budget"},
+		// warm-up + measured refs wraps uint64 around to exactly 0.
+		{`{"experiment":"fig12","quick":true,"refs":12297829382473034411}`, "over_budget"},
 	}
-	for _, body := range cases {
-		resp, out := submit(t, ts, body)
+	want := map[string]int{}
+	for _, c := range cases {
+		want[c.reason]++
+		resp, out := submit(t, ts, c.body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d %v, want 400", body, resp.StatusCode, out)
+			t.Errorf("%.80s: status %d %v, want 400", c.body, resp.StatusCode, out)
 		}
+	}
+	prom := s.reg.PrometheusString()
+	for reason, n := range want {
+		if line := fmt.Sprintf(`mixtlbd_rejected_total{reason="%s"} %d`, reason, n); !strings.Contains(prom, line) {
+			t.Errorf("metrics missing %s:\n%s", line, prom)
+		}
+	}
+}
+
+// TestRunSpecParity pins that the daemon builds a run exactly as mixtlb
+// does from the same settings: a body and the equivalent flags give the
+// same Scale, the default quick body matches QuickScale, and the
+// daemon's own defaults (fail-soft, -jobs) apply only where the body is
+// silent.
+func TestRunSpecParity(t *testing.T) {
+	s, _ := testServer(t, Config{CellJobs: 3}, instantStub)
+	decode := func(body string) experiments.Scale {
+		t.Helper()
+		_, scale, serr := s.decodeJob(strings.NewReader(body))
+		if serr != nil {
+			t.Fatalf("%s: %v", body, serr)
+		}
+		scale.Telemetry, scale.Failures = nil, nil
+		return scale
+	}
+	cli := func(args ...string) experiments.Scale {
+		t.Helper()
+		spec := experiments.DefaultRunSpec()
+		fs := flag.NewFlagSet("mixtlb", flag.ContinueOnError)
+		spec.RegisterFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		scale, err := spec.Scale(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scale
+	}
+
+	quick := experiments.QuickScale().Fingerprint()
+	if got := decode(`{"experiment":"fig12","quick":true}`); got.Fingerprint() != quick || got.Jobs != 3 || !got.FailSoft {
+		t.Errorf("default quick body: fingerprint %q jobs %d fail-soft %v, want QuickScale's, 3, true",
+			got.Fingerprint(), got.Jobs, got.FailSoft)
+	}
+	if got := cli("-quick"); got.Fingerprint() != quick || got.Jobs != 0 || got.FailSoft {
+		t.Errorf("mixtlb -quick: fingerprint %q jobs %d fail-soft %v, want QuickScale's, 0, false",
+			got.Fingerprint(), got.Jobs, got.FailSoft)
+	}
+	if got := decode(`{"experiment":"fig12","quick":true,"fail_soft":false}`); got.FailSoft {
+		t.Error(`"fail_soft":false ignored`)
+	}
+
+	body := decode(`{"experiment":"hierarchy","quick":true,"mem_gb":2,"footprint_gb":1,"refs":1000,
+		"seed":7,"workloads":["gups"],"designs":["split","mix"],"isa":"sv39","fault_scale":2,"jobs":2,
+		"cell":"gups","max_retries":1,"cell_deadline":"2m","fail_soft":true,"ledger_audit":true,"tail_k":4}`)
+	flags := cli("-quick", "-mem-gb", "2", "-footprint-gb", "1", "-refs", "1000", "-seed", "7",
+		"-workloads", "gups", "-designs", "split,mix", "-isa", "sv39", "-fault-scale", "2", "-jobs", "2",
+		"-cell", "gups", "-max-retries", "1", "-cell-deadline", "2m", "-fail-soft", "-ledger-audit", "-tail", "4")
+	if !reflect.DeepEqual(body, flags) {
+		t.Errorf("body and flags build different runs:\n%+v\n%+v", body, flags)
 	}
 }
 
@@ -306,6 +386,33 @@ func TestRealJobFailSoft(t *testing.T) {
 	if !strings.Contains(prom, "engine_cell_retries_total") ||
 		!strings.Contains(prom, "engine_cells_failed_soft_total") {
 		t.Errorf("metrics missing retry/fail-soft counters:\n%s", prom)
+	}
+}
+
+// TestRealJobDesignSubset runs hierarchy over a two-design subset, which
+// the daemon's body can now name like mixtlb's -designs.
+func TestRealJobDesignSubset(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	_, ts := testServer(t, Config{CellJobs: 2}, nil)
+	_, out := submit(t, ts, `{"experiment":"hierarchy","quick":true,"refs":20000,"designs":["split","mix"]}`)
+	waitState(t, ts, out["id"], stateDone)
+	res, err := http.Get(ts.URL + "/jobs/" + out["id"] + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	data, err := io.ReadAll(res.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	designs := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[2:] {
+		designs[strings.Split(line, ",")[0]] = true
+	}
+	if !reflect.DeepEqual(designs, map[string]bool{"split": true, "mix": true}) {
+		t.Errorf("result rows cover designs %v, want split and mix:\n%s", designs, data)
 	}
 }
 

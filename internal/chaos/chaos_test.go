@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mixtlb/internal/addr"
+	"mixtlb/internal/isa"
 	"mixtlb/internal/pagetable"
 	"mixtlb/internal/physmem"
 )
@@ -158,7 +159,7 @@ func TestScaledClamps(t *testing.T) {
 
 func newTestPT(t *testing.T) *pagetable.PageTable {
 	t.Helper()
-	pt, err := pagetable.New(physmem.NewBuddy(1 << 30))
+	pt, err := pagetable.NewISA(physmem.NewBuddy(1<<30), isa.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

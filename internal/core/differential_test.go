@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mixtlb/internal/addr"
+	"mixtlb/internal/isa"
 	"mixtlb/internal/mmu"
 	"mixtlb/internal/pagetable"
 	"mixtlb/internal/physmem"
@@ -32,7 +33,7 @@ const diffRegionBytes = 32 << 20
 func newDiffEnv(t *testing.T) *diffEnv {
 	t.Helper()
 	buddy := physmem.NewBuddy(4 << 30)
-	pt, err := pagetable.New(buddy)
+	pt, err := pagetable.NewISA(buddy, isa.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

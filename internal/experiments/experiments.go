@@ -574,55 +574,6 @@ func (e *UnknownWorkloadError) Error() string {
 		e.Name, strings.Join(e.Valid, ", "))
 }
 
-// ValidateWorkloads checks that every name in Scale.Workloads resolves in
-// the workload catalog, returning an *UnknownWorkloadError for the first
-// one that does not.
-func (s Scale) ValidateWorkloads() error {
-	all := workload.Catalog()
-	for _, name := range s.Workloads {
-		found := false
-		for _, spec := range all {
-			if spec.Name == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			valid := make([]string, len(all))
-			for i, spec := range all {
-				valid[i] = spec.Name
-			}
-			return &UnknownWorkloadError{Name: name, Valid: valid}
-		}
-	}
-	return nil
-}
-
-// ValidateISA checks that Scale.ISA names a known descriptor, returning
-// the typed *isa.UnknownISAError (listing every valid name) for a typo'd
-// -isa flag before any environment is built.
-func (s Scale) ValidateISA() error {
-	_, err := isa.Lookup(s.ISA)
-	return err
-}
-
-// ValidateDesigns checks that every name in Scale.Designs resolves in the
-// scale's design registry, returning an *mmu.UnknownDesignError for the
-// first one that does not — so a typo'd -designs flag fails up front
-// instead of erroring mid-grid.
-func (s Scale) ValidateDesigns() error {
-	if len(s.Designs) == 0 {
-		return nil
-	}
-	reg := s.registry()
-	for _, name := range s.Designs {
-		if _, ok := reg.Lookup(name); !ok {
-			return &mmu.UnknownDesignError{Name: name, Valid: reg.Names()}
-		}
-	}
-	return nil
-}
-
 // ByName finds an experiment, returning *UnknownExperimentError with the
 // valid names when it does not exist.
 func ByName(name string) (Experiment, error) {

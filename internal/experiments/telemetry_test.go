@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -12,13 +14,15 @@ import (
 
 // runFig15rTelemetry runs fig15r at quick scale with the given pool size
 // and a fresh registry/tracer, returning the result table CSV and the
-// Prometheus metric dump.
+// Prometheus metric dump. All three exporter formats must parse back, and
+// the dump must carry the core metric families.
 func runFig15rTelemetry(t *testing.T, jobs int) (csv, metrics string) {
 	t.Helper()
 	s := QuickScale()
 	s.Jobs = jobs
 	reg := telemetry.NewRegistry()
-	s.Telemetry = telemetry.NewCollector(reg, telemetry.NewTracer(0))
+	tracer := telemetry.NewTracer(0)
+	s.Telemetry = telemetry.NewCollector(reg, tracer)
 	e, err := ByName("fig15r")
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +31,34 @@ func runFig15rTelemetry(t *testing.T, jobs int) (csv, metrics string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tbl.CSV(), reg.PrometheusString()
+	var prom, trace, events bytes.Buffer
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := telemetry.ParsePrometheus(bytes.NewReader(prom.Bytes())); err != nil || n == 0 {
+		t.Errorf("Prometheus dump: %d samples, err %v", n, err)
+	}
+	for _, fam := range []string{"mmu_accesses_total", "mmu_walks_total", "mmu_walk_depth",
+		"tlb_coalesce_members", "tlb_set_occupancy"} {
+		// A family's sample lines start with its name, a histogram suffix
+		// optional, then a label block or a space.
+		if !regexp.MustCompile(`(?m)^` + fam + `(_bucket|_sum|_count)?[{ ]`).Match(prom.Bytes()) {
+			t.Errorf("Prometheus dump missing family %s", fam)
+		}
+	}
+	if err := tracer.WriteChromeTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := telemetry.ValidateChromeTrace(trace.Bytes()); err != nil {
+		t.Errorf("Chrome trace: %v", err)
+	}
+	if err := tracer.WriteJSONL(&events); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := telemetry.ValidateJSONL(&events); err != nil {
+		t.Errorf("JSONL events: %v", err)
+	}
+	return tbl.CSV(), prom.String()
 }
 
 // TestTelemetryJobsDeterminism is the registry's core contract: a metric
@@ -114,8 +145,8 @@ func TestProgressEventsCoverAllCells(t *testing.T) {
 	}
 }
 
-// TestUnknownNameErrors checks the typed validation errors carry the valid
-// name lists the CLI prints.
+// TestUnknownNameErrors checks the typed experiment-name error carries the
+// valid names the CLI prints (RunSpec's errors: TestRunSpecScale).
 func TestUnknownNameErrors(t *testing.T) {
 	t.Parallel()
 	_, err := ByName("not-an-experiment")
@@ -128,20 +159,5 @@ func TestUnknownNameErrors(t *testing.T) {
 	}
 	if !strings.Contains(ue.Error(), "fig14") {
 		t.Errorf("message should list valid names: %v", ue)
-	}
-
-	s := QuickScale()
-	s.Workloads = []string{"gups", "not-a-workload"}
-	werr := s.ValidateWorkloads()
-	var uw *UnknownWorkloadError
-	if !errors.As(werr, &uw) {
-		t.Fatalf("ValidateWorkloads error = %T, want *UnknownWorkloadError", werr)
-	}
-	if uw.Name != "not-a-workload" || len(uw.Valid) == 0 {
-		t.Errorf("error fields: %+v", uw)
-	}
-	s.Workloads = []string{"gups"}
-	if err := s.ValidateWorkloads(); err != nil {
-		t.Errorf("valid workload rejected: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"mixtlb/internal/addr"
 	"mixtlb/internal/cachesim"
+	"mixtlb/internal/isa"
 	"mixtlb/internal/pagetable"
 	"mixtlb/internal/physmem"
 	"mixtlb/internal/tlb"
@@ -20,7 +21,7 @@ type env struct {
 func newEnv(t *testing.T) *env {
 	t.Helper()
 	buddy := physmem.NewBuddy(4 << 30)
-	pt, err := pagetable.New(buddy)
+	pt, err := pagetable.NewISA(buddy, isa.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mixtlb/internal/addr"
+	"mixtlb/internal/isa"
 	"mixtlb/internal/pwc"
 	"mixtlb/internal/tlb"
 )
@@ -28,7 +29,7 @@ func TestPWCSkipsUpperWalkLevels(t *testing.T) {
 	e := newEnv(t)
 	e.mapPage(t, 0x1000, addr.Page4K)
 	e.mapPage(t, 0x2000, addr.Page4K) // same PT, same upper levels
-	m := tinyMMU(t, e, pwc.New(16))
+	m := tinyMMU(t, e, pwc.NewISA(16, isa.Default()))
 
 	// First walk: cold cache, full 4 PTE references charged.
 	m.Translate(tlb.Request{VA: 0x1000})
@@ -52,7 +53,7 @@ func TestPWCPartialHit(t *testing.T) {
 	e.mapPage(t, 0x1000, addr.Page4K)
 	// 1GB apart: same PML4 entry, different PDPT entry → skip 1.
 	e.mapPage(t, addr.V(1)<<30|0x1000, addr.Page4K)
-	m := tinyMMU(t, e, pwc.New(16))
+	m := tinyMMU(t, e, pwc.NewISA(16, isa.Default()))
 	m.Translate(tlb.Request{VA: 0x1000})
 	m.Translate(tlb.Request{VA: addr.V(1)<<30 | 0x1000})
 	if refs := m.Stats().WalkRefs; refs != 4+3 {
@@ -67,7 +68,7 @@ func TestPWCOnSuperpageWalks(t *testing.T) {
 	m := mustBuild(New(Config{
 		Name:   "t2m",
 		Levels: L(tlb.Must(tlb.NewSetAssoc("l1", addr.Page2M, 1, 1))),
-		PWC:    pwc.New(16),
+		PWC:    pwc.NewISA(16, isa.Default()),
 	}, e.pt, e.caches, nil))
 	m.Translate(tlb.Request{VA: 0x40000000})
 	if refs := m.Stats().WalkRefs; refs != 3 {
@@ -84,7 +85,7 @@ func TestPWCOnSuperpageWalks(t *testing.T) {
 func TestPWCInvalidateAndFlushForwarding(t *testing.T) {
 	e := newEnv(t)
 	e.mapPage(t, 0x1000, addr.Page4K)
-	m := tinyMMU(t, e, pwc.New(16))
+	m := tinyMMU(t, e, pwc.NewISA(16, isa.Default()))
 	m.Translate(tlb.Request{VA: 0x1000})
 	// Invalidate goes through the MMU: both the TLB entry and the cached
 	// walk prefixes must drop, so the next walk is full-cost again.
@@ -119,7 +120,7 @@ func TestPWCReducesMissCostNotMissCount(t *testing.T) {
 		return m.Stats().Walks, m.Stats().WalkRefs
 	}
 	walksPlain, refsPlain := run(nil)
-	walksCached, refsCached := run(pwc.New(16))
+	walksCached, refsCached := run(pwc.NewISA(16, isa.Default()))
 	if walksPlain != walksCached {
 		t.Errorf("walk counts differ: %d vs %d", walksPlain, walksCached)
 	}
@@ -133,7 +134,7 @@ func TestPWCStatsResetWithMMU(t *testing.T) {
 	e.mapPage(t, 0x1000, addr.Page4K)
 	e.mapPage(t, 0x2000, addr.Page4K)
 	e.mapPage(t, 0x3000, addr.Page4K)
-	cache := pwc.New(16)
+	cache := pwc.NewISA(16, isa.Default())
 	m := tinyMMU(t, e, cache)
 	m.Translate(tlb.Request{VA: 0x1000})
 	m.Translate(tlb.Request{VA: 0x2000})

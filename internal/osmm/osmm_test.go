@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mixtlb/internal/addr"
+	"mixtlb/internal/isa"
 	"mixtlb/internal/pagetable"
 	"mixtlb/internal/physmem"
 	"mixtlb/internal/simrand"
@@ -248,7 +249,7 @@ func TestScanContiguityMixedRuns(t *testing.T) {
 	// Hand-build a page table with known runs: 2MB pages at page numbers
 	// 10,11,12 (contiguous), 20 (singleton), and a 4KB run of 2.
 	phys := physmem.NewBuddy(256 << 20)
-	pt, err := pagetable.New(phys)
+	pt, err := pagetable.NewISA(phys, isa.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestScanContiguityMixedRuns(t *testing.T) {
 func TestScanContiguityPhysicalBreaks(t *testing.T) {
 	// VA-adjacent but PA-discontiguous pages are separate runs.
 	phys := physmem.NewBuddy(256 << 20)
-	pt, _ := pagetable.New(phys)
+	pt, _ := pagetable.NewISA(phys, isa.Default())
 	pt.Map(addr.V(10)<<21, addr.P(50)<<21, addr.Page2M, addr.PermRW)
 	pt.Map(addr.V(11)<<21, addr.P(99)<<21, addr.Page2M, addr.PermRW)
 	rep := ScanContiguity(pt)

@@ -137,15 +137,11 @@ func leafLevel(s addr.PageSize) int {
 	panic("pagetable: invalid page size")
 }
 
-// New creates an empty page table for the default x86-64 descriptor.
-func New(alloc FrameAllocator) (*PageTable, error) {
-	return NewISA(alloc, isa.Default())
-}
-
 // NewISA creates an empty page table for the given translation
-// architecture. The simulator's table pages are fixed 4KB/512-entry
-// frames, so every radix level of the descriptor must be 9 bits wide and
-// base pages must be 4KB (true of all shipped descriptors).
+// architecture (isa.Default() for x86-64). The simulator's table pages
+// are fixed 4KB/512-entry frames, so every radix level of the descriptor
+// must be 9 bits wide and base pages must be 4KB (true of all shipped
+// descriptors).
 func NewISA(alloc FrameAllocator, d *isa.Descriptor) (*PageTable, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("pagetable: %w", err)

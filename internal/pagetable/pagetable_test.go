@@ -5,13 +5,14 @@ import (
 	"testing/quick"
 
 	"mixtlb/internal/addr"
+	"mixtlb/internal/isa"
 	"mixtlb/internal/physmem"
 	"mixtlb/internal/simrand"
 )
 
 func newPT(t *testing.T) *PageTable {
 	t.Helper()
-	pt, err := New(physmem.NewBuddy(256 << 20)) // 256MB for table pages
+	pt, err := NewISA(physmem.NewBuddy(256<<20), isa.Default()) // 256MB for table pages
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestTranslationValidity(t *testing.T) {
 func TestNoMemory(t *testing.T) {
 	// 2 frames: root consumes one; deep mapping needs 3 more.
 	tiny := physmem.NewBuddy(2 * addr.Size4K)
-	pt, err := New(tiny)
+	pt, err := NewISA(tiny, isa.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestNoMemory(t *testing.T) {
 
 func TestTablePagesHaveDistinctFrames(t *testing.T) {
 	buddy := physmem.NewBuddy(64 << 20)
-	pt, err := New(buddy)
+	pt, err := NewISA(buddy, isa.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +406,7 @@ func TestCollapseEmptyChildTable(t *testing.T) {
 	// khugepaged's collapse: unmap all 512 base pages of a region, then
 	// install one 2MB leaf where the (empty) page table used to hang.
 	buddy := physmem.NewBuddy(256 << 20)
-	pt, err := New(buddy)
+	pt, err := NewISA(buddy, isa.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

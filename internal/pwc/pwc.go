@@ -51,16 +51,10 @@ type Cache struct {
 	stats  Stats
 }
 
-// New builds a cache for the default x86-64 radix with the given entries
-// per level (fully associative, LRU). entriesPerLevel <= 0 selects
-// DefaultEntries.
-func New(entriesPerLevel int) *Cache {
-	return NewISA(entriesPerLevel, isa.Default())
-}
-
-// NewISA builds a cache sized from a descriptor's radix: one prefix cache
-// per non-leaf level, deepest-first probe order, exactly as the x86-64
-// special case behaved before ISAs were parameterized.
+// NewISA builds a cache sized from a descriptor's radix (isa.Default()
+// for x86-64): one fully associative LRU prefix cache of entriesPerLevel
+// entries (<= 0 selects DefaultEntries) per non-leaf level, probed
+// deepest first.
 func NewISA(entriesPerLevel int, d *isa.Descriptor) *Cache {
 	if entriesPerLevel <= 0 {
 		entriesPerLevel = DefaultEntries

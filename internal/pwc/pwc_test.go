@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"mixtlb/internal/addr"
+	"mixtlb/internal/isa"
 )
 
 func TestSkipUsesDeepestCachedLevel(t *testing.T) {
-	c := New(16)
+	c := NewISA(16, isa.Default())
 	// Cold: nothing cached, nothing skipped.
 	if got := c.Skip(0x1000, 3); got != 0 {
 		t.Fatalf("cold Skip = %d, want 0", got)
@@ -36,7 +37,7 @@ func TestSkipUsesDeepestCachedLevel(t *testing.T) {
 }
 
 func TestSkipCappedByWalkLength(t *testing.T) {
-	c := New(16)
+	c := NewISA(16, isa.Default())
 	c.Fill(0x1000, 4)
 	// A 2MB walk (3 accesses) whose leaf is the PDE: the PDE cache must
 	// not over-skip past the leaf, so maxSkip=2 caps at the PDPTE hit.
@@ -50,7 +51,7 @@ func TestSkipCappedByWalkLength(t *testing.T) {
 }
 
 func TestFillCachesOnlyTraversedLevels(t *testing.T) {
-	c := New(16)
+	c := NewISA(16, isa.Default())
 	// A 2MB walk (3 accesses) traverses PML4 and PDPT as pointers; the PD
 	// entry is its leaf and must not enter the PDE cache.
 	c.Fill(0x40000000, 3)
@@ -60,7 +61,7 @@ func TestFillCachesOnlyTraversedLevels(t *testing.T) {
 }
 
 func TestInvalidateAndFlush(t *testing.T) {
-	c := New(16)
+	c := NewISA(16, isa.Default())
 	c.Fill(0x1000, 4)
 	c.Invalidate(0x1000)
 	if got := c.Skip(0x2000, 3); got != 0 {
@@ -74,7 +75,7 @@ func TestInvalidateAndFlush(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(2)
+	c := NewISA(2, isa.Default())
 	// Three distinct PD prefixes into a 2-entry PDE cache: the oldest
 	// (first) must be evicted, the two youngest retained. All three share
 	// one PDPT entry, so the evicted prefix falls back to a skip-2 PDPTE
@@ -93,7 +94,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestDefaultEntries(t *testing.T) {
-	if got := New(0).Entries(); got != DefaultEntries {
-		t.Errorf("New(0).Entries() = %d, want %d", got, DefaultEntries)
+	if got := NewISA(0, isa.Default()).Entries(); got != DefaultEntries {
+		t.Errorf("NewISA(0, isa.Default()).Entries() = %d, want %d", got, DefaultEntries)
 	}
 }

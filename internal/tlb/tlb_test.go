@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mixtlb/internal/addr"
+	"mixtlb/internal/isa"
 	"mixtlb/internal/pagetable"
 )
 
@@ -493,7 +494,7 @@ func TestColtDirtyPolicy(t *testing.T) {
 
 func TestIdealTLB(t *testing.T) {
 	buddy := newTestAllocator()
-	pt, err := pagetable.New(buddy)
+	pt, err := pagetable.NewISA(buddy, isa.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"mixtlb/internal/addr"
+	"mixtlb/internal/isa"
 	"mixtlb/internal/osmm"
 	"mixtlb/internal/pagetable"
 	"mixtlb/internal/physmem"
@@ -89,7 +90,7 @@ func (m *Machine) AddVM(guestBytes uint64, guestCfg osmm.Config, rng *simrand.So
 		guestCfg.Compactor = guestHog
 	}
 	// The nested page table's own pages live in *host* memory.
-	hostPT, err := pagetable.New(m.hostPhys)
+	hostPT, err := pagetable.NewISA(m.hostPhys, isa.Default())
 	if err != nil {
 		return nil, fmt.Errorf("virt: creating nested page table: %w", err)
 	}
@@ -375,7 +376,7 @@ func (vm *VM) Populate(start addr.V, length uint64) (uint64, error) {
 func (vm *VM) EffectiveContiguity() *osmm.ContiguityReport {
 	// Build an ephemeral page table of effective translations, reusing
 	// the scan machinery. Table pages come from a throwaway allocator.
-	shadow, err := pagetable.New(physmem.NewBuddy(1 << 30))
+	shadow, err := pagetable.NewISA(physmem.NewBuddy(1<<30), isa.Default())
 	if err != nil {
 		return osmm.ScanContiguity(vm.guestAS.PageTable())
 	}

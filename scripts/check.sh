@@ -36,6 +36,7 @@ go test ./internal/addr/ -fuzz 'FuzzSpaceArithmetic' -fuzztime 10s -run '^$'
 go test ./internal/pagetable/ -fuzz 'FuzzPTE' -fuzztime 10s -run '^$'
 go test ./internal/journal/ -fuzz 'FuzzJournalDecode' -fuzztime 10s -run '^$'
 go test ./internal/tlb/ -fuzz 'FuzzVictimBundle' -fuzztime 10s -run '^$'
+go test ./cmd/mixtlbd/ -fuzz 'FuzzDecodeJob' -fuzztime 10s -run '^$'
 
 # Parallel determinism: the same experiment at -jobs 1 and -jobs 4 must
 # produce byte-identical tables (cell seeds derive from cell identity,
@@ -266,7 +267,7 @@ fi
 
 # Cross-ISA translation front end: descriptor packages and conformance
 # (LA57 vs 4-level, Sv39 vs Sv48 differential; typed ISA validation on
-# specs and JobSpecs), then the xisa experiment — jobs-invariant like
+# design specs and run specs), then the xisa experiment — jobs-invariant like
 # every experiment and byte-identical to its checked-in golden.
 echo "== cross-ISA descriptors"
 go test ./internal/isa/ -count=1 > /dev/null
