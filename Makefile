@@ -32,13 +32,14 @@ bench-experiments:
 	$(GO) run ./cmd/mixtlb -exp perf -quick -jobs $(JOBS) \
 		-bench-out BENCH_experiments.json > /dev/null
 
-# Compare the committed timing baseline against a fresh `make bench` run
-# and fail on any >15% per-cell wall-time regression. Override the inputs
-# with OLD=/path/a.json NEW=/path/b.json.
-OLD ?= BENCH_experiments.json
+# Compare the committed seed snapshot against a fresh `make bench` run
+# and fail on any >15% per-cell wall-time regression (or a geomean
+# speedup below benchtrend's 0.85x floor). Override the inputs with
+# OLD=/path/a.json NEW=/path/b.json.
+OLD ?= bench_history/0001-seed.json
 NEW ?= BENCH_experiments.json
 benchdiff:
-	./scripts/benchdiff.sh $(OLD) $(NEW)
+	$(GO) run ./cmd/benchtrend -max-regression 15 $(OLD) $(NEW)
 
 # Short mutation pass over each fuzz target (seed corpora also run as
 # plain test cases in `make test`). Keep this list equal to the one in

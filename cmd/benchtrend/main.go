@@ -1,21 +1,33 @@
-// Command benchtrend reads a history of BENCH_experiments.json snapshots
-// (as written by mixtlb -bench-out and archived under bench_history/) and
-// reports each experiment's wall-clock trend: the geomean of its past
-// snapshots as the baseline, the newest snapshot against it, and a
-// REGRESSION flag when the newest exceeds the baseline by more than
-// -max-regression percent.
+// Command benchtrend is the one reader of mixtlb -bench-out files
+// (experiments.BenchReport, archived under bench_history/). It diffs two
+// of them, trends a history of them and gates on the result.
 //
+//	benchtrend [-max-regression 25] OLD.json NEW.json
 //	benchtrend [-max-regression 25] bench_history/
-//	benchtrend old.json newer.json newest.json
+//
+// The unit of comparison is the cell (experiment, cell). A snapshot's
+// value for a cell is the sum of its entries (the engine records one per
+// attempt), and a cell's baseline is the geomean of that value over every
+// snapshot before the newest; with two files that is just the old one.
+// Cells with zero seconds are joined but not counted.
+//
+// It prints one row per experiment of the newest snapshot (cells joined,
+// geomean time ratio newest/baseline, status ok, REGRESSION, new or
+// error), then each regressed cell, the newest snapshot's total wall time,
+// jobs and telemetry totals, how many cells appear on one side only, and
+// the overall geomean speedup (baseline/newest).
 //
 // A directory operand expands to its *.json files sorted by name, so
-// lexically ordered snapshot names (bench-0001.json, 2026-08-09.json)
-// read oldest-to-newest. Snapshots recorded at different -jobs settings
-// are still compared — the jobs column shows when a shift in timing is a
-// pool-size change rather than a code change.
+// lexically ordered snapshot names read oldest-to-newest. Snapshots
+// recorded at different -jobs settings are still compared; the jobs
+// figure shows when a shift in timing is a pool-size change rather than
+// a code change.
 //
-// Exit codes: 0 no regression, 1 regression flagged, 2 usage or a
-// malformed snapshot.
+// Exit codes: 0 no regression (or fewer than two snapshots); 1 a counted
+// cell is more than -max-regression percent slower than its baseline,
+// the overall geomean speedup is below 0.85, or an experiment that has a
+// baseline failed in the newest snapshot; 2 usage, an unreadable or
+// malformed snapshot, or no joined cells.
 package main
 
 import (
@@ -28,28 +40,34 @@ import (
 	"path/filepath"
 	"sort"
 	"text/tabwriter"
+
+	"mixtlb/internal/experiments"
 )
+
+// geomeanFloor is the lowest overall geomean speedup that passes. Per-cell
+// limits are loose backstops against scheduler noise; this is the gate.
+const geomeanFloor = 0.85
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// snapshot is the subset of BENCH_experiments.json benchtrend reads.
-type snapshot struct {
-	Name        string
-	Jobs        int `json:"jobs"`
-	Experiments []struct {
-		Experiment string  `json:"experiment"`
-		Seconds    float64 `json:"seconds"`
-		Err        string  `json:"error,omitempty"`
-	} `json:"experiments"`
+type cellKey struct{ experiment, cell string }
+
+// cellSeconds sums a snapshot's entries per cell.
+func cellSeconds(r experiments.BenchReport) map[cellKey]float64 {
+	m := make(map[cellKey]float64, len(r.Cells))
+	for _, c := range r.Cells {
+		m[cellKey{c.Experiment, c.Cell}] += c.Seconds
+	}
+	return m
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchtrend", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	maxRegression := fs.Float64("max-regression", 25,
-		"flag experiments whose newest snapshot is this percent slower than the geomean of prior ones")
+		"fail when a cell's newest wall time is this percent slower than its baseline")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -59,11 +77,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if len(paths) == 0 {
-		fmt.Fprintln(stderr, "usage: benchtrend [-max-regression PCT] <snapshot.json ... | history-dir>")
+		fmt.Fprintln(stderr, "usage: benchtrend [-max-regression PCT] <OLD.json NEW.json ... | history-dir>")
 		return 2
 	}
 
-	snaps := make([]snapshot, 0, len(paths))
+	snaps := make([]experiments.BenchReport, 0, len(paths))
 	for _, p := range paths {
 		s, err := load(p)
 		if err != nil {
@@ -76,68 +94,146 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "benchtrend: %d snapshot(s) — need at least 2 for a trend; nothing to compare\n", len(snaps))
 		return 0
 	}
-
-	latest := snaps[len(snaps)-1]
+	latest, latestName := snaps[len(snaps)-1], filepath.Base(paths[len(paths)-1])
 	history := snaps[:len(snaps)-1]
 
-	// baseline[exp] = geomean seconds over historical snapshots that ran it.
-	baseline := map[string]float64{}
-	runs := map[string]int{}
+	// meanLog[k] = mean log of the cell's positive values over history,
+	// so its baseline is the geomean exp(meanLog[k]); ratios stay in log
+	// space, so a file compared with itself reads exactly 1. seen holds
+	// every cell history recorded, zero-second ones included.
+	meanLog := map[cellKey]float64{}
+	runs := map[cellKey]int{}
+	seen := map[cellKey]bool{}
+	ranOK := map[string]bool{}
 	for _, s := range history {
 		for _, e := range s.Experiments {
-			if e.Err != "" || e.Seconds <= 0 {
-				continue
+			if e.Err == "" {
+				ranOK[e.Experiment] = true
 			}
-			baseline[e.Experiment] += math.Log(e.Seconds)
-			runs[e.Experiment]++
+		}
+		for k, sec := range cellSeconds(s) {
+			seen[k] = true
+			if sec > 0 {
+				meanLog[k] += math.Log(sec)
+				runs[k]++
+			}
 		}
 	}
-	for name, sum := range baseline {
-		baseline[name] = math.Exp(sum / float64(runs[name]))
+	for k, sum := range meanLog {
+		meanLog[k] = sum / float64(runs[k])
 	}
 
-	fmt.Fprintf(stdout, "history: %d snapshots, newest %s (jobs %d)\n",
-		len(snaps), latest.Name, latest.Jobs)
-	tw := tabwriter.NewWriter(stdout, 2, 8, 2, ' ', 0)
-	fmt.Fprintln(tw, "experiment\truns\tbaseline-s\tlatest-s\tratio\tstatus")
-	regressed := false
-	var logSum float64
-	var logN int
-	names := make([]string, 0, len(latest.Experiments))
-	for _, e := range latest.Experiments {
-		names = append(names, e.Experiment)
+	type expRow struct {
+		joined, counted int
+		logRatio        float64
+		regressed       bool
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		var latestSec float64
-		for _, e := range latest.Experiments {
-			if e.Experiment == name && e.Err == "" {
-				latestSec = e.Seconds
-			}
-		}
-		base, ok := baseline[name]
-		if !ok || latestSec <= 0 {
-			fmt.Fprintf(tw, "%s\t%d\t-\t%.3f\t-\tnew\n", name, runs[name], latestSec)
+	rows := map[string]expRow{}
+	failed := map[string]string{}
+	for _, e := range latest.Experiments {
+		rows[e.Experiment] = expRow{}
+		failed[e.Experiment] = e.Err
+	}
+	newest := cellSeconds(latest)
+	keys := make([]cellKey, 0, len(newest))
+	for k := range newest {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		return a.experiment < b.experiment || a.experiment == b.experiment && a.cell < b.cell
+	})
+	limit := 1 + *maxRegression/100
+	var regressedCells []string
+	onlyNewest := 0
+	for _, k := range keys {
+		if !seen[k] {
+			onlyNewest++
 			continue
 		}
-		ratio := latestSec / base
-		logSum += math.Log(ratio)
-		logN++
-		status := "ok"
-		if ratio > 1+*maxRegression/100 {
-			status = "REGRESSION"
-			regressed = true
+		row := rows[k.experiment]
+		row.joined++
+		if mean, ok := meanLog[k]; ok && newest[k] > 0 {
+			logRatio := math.Log(newest[k]) - mean
+			row.counted++
+			row.logRatio += logRatio
+			if ratio := math.Exp(logRatio); ratio > limit {
+				row.regressed = true
+				regressedCells = append(regressedCells, fmt.Sprintf("%s %s: %.3fs -> %.3fs (%.2fx)",
+					k.experiment, k.cell, math.Exp(mean), newest[k], ratio))
+			}
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%.3f\t%.3f\t%.2fx\t%s\n",
-			name, runs[name], base, latestSec, ratio, status)
+		rows[k.experiment] = row
+	}
+
+	fmt.Fprintf(stdout, "history: %d snapshots, newest %s: %.2fs total wall (jobs %d)\n",
+		len(snaps), latestName, latest.TotalWallSeconds, latest.Jobs)
+	names := make([]string, 0, len(rows))
+	for name := range rows {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	tw := tabwriter.NewWriter(stdout, 2, 8, 2, ' ', 0)
+	fmt.Fprintln(tw, "experiment\tcells\tratio\tstatus")
+	var failures []string
+	joined, counted, logRatio := 0, 0, 0.0
+	for _, name := range names {
+		row := rows[name]
+		joined += row.joined
+		counted += row.counted
+		logRatio += row.logRatio
+		ratio, status := "-", "ok"
+		if row.counted > 0 {
+			ratio = fmt.Sprintf("%.2fx", math.Exp(row.logRatio/float64(row.counted)))
+		}
+		switch {
+		case failed[name] != "":
+			status = "error"
+			if ranOK[name] {
+				failures = append(failures, fmt.Sprintf("%s failed: %s", name, failed[name]))
+			}
+		case row.counted == 0:
+			status = "new"
+		case row.regressed:
+			status = "REGRESSION"
+		}
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\n", name, row.joined, ratio, status)
 	}
 	tw.Flush()
-	if logN > 0 {
-		fmt.Fprintf(stdout, "geomean ratio vs history: %.2fx\n", math.Exp(logSum/float64(logN)))
+
+	for _, c := range regressedCells {
+		fmt.Fprintln(stdout, "regressed:", c)
 	}
-	if regressed {
-		fmt.Fprintf(stdout, "REGRESSION: newest snapshot exceeds the historical geomean by more than %.0f%%\n", *maxRegression)
+	if t := latest.Telemetry; t != nil {
+		fmt.Fprintf(stdout, "telemetry %s: %d events, %d dropped\n", latestName, t.EventsTotal, t.EventsDropped)
+	}
+	if onlyHistory := len(seen) - joined; onlyHistory > 0 || onlyNewest > 0 {
+		fmt.Fprintf(stdout, "cells on one side only: %d in history, %d in newest\n", onlyHistory, onlyNewest)
+	}
+	if uncounted := joined - counted; uncounted > 0 {
+		fmt.Fprintf(stdout, "%d joined cell(s) with zero seconds not counted\n", uncounted)
+	}
+	if counted > 0 {
+		speedup := math.Exp(-logRatio / float64(counted))
+		fmt.Fprintf(stdout, "geomean speedup vs history over %d cells: %.2fx (floor %.2fx)\n",
+			counted, speedup, geomeanFloor)
+		if speedup < geomeanFloor {
+			failures = append(failures, fmt.Sprintf("geomean speedup %.2fx is below the %.2fx floor", speedup, geomeanFloor))
+		}
+	}
+	if len(regressedCells) > 0 {
+		failures = append(failures, fmt.Sprintf("%d cell(s) more than %.0f%% slower than their baseline",
+			len(regressedCells), *maxRegression))
+	}
+	for _, f := range failures {
+		fmt.Fprintln(stdout, "REGRESSION:", f)
+	}
+	if len(failures) > 0 {
 		return 1
+	}
+	if joined == 0 {
+		fmt.Fprintln(stderr, "benchtrend: no cells in common between the newest snapshot and its history")
+		return 2
 	}
 	return 0
 }
@@ -166,18 +262,17 @@ func expand(operands []string) ([]string, error) {
 	return out, nil
 }
 
-func load(path string) (snapshot, error) {
+func load(path string) (experiments.BenchReport, error) {
+	var r experiments.BenchReport
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return snapshot{}, err
+		return r, err
 	}
-	var s snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return snapshot{}, fmt.Errorf("%s: %v", path, err)
+	if err := json.Unmarshal(data, &r); err != nil {
+		return r, fmt.Errorf("%s: %v", path, err)
 	}
-	if len(s.Experiments) == 0 {
-		return snapshot{}, fmt.Errorf("%s: no experiment timings (is this a -bench-out file?)", path)
+	if len(r.Experiments) == 0 {
+		return r, fmt.Errorf("%s: no experiment timings (is this a -bench-out file?)", path)
 	}
-	s.Name = filepath.Base(path)
-	return s, nil
+	return r, nil
 }

@@ -11,7 +11,8 @@
 // from its identity, not its schedule. -cell restricts a run to matching
 // cells — the knob failure lines name for single-cell reproduction.
 // -bench-out writes per-cell and per-experiment wall-clock timings as
-// JSON (BENCH_experiments.json) so -jobs speedups are measurable.
+// JSON (experiments.BenchReport) so -jobs speedups are measurable;
+// cmd/benchtrend compares such files.
 //
 // Every experiment runs under a crash-safe harness: panics are recovered
 // into a diagnostic carrying the reproducing seed, each experiment gets a

@@ -300,16 +300,7 @@ func (s *Server) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		s.reg.WritePrometheus(w)
 	})
-	mux.HandleFunc("GET /debug/tail", func(w http.ResponseWriter, r *http.Request) {
-		limit := 100
-		if v := r.URL.Query().Get("n"); v != "" {
-			if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-				limit = n
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		s.tracer.WriteTailJSON(w, limit)
-	})
+	mux.Handle("GET /debug/tail", telemetry.TailHandler(s.tracer))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		if s.draining.Load() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)

@@ -136,8 +136,8 @@ func RunGrid(ctx context.Context, s Scale, experiment string, t *stats.Table, ce
 		errs       = make([]error, len(cells))
 		done       = make([]bool, len(cells))
 		soft       = make([]bool, len(cells)) // exhausted retries under FailSoft
-		completed  int   // cells finished (success or failure), for progress
-		next       int64 = -1
+		completed  int                        // cells finished (success or failure), for progress
+		next       int64                      = -1
 		wg         sync.WaitGroup
 		journalErr error // first checkpoint-append failure
 	)
@@ -520,8 +520,8 @@ type ExperimentTime struct {
 }
 
 // BenchLog accumulates per-cell and per-experiment wall-clock timings;
-// the CLI serializes it to BENCH_experiments.json so speedups across
-// -jobs settings are measurable. All methods are nil-safe and safe for
+// the CLI serializes it as a BenchReport so speedups across -jobs
+// settings are measurable. All methods are nil-safe and safe for
 // concurrent use.
 type BenchLog struct {
 	mu    sync.Mutex
@@ -531,7 +531,7 @@ type BenchLog struct {
 	tel   *TelemetrySummary
 }
 
-// TelemetrySummary is the one-line overhead record benchdiff prints: how
+// TelemetrySummary is the one-line overhead record benchtrend prints: how
 // many trace events the run produced and how many the bounded buffer had
 // to drop.
 type TelemetrySummary struct {
@@ -588,8 +588,9 @@ func (b *BenchLog) RecordExperiment(name string, seconds float64, err error) {
 	b.exps = append(b.exps, et)
 }
 
-// benchReport is the serialized shape of BENCH_experiments.json.
-type benchReport struct {
+// BenchReport is the serialized shape of a -bench-out file: what
+// BenchLog.JSON writes and cmd/benchtrend reads.
+type BenchReport struct {
 	Jobs             int               `json:"jobs"`
 	GOMAXPROCS       int               `json:"gomaxprocs"`
 	NumCPU           int               `json:"num_cpu"`
@@ -611,7 +612,7 @@ func (b *BenchLog) JSON() ([]byte, error) {
 	for _, e := range b.exps {
 		total += e.Seconds
 	}
-	rep := benchReport{
+	rep := BenchReport{
 		Jobs:             b.jobs,
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		NumCPU:           runtime.NumCPU(),

@@ -285,17 +285,7 @@ func TestBenchLogJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep struct {
-		Jobs        int     `json:"jobs"`
-		Total       float64 `json:"total_wall_seconds"`
-		Experiments []struct {
-			Experiment string  `json:"experiment"`
-			Seconds    float64 `json:"seconds"`
-			Cells      int     `json:"cells"`
-			Err        string  `json:"error"`
-		} `json:"experiments"`
-		Cells []CellTime `json:"cells"`
-	}
+	var rep BenchReport
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, data)
 	}
@@ -308,8 +298,8 @@ func TestBenchLogJSON(t *testing.T) {
 	if rep.Experiments[1].Err == "" {
 		t.Error("experiment error not recorded")
 	}
-	if rep.Total < 2.0 || rep.Total > 2.2 {
-		t.Errorf("total wall = %v", rep.Total)
+	if rep.TotalWallSeconds < 2.0 || rep.TotalWallSeconds > 2.2 {
+		t.Errorf("total wall = %v", rep.TotalWallSeconds)
 	}
 
 	// Nil-safety: a nil log absorbs records and renders empty JSON.
@@ -333,9 +323,7 @@ func TestRunGridRecordsBenchTimings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep struct {
-		Cells []CellTime `json:"cells"`
-	}
+	var rep BenchReport
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}

@@ -34,10 +34,7 @@ func Serve(addr string, reg *Registry, tracer *Tracer) (bound string, shutdown f
 		w.Header().Set("Content-Type", "application/json")
 		tracer.WriteChromeTrace(w)
 	})
-	mux.HandleFunc("/debug/tail", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		tracer.WriteTailJSON(w, tailLimit(r))
-	})
+	mux.Handle("/debug/tail", TailHandler(tracer))
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -52,18 +49,18 @@ func Serve(addr string, reg *Registry, tracer *Tracer) (bound string, shutdown f
 	return ln.Addr().String(), func() { srv.Close() }, nil
 }
 
-// tailLimit parses /debug/tail's optional ?n= cap (default 100, 0 = all).
-func tailLimit(r *http.Request) int {
-	const def = 100
-	v := r.URL.Query().Get("n")
-	if v == "" {
-		return def
+// TailHandler serves tracer's tail records as JSON at /debug/tail. The
+// optional ?n= caps the list: default 100, 0 = all, and a malformed or
+// negative n falls back to the default.
+func TailHandler(tracer *Tracer) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		limit := 100
+		if n, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && n >= 0 {
+			limit = n
+		}
+		w.Header().Set("Content-Type", "application/json")
+		tracer.WriteTailJSON(w, limit)
 	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return def
-	}
-	return n
 }
 
 // eventVarsPublished guards the process-global expvar names, which panic

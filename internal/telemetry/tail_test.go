@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -82,5 +83,32 @@ func TestServeDebugTail(t *testing.T) {
 	}
 	if doc.Count != 3 || len(doc.Tail) != 1 || doc.Tail[0].Cycles != 90 {
 		t.Fatalf("endpoint returned %+v", doc)
+	}
+}
+
+func TestTailHandlerLimit(t *testing.T) {
+	tr := NewTracer(0)
+	for i := 0; i < 101; i++ {
+		tr.Instant(TailCategory, "slow_translation", 1, uint64(i))
+	}
+	h := TailHandler(tr)
+	for _, tc := range []struct {
+		n    string
+		want int
+	}{
+		{"", 100}, {"1", 1}, {"0", 101}, {"-1", 100}, {"x", 100},
+	} {
+		rec := httptest.NewRecorder()
+		h(rec, httptest.NewRequest("GET", "/debug/tail?n="+tc.n, nil))
+		var doc struct {
+			Count int          `json:"count"`
+			Tail  []TailRecord `json:"tail"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatalf("n=%q: %v", tc.n, err)
+		}
+		if doc.Count != 101 || len(doc.Tail) != tc.want {
+			t.Errorf("n=%q: count=%d len=%d, want 101 and %d", tc.n, doc.Count, len(doc.Tail), tc.want)
+		}
 	}
 }

@@ -123,11 +123,27 @@ if ! cmp -s "$tmpdir/hier1.csv" "$tmpdir/hier8.csv"; then
     exit 1
 fi
 
-# benchdiff smoke: a timing file diffed against itself must join every
-# cell, report 1.00x, and exit 0.
-echo "== benchdiff identity"
+# Host-time gates: bench_gate NAME PCT OLD NEW compares two -bench-out
+# files with benchtrend, which fails on any cell more than PCT% slower
+# than OLD or an overall geomean speedup below its 0.85x floor. On
+# failure it prints the whole comparison, so the log names the cells
+# that regressed.
+go build -o "$tmpdir/benchtrend" ./cmd/benchtrend
+bench_gate() {
+    if ! "$tmpdir/benchtrend" -max-regression "$2" "$3" "$4" > "$tmpdir/$1.txt" 2>&1; then
+        echo "FAIL: $1 host-time gate (benchtrend -max-regression $2 $3 $4):" >&2
+        cat "$tmpdir/$1.txt" >&2
+        exit 1
+    fi
+}
+
+# benchtrend identity: the gates below read files this mixtlb just
+# wrote, so first check, free of timing noise, that benchtrend reads
+# that format at all: a file compared with itself must join its cells
+# at 1.00x and pass even at a 0% per-cell limit.
+echo "== benchtrend identity"
 "$tmpdir/mixtlb" -exp fig15r -quick -jobs 1 -bench-out "$tmpdir/bench.json" > /dev/null
-./scripts/benchdiff.sh "$tmpdir/bench.json" "$tmpdir/bench.json" > /dev/null
+bench_gate identity 0 "$tmpdir/bench.json" "$tmpdir/bench.json"
 
 # Journaling overhead: checkpointing must be cheap relative to the
 # simulation itself. Quick cells run ~60ms each, where scheduler noise
@@ -141,14 +157,7 @@ echo "== journaling overhead"
     -bench-out "$tmpdir/nojournal.json" > /dev/null
 "$tmpdir/mixtlb" -exp fig15r -quick -refs 300000 -jobs 1 \
     -journal "$tmpdir/overhead.journal" -bench-out "$tmpdir/journal.json" > /dev/null
-./scripts/benchdiff.sh "$tmpdir/nojournal.json" "$tmpdir/journal.json" \
-    -max-regression 40 > "$tmpdir/overhead.txt"
-geomean=$(awk '/geomean/ { g=$NF; sub(/x$/, "", g); print g }' "$tmpdir/overhead.txt")
-if [ -z "$geomean" ] || ! awk -v g="$geomean" 'BEGIN { exit !(g >= 0.85) }'; then
-    echo "FAIL: journaling overhead geomean ${geomean:-?}x is below the 0.85x floor" >&2
-    cat "$tmpdir/overhead.txt" >&2
-    exit 1
-fi
+bench_gate journaling 40 "$tmpdir/nojournal.json" "$tmpdir/journal.json"
 
 # Victim level: the cache-backed victim designs must satisfy the
 # metamorphic/differential layer (deeper hierarchies never change the
@@ -179,14 +188,7 @@ echo "== victim zero-cost-when-absent"
 go test ./internal/mmu/ -run 'TestTranslateZeroAlloc$' -count=1 > /dev/null
 "$tmpdir/mixtlb" -exp fig15r -quick -refs 300000 -jobs 1 \
     -bench-out "$tmpdir/absent.json" > /dev/null
-./scripts/benchdiff.sh "$tmpdir/nojournal.json" "$tmpdir/absent.json" \
-    -max-regression 40 > "$tmpdir/absent.txt"
-geomean=$(awk '/geomean/ { g=$NF; sub(/x$/, "", g); print g }' "$tmpdir/absent.txt")
-if [ -z "$geomean" ] || ! awk -v g="$geomean" 'BEGIN { exit !(g >= 0.85) }'; then
-    echo "FAIL: victimless fig15r geomean ${geomean:-?}x is below the 0.85x floor" >&2
-    cat "$tmpdir/absent.txt" >&2
-    exit 1
-fi
+bench_gate victim-absent 40 "$tmpdir/nojournal.json" "$tmpdir/absent.json"
 
 # Telemetry smoke: a quick instrumented run must emit a parseable
 # Prometheus dump with the core metric families, a well-formed Chrome
@@ -256,14 +258,7 @@ fi
 echo "== ledger overhead"
 "$tmpdir/mixtlb" -exp fig15r -quick -refs 300000 -jobs 1 -ledger-audit -tail 8 \
     -bench-out "$tmpdir/ledger.json" > /dev/null
-./scripts/benchdiff.sh "$tmpdir/nojournal.json" "$tmpdir/ledger.json" \
-    -max-regression 40 > "$tmpdir/ledger-overhead.txt"
-geomean=$(awk '/geomean/ { g=$NF; sub(/x$/, "", g); print g }' "$tmpdir/ledger-overhead.txt")
-if [ -z "$geomean" ] || ! awk -v g="$geomean" 'BEGIN { exit !(g >= 0.85) }'; then
-    echo "FAIL: ledger-armed fig15r geomean ${geomean:-?}x is below the 0.85x floor" >&2
-    cat "$tmpdir/ledger-overhead.txt" >&2
-    exit 1
-fi
+bench_gate ledger 40 "$tmpdir/nojournal.json" "$tmpdir/ledger.json"
 
 # Cross-ISA translation front end: descriptor packages and conformance
 # (LA57 vs 4-level, Sv39 vs Sv48 differential; typed ISA validation on
@@ -292,31 +287,18 @@ fi
 # block detection, 16-entry extended walk lines) allocates nothing in
 # steady state, and the default-descriptor perf group stays within the
 # same 0.85x geomean floor of the committed pre-descriptor seed snapshot
-# (BENCH_experiments.json). The per-cell backstop is loose (75%) because
+# (bench_history/0001-seed.json). The per-cell backstop is loose (75%) because
 # the snapshot predates this session's scheduler noise; the geomean is
 # the real gate.
 echo "== descriptor indirection overhead"
 go test ./internal/mmu/ -run 'TestTranslateZeroAllocISA' -count=1 > /dev/null
 "$tmpdir/mixtlb" -exp perf -quick -jobs 1 -bench-out "$tmpdir/isa-perf.json" > /dev/null
-./scripts/benchdiff.sh BENCH_experiments.json "$tmpdir/isa-perf.json" \
-    -max-regression 75 > "$tmpdir/isa-overhead.txt"
-geomean=$(awk '/geomean/ { g=$NF; sub(/x$/, "", g); print g }' "$tmpdir/isa-overhead.txt")
-if [ -z "$geomean" ] || ! awk -v g="$geomean" 'BEGIN { exit !(g >= 0.85) }'; then
-    echo "FAIL: descriptor-indirection geomean ${geomean:-?}x is below the 0.85x floor vs the seed snapshot" >&2
-    cat "$tmpdir/isa-overhead.txt" >&2
-    exit 1
-fi
+bench_gate descriptor 75 bench_history/0001-seed.json "$tmpdir/isa-perf.json"
 
-# Bench history: benchtrend must join this run's snapshots and exit
-# clean; with CHECK_ARCHIVE_BENCH=1 the newest snapshot is archived
-# under bench_history/ for long-term trend tracking.
-echo "== benchtrend"
-go build -o "$tmpdir/benchtrend" ./cmd/benchtrend
-mkdir -p "$tmpdir/hist"
-cp "$tmpdir/nojournal.json" "$tmpdir/hist/0001.json"
-cp "$tmpdir/absent.json" "$tmpdir/hist/0002.json"
-"$tmpdir/benchtrend" -max-regression 40 "$tmpdir/hist" > /dev/null
+# Bench history: with CHECK_ARCHIVE_BENCH=1 the newest snapshot is
+# archived under bench_history/ for long-term trend tracking.
 if [ "${CHECK_ARCHIVE_BENCH:-0}" = "1" ]; then
+    echo "== bench history archive"
     mkdir -p bench_history
     cp "$tmpdir/absent.json" "bench_history/$(date -u +%Y%m%dT%H%M%SZ).json"
     "$tmpdir/benchtrend" bench_history/ || true # informational on real history
