@@ -21,7 +21,7 @@ race:
 	$(GO) test -race -timeout 20m ./...
 
 bench: bench-experiments
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/core
 
 # Wall-clock timings for the parallel experiment engine: runs the perf
 # group at quick scale and writes per-cell and per-experiment timings to

@@ -1,7 +1,7 @@
 // Package bench holds the benchmark harness that regenerates every table
 // and figure of the paper's evaluation (one Benchmark per figure, plus the
-// ablation benches DESIGN.md calls out) and micro-benchmarks of the MIX
-// TLB's hot paths. Run with:
+// ablation benches DESIGN.md calls out). The MIX TLB's own micro-benchmarks
+// live beside it in internal/core. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -22,7 +22,6 @@ import (
 	"mixtlb/internal/experiments"
 	"mixtlb/internal/mmu"
 	"mixtlb/internal/osmm"
-	"mixtlb/internal/pagetable"
 	"mixtlb/internal/physmem"
 	"mixtlb/internal/simrand"
 	"mixtlb/internal/stats"
@@ -292,44 +291,6 @@ func BenchmarkFillStrategy(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(m.Stats().MissRatio(), "missratio")
 		})
-	}
-}
-
-// BenchmarkMixLookupHit measures the simulator's raw lookup cost on a
-// resident superpage bundle.
-func BenchmarkMixLookupHit(b *testing.B) {
-	m := tlb.Must(core.New(core.L1Config()))
-	trs := make([]pagetable.Translation, 8)
-	for i := range trs {
-		trs[i] = pagetable.Translation{
-			VA: addr.V(16+i) << addr.Shift2M, PA: addr.P(100+i) << addr.Shift2M,
-			Size: addr.Page2M, Perm: addr.PermRW, Accessed: true,
-		}
-	}
-	m.Fill(tlb.Request{VA: trs[0].VA}, pagetable.WalkResult{Found: true, Translation: trs[0], Line: trs})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		va := trs[i%8].VA + addr.V((i*addr.Size4K)&(addr.Size2M-1))
-		if r := m.Lookup(tlb.Request{VA: va}); !r.Hit {
-			b.Fatal("unexpected miss")
-		}
-	}
-}
-
-// BenchmarkMixFill measures the cost of a coalescing mirrored fill.
-func BenchmarkMixFill(b *testing.B) {
-	m := tlb.Must(core.New(core.L1Config()))
-	trs := make([]pagetable.Translation, 8)
-	for i := range trs {
-		trs[i] = pagetable.Translation{
-			VA: addr.V(16+i) << addr.Shift2M, PA: addr.P(100+i) << addr.Shift2M,
-			Size: addr.Page2M, Perm: addr.PermRW, Accessed: true,
-		}
-	}
-	walk := pagetable.WalkResult{Found: true, Translation: trs[0], Line: trs}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Fill(tlb.Request{VA: trs[0].VA}, walk)
 	}
 }
 

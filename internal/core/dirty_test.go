@@ -5,6 +5,7 @@ import (
 
 	"mixtlb/internal/addr"
 	"mixtlb/internal/pagetable"
+	"mixtlb/internal/simrand"
 	"mixtlb/internal/tlb"
 )
 
@@ -191,5 +192,108 @@ func TestPromoteCoalescesBundle(t *testing.T) {
 	}
 	if !look(m2, p.VA).Hit {
 		t.Error("4KB promote missed")
+	}
+}
+
+// refGroupHasMembers and refMergedDirtyGroups are the per-group loop form
+// of the dirty-group merge, kept as the reference the word-mask form in
+// mergeMembers must match bit for bit.
+func refGroupHasMembers(enc Encoding, w *payload, g int) bool {
+	if enc == Bitmap {
+		return w.bitmap&(uint64(0xff)<<(8*g)) != 0
+	}
+	lo, hi := int(w.start), int(w.start)+int(w.length)
+	return w.length > 0 && lo < 8*g+8 && hi > 8*g
+}
+
+func refMergedDirtyGroups(enc Encoding, k int, a, b, merged *payload) uint32 {
+	var out uint32
+	for g := 0; g < (k+7)/8; g++ {
+		okA := a.dgroups&(1<<g) != 0 || !refGroupHasMembers(enc, a, g) || a.dirty
+		okB := b.dgroups&(1<<g) != 0 || !refGroupHasMembers(enc, b, g) || b.dirty
+		if okA && okB && refGroupHasMembers(enc, merged, g) {
+			out |= 1 << g
+		}
+	}
+	return out
+}
+
+// TestDirtyGroupMaskMatchesLoop checks the O(1) word-mask dirty-group
+// merge against the per-group loop over randomized bitmap and range
+// operands, for every bundle capacity the encodings allow and every
+// combination of whole-entry dirty bits.
+func TestDirtyGroupMaskMatchesLoop(t *testing.T) {
+	rng := simrand.New(0xd17)
+	for _, k := range []int{16, 64, 128, 256} {
+		for _, enc := range []Encoding{Bitmap, Range} {
+			if enc == Bitmap && k > 64 {
+				continue // bitmap entries carry at most 64 presence bits
+			}
+			m := mustNew(Config{Name: "eq", Sets: 1, Ways: 1, Coalesce: k, Encoding: enc})
+			groups := uint32(1)<<((k+7)/8) - 1
+			operand := func(dirty bool) payload {
+				w := payload{dirty: dirty, dgroups: uint32(rng.Uint64()) & groups}
+				if enc == Bitmap {
+					w.bitmap = rng.Uint64() & rng.Uint64() // sparse, with holes
+					if k < 64 {
+						w.bitmap &= 1<<k - 1
+					}
+					if w.bitmap == 0 {
+						w.bitmap = 1 << rng.Uint64n(uint64(k))
+					}
+				} else {
+					start := int(rng.Uint64n(uint64(k)))
+					w.start = uint16(start)
+					w.length = uint16(1 + rng.Uint64n(uint64(k-start)))
+				}
+				return w
+			}
+			for trial := 0; trial < 2000; trial++ {
+				for flags := 0; flags < 4; flags++ {
+					a, b := operand(flags&1 != 0), operand(flags&2 != 0)
+					got := a
+					ok := m.mergeMembers(&got, &b, m.exemptGroups(&b))
+					aEnd, bEnd := int(a.start)+int(a.length), int(b.start)+int(b.length)
+					if enc == Range && ok != (int(b.start) <= aEnd && int(a.start) <= bEnd) {
+						t.Fatalf("K=%d %v: merge of %+v and %+v reported %v", k, enc, a, b, ok)
+					}
+					if !ok {
+						if got != a {
+							t.Fatalf("K=%d %v: failed merge modified %+v to %+v", k, enc, a, got)
+						}
+						continue
+					}
+					union := a.bitmap | b.bitmap
+					start, end := min(int(a.start), int(b.start)), max(aEnd, bEnd)
+					if got.bitmap != union || got.start != uint16(start) || got.length != uint16(end-start) {
+						t.Fatalf("K=%d %v: merge of %+v and %+v gave members %+v", k, enc, a, b, got)
+					}
+					if want := refMergedDirtyGroups(enc, k, &a, &b, &got); got.dgroups != want {
+						t.Fatalf("K=%d %v: merge of %+v and %+v gave dgroups %#x, loop gives %#x",
+							k, enc, a, b, got.dgroups, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestByteGroupsMatchesLoop checks the byte-fold-and-gather against a
+// per-byte loop on every pattern of nonzero bytes, with random bits set
+// inside each nonzero byte.
+func TestByteGroupsMatchesLoop(t *testing.T) {
+	rng := simrand.New(0xb17e)
+	for pattern := 0; pattern < 256; pattern++ {
+		for trial := 0; trial < 64; trial++ {
+			var x uint64
+			for g := 0; g < 8; g++ {
+				if pattern&(1<<g) != 0 {
+					x |= (1 + rng.Uint64n(255)) << (8 * g)
+				}
+			}
+			if got := byteGroups(x); got != uint32(pattern) {
+				t.Fatalf("byteGroups(%#x) = %#x, want %#x", x, got, pattern)
+			}
+		}
 	}
 }

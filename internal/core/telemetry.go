@@ -48,11 +48,9 @@ func (m *MixTLB) FlushTelemetry() {
 // OccupancyBySet implements tlb.OccupancyReporter.
 func (m *MixTLB) OccupancyBySet() []int {
 	occ := make([]int, m.cfg.Sets)
-	for si, set := range m.data {
-		for i := range set {
-			if set[i].valid {
-				occ[si]++
-			}
+	for i, t := range m.tags {
+		if t&tagValid != 0 {
+			occ[i/m.cfg.Ways]++
 		}
 	}
 	return occ

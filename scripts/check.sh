@@ -218,6 +218,15 @@ fi
 echo "== telemetry zero-alloc guard"
 go test ./internal/mmu/ -run 'TestTranslateZeroAllocTelemetry' -count=1 > /dev/null
 
+# MIX TLB layer: the op-stream digests pin every value a MixTLB returns,
+# bit for bit, whatever its storage layout; the warm Fill/Promote/Lookup
+# paths must not allocate (without -race, like the guard above); and the
+# layer's own micro-benchmarks must still run, 100 iterations each (a
+# smoke run, not a timing gate).
+echo "== MIX TLB digests, zero-alloc guard and micro-benchmarks"
+go test ./internal/core/ -run 'TestMixOpStreamDigest|TestMixZeroAlloc' -count=1 > /dev/null
+go test ./internal/core/ -run '^$' -bench 'Mix' -benchtime 100x > /dev/null
+
 # Cycle book and ledger: per-access results, Stats.Cycles and the MMU's
 # Attribution must be one number for every registry design and for nested
 # MMUs; the ledger's closed accesses must conserve per cell (chaos retries
