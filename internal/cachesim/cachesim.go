@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"mixtlb/internal/addr"
+	"mixtlb/internal/lru"
 )
 
 // Level configures one cache level.
@@ -29,14 +30,13 @@ func DefaultHierarchy() *Hierarchy {
 	}, 200)
 }
 
-// cache is one level's state: per-set tag arrays with LRU stamps.
+// cache is one level's state: an LRU array of line tags. A line's set is
+// its low line-number bits and its tag the rest.
 type cache struct {
-	cfg   Level
-	sets  int
-	tags  [][]uint64
-	valid [][]bool
-	stamp [][]uint64
-	clock uint64
+	cfg      Level
+	setMask  uint64 // sets-1
+	setShift uint   // log2(sets)
+	lines    lru.Array
 
 	accesses uint64
 	misses   uint64
@@ -48,42 +48,25 @@ func newCache(cfg Level) *cache {
 	if sets <= 0 || !addr.IsPow2(uint64(sets)) {
 		panic(fmt.Sprintf("cachesim: %s has %d sets; need a positive power of two", cfg.Name, sets))
 	}
-	c := &cache{cfg: cfg, sets: sets}
-	c.tags = make([][]uint64, sets)
-	c.valid = make([][]bool, sets)
-	c.stamp = make([][]uint64, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, cfg.Ways)
-		c.valid[i] = make([]bool, cfg.Ways)
-		c.stamp[i] = make([]uint64, cfg.Ways)
+	return &cache{
+		cfg:      cfg,
+		setMask:  uint64(sets - 1),
+		setShift: addr.Log2(uint64(sets)),
+		lines:    lru.New(sets, cfg.Ways),
 	}
-	return c
 }
 
 // access looks up the line containing pa, filling on miss. Returns hit.
 func (c *cache) access(pa addr.P) bool {
-	c.clock++
 	c.accesses++
 	line := uint64(pa) / addr.CacheLineSize
-	set := int(line) & (c.sets - 1)
-	tag := line >> addr.Log2(uint64(c.sets))
-	victim, oldest := 0, ^uint64(0)
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
-			c.stamp[set][w] = c.clock
-			return true
-		}
-		if !c.valid[set][w] {
-			victim, oldest = w, 0
-		} else if c.stamp[set][w] < oldest {
-			victim, oldest = w, c.stamp[set][w]
-		}
+	tag := line >> c.setShift
+	i, hit := c.lines.Probe(int(line&c.setMask), tag)
+	c.lines.Put(i, tag)
+	if !hit {
+		c.misses++
 	}
-	c.misses++
-	c.valid[set][victim] = true
-	c.tags[set][victim] = tag
-	c.stamp[set][victim] = c.clock
-	return false
+	return hit
 }
 
 // Hierarchy is an inclusive multi-level cache hierarchy over DRAM.
@@ -152,10 +135,6 @@ func (h *Hierarchy) MemAccesses() uint64 { return h.memAccess }
 // Flush invalidates every line in every level (counters are retained).
 func (h *Hierarchy) Flush() {
 	for _, c := range h.levels {
-		for s := range c.valid {
-			for w := range c.valid[s] {
-				c.valid[s][w] = false
-			}
-		}
+		c.lines.Flush()
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"math/bits"
 
 	"mixtlb/internal/addr"
+	"mixtlb/internal/lru"
 	"mixtlb/internal/pagetable"
 	"mixtlb/internal/tlb"
 )
@@ -206,7 +207,7 @@ type MixTLB struct {
 // ways hold tag 0. Two entries with equal tags cover the same window, so
 // duplicate and merge checks are one word compare.
 const (
-	tagValid     = uint64(1) << 63
+	tagValid     = lru.Valid
 	tagSizeShift = 61
 	tagBundle    = uint64(1) << 60
 	tagLogKShift = 56

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"mixtlb/internal/addr"
+	"mixtlb/internal/lru"
 	"mixtlb/internal/pagetable"
 	"mixtlb/internal/tlb"
 )
@@ -45,7 +46,8 @@ func (m *MixTLB) Fill(req tlb.Request, walk pagetable.WalkResult) tlb.Cost {
 // the first free way, else the LRU way.
 func (m *MixTLB) fillPlain(va addr.V, t pagetable.Translation) {
 	lo := m.setIndex(va) * m.cfg.Ways
-	i := lo + m.victim(lo)
+	hi := lo + m.cfg.Ways
+	i := lo + lru.Victim(m.tags[lo:hi], m.stamps[lo:hi])
 	if m.tags[i]&tagValid != 0 && m.sink != nil {
 		m.reportEviction(i)
 	}
@@ -106,7 +108,7 @@ sets:
 			if mirror && !m.cfg.BlindMirrors {
 				continue // no spare way: skip the prefetch, keep live entries
 			}
-			v = m.lru(lo)
+			v = lru.Oldest(m.stamps[lo : lo+m.cfg.Ways])
 			if m.sink != nil {
 				m.reportEviction(lo + v)
 			}
@@ -121,30 +123,6 @@ sets:
 		}
 	}
 	return cost
-}
-
-// victim picks the replacement way of the set starting at way lo: the
-// first free way, else LRU.
-func (m *MixTLB) victim(lo int) int {
-	for i, t := range m.tags[lo : lo+m.cfg.Ways] {
-		if t&tagValid == 0 {
-			return i
-		}
-	}
-	return m.lru(lo)
-}
-
-// lru returns the least recently used way of the full set starting at
-// way lo (the first on a tie).
-func (m *MixTLB) lru(lo int) int {
-	stamps := m.stamps[lo : lo+m.cfg.Ways]
-	v := 0
-	for i, s := range stamps {
-		if s < stamps[v] {
-			v = i
-		}
-	}
-	return v
 }
 
 // Promote implements tlb.Promoter: an L1 refill served by an L2 hit fills

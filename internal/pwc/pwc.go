@@ -16,6 +16,7 @@ package pwc
 import (
 	"mixtlb/internal/addr"
 	"mixtlb/internal/isa"
+	"mixtlb/internal/lru"
 )
 
 // NumLevels is how many non-leaf radix levels the default x86-64
@@ -46,9 +47,10 @@ type Stats struct {
 // three levels with shifts 39/30/21; a 5-level LA57 radix caches four
 // with shifts 48/39/30/21, and 3-level Sv39 two with 30/21.
 type Cache struct {
-	levels []prefixCache
-	shifts []uint
-	stats  Stats
+	levels  []lru.Array // one fully associative set per level
+	shifts  []uint
+	entries int // per-level capacity
+	stats   Stats
 }
 
 // NewISA builds a cache sized from a descriptor's radix (isa.Default()
@@ -61,11 +63,12 @@ func NewISA(entriesPerLevel int, d *isa.Descriptor) *Cache {
 	}
 	depth := d.Depth()
 	c := &Cache{
-		levels: make([]prefixCache, depth-1),
-		shifts: make([]uint, depth-1),
+		levels:  make([]lru.Array, depth-1),
+		shifts:  make([]uint, depth-1),
+		entries: entriesPerLevel,
 	}
 	for i := range c.levels {
-		c.levels[i].init(entriesPerLevel)
+		c.levels[i] = lru.New(1, entriesPerLevel)
 		// levels[i] caches entries of radix level depth-i, whose VA
 		// prefix starts where level depth-i's index does.
 		c.shifts[i] = d.LevelShift(depth - i)
@@ -88,7 +91,8 @@ func (c *Cache) Skip(va addr.V, maxSkip int) int {
 		if lvl+1 > maxSkip {
 			continue
 		}
-		if c.levels[lvl].lookup(uint64(va) >> c.shifts[lvl]) {
+		if w := c.levels[lvl].Find(0, uint64(va)>>c.shifts[lvl]); w >= 0 {
+			c.levels[lvl].Touch(w)
 			c.stats.Hits++
 			c.stats.SkippedRefs += uint64(lvl + 1)
 			return lvl + 1
@@ -105,7 +109,9 @@ func (c *Cache) Skip(va addr.V, maxSkip int) int {
 func (c *Cache) Fill(va addr.V, walkLen int) {
 	c.stats.Fills++
 	for lvl := 0; lvl < walkLen-1 && lvl < len(c.levels); lvl++ {
-		c.levels[lvl].insert(uint64(va) >> c.shifts[lvl])
+		key := uint64(va) >> c.shifts[lvl]
+		w, _ := c.levels[lvl].Probe(0, key)
+		c.levels[lvl].Put(w, key)
 	}
 }
 
@@ -113,72 +119,19 @@ func (c *Cache) Fill(va addr.V, walkLen int) {
 // invalidate paging-structure caches exactly as they invalidate TLBs.
 func (c *Cache) Invalidate(va addr.V) {
 	for lvl := range c.levels {
-		c.levels[lvl].invalidate(uint64(va) >> c.shifts[lvl])
+		// Fill never stores a prefix twice, so the first match is the only one.
+		if w := c.levels[lvl].Find(0, uint64(va)>>c.shifts[lvl]); w >= 0 {
+			c.levels[lvl].Clear(w)
+		}
 	}
 }
 
 // Flush empties the cache (context switch without PCIDs).
 func (c *Cache) Flush() {
 	for i := range c.levels {
-		c.levels[i].flush()
+		c.levels[i].Flush()
 	}
 }
 
 // Entries reports the per-level capacity.
-func (c *Cache) Entries() int { return len(c.levels[0].keys) }
-
-// prefixCache is a tiny fully-associative LRU cache of VA prefixes.
-type prefixCache struct {
-	keys  []uint64
-	valid []bool
-	stamp []uint64
-	clock uint64
-}
-
-func (c *prefixCache) init(entries int) {
-	c.keys = make([]uint64, entries)
-	c.valid = make([]bool, entries)
-	c.stamp = make([]uint64, entries)
-}
-
-func (c *prefixCache) lookup(key uint64) bool {
-	c.clock++
-	for i := range c.keys {
-		if c.valid[i] && c.keys[i] == key {
-			c.stamp[i] = c.clock
-			return true
-		}
-	}
-	return false
-}
-
-func (c *prefixCache) insert(key uint64) {
-	c.clock++
-	victim, oldest := 0, ^uint64(0)
-	for i := range c.keys {
-		if c.valid[i] && c.keys[i] == key {
-			c.stamp[i] = c.clock
-			return
-		}
-		if !c.valid[i] {
-			victim, oldest = i, 0
-		} else if c.stamp[i] < oldest {
-			victim, oldest = i, c.stamp[i]
-		}
-	}
-	c.keys[victim], c.valid[victim], c.stamp[victim] = key, true, c.clock
-}
-
-func (c *prefixCache) invalidate(key uint64) {
-	for i := range c.keys {
-		if c.valid[i] && c.keys[i] == key {
-			c.valid[i] = false
-		}
-	}
-}
-
-func (c *prefixCache) flush() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-}
+func (c *Cache) Entries() int { return c.entries }

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"mixtlb/internal/addr"
+	"mixtlb/internal/lru"
 	"mixtlb/internal/pagetable"
 )
 
@@ -29,19 +30,19 @@ type Colt struct {
 	groupShift uint   // shift + log2(window)
 	winMask    uint64 // window-1
 	setsMask   uint64 // sets-1
-	data       [][]coltEntry
-	clock      uint64
-	members    []pagetable.Translation // scratch reused by Members
+	// groups is tagged by window group; data holds each way's run.
+	groups  lru.Array
+	data    []coltData
+	members []pagetable.Translation // scratch reused by Members
 }
 
-type coltEntry struct {
-	valid  bool
-	group  uint64 // pageNum / window
+// coltData is one way's coalesced run: which members of its window are
+// present, and what they share.
+type coltData struct {
 	bitmap uint32 // members present; bit i = page group*window + i
 	basePA addr.P // PA of the window's first page position
 	perm   addr.Perm
 	dirty  bool
-	stamp  uint64
 }
 
 // NewColt builds a coalescing TLB for pages of size s. window is the
@@ -60,11 +61,9 @@ func NewColt(name string, s addr.PageSize, sets, ways, window int) (*Colt, error
 		groupShift: s.Shift() + addr.Log2(uint64(window)),
 		winMask:    uint64(window - 1),
 		setsMask:   uint64(sets - 1),
+		groups:     lru.New(sets, ways),
+		data:       make([]coltData, sets*ways),
 		members:    make([]pagetable.Translation, 0, window),
-	}
-	t.data = make([][]coltEntry, sets)
-	for i := range t.data {
-		t.data[i] = make([]coltEntry, ways)
 	}
 	return t, nil
 }
@@ -85,16 +84,26 @@ func (t *Colt) group(va addr.V) uint64 { return uint64(va) >> t.groupShift }
 // slot maps a VA to its member position within its window.
 func (t *Colt) slot(va addr.V) int { return int((uint64(va) >> t.shift) & t.winMask) }
 
-func (t *Colt) set(va addr.V) []coltEntry {
-	return t.data[t.group(va)&t.setsMask]
+// find returns the first way holding va's page, with va's window group
+// and slot, or -1. A set may hold two runs of one window (differing in
+// base or permissions), so a group match whose run lacks the slot goes
+// on to the next copy.
+func (t *Colt) find(va addr.V) (int, uint64, int) {
+	g, slot := t.group(va), t.slot(va)
+	for i := t.groups.Find(int(g&t.setsMask), g); i >= 0; i = t.groups.FindNext(i, g) {
+		if t.data[i].bitmap&(1<<slot) != 0 {
+			return i, g, slot
+		}
+	}
+	return -1, g, slot
 }
 
 // LookupReplayConsistent implements ReplayConsistent.
 func (t *Colt) LookupReplayConsistent() bool { return true }
 
-// member translation for slot i of entry e.
-func (t *Colt) member(e *coltEntry, i int) pagetable.Translation {
-	vpn := e.group*uint64(t.window) + uint64(i)
+// member translation for slot i of run e in window group g.
+func (t *Colt) member(e *coltData, g uint64, i int) pagetable.Translation {
+	vpn := g*uint64(t.window) + uint64(i)
 	return pagetable.Translation{
 		VA:       addr.V(vpn << t.shift),
 		PA:       e.basePA + addr.P(uint64(i)<<t.shift),
@@ -107,20 +116,12 @@ func (t *Colt) member(e *coltEntry, i int) pagetable.Translation {
 
 // Lookup implements TLB.
 func (t *Colt) Lookup(req Request) Result {
-	t.clock++
 	res := Result{Cost: Cost{Probes: 1, WaysRead: t.ways}}
-	set := t.set(req.VA)
-	g := t.group(req.VA)
-	slot := t.slot(req.VA)
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.group == g && e.bitmap&(1<<slot) != 0 {
-			e.stamp = t.clock
-			res.Hit = true
-			res.T = t.member(e, slot)
-			res.Dirty = e.dirty
-			return res
-		}
+	if i, g, slot := t.find(req.VA); i >= 0 {
+		t.groups.Touch(i)
+		res.Hit = true
+		res.T = t.member(&t.data[i], g, slot)
+		res.Dirty = t.data[i].dirty
 	}
 	return res
 }
@@ -134,7 +135,6 @@ func (t *Colt) Fill(req Request, walk pagetable.WalkResult) Cost {
 	if !walk.Found || walk.Translation.Size != t.size {
 		return Cost{}
 	}
-	t.clock++
 	tr := walk.Translation
 	g := t.group(tr.VA)
 	slot := t.slot(tr.VA)
@@ -156,36 +156,21 @@ func (t *Colt) Fill(req Request, walk pagetable.WalkResult) Cost {
 		bitmap |= 1 << i
 		dirtyAll = dirtyAll && n.Dirty
 	}
-	set := t.set(tr.VA)
+	set := int(g & t.setsMask)
 	// Merge with an existing compatible entry for the same window.
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.group == g && e.basePA == basePA && e.perm == tr.Perm {
+	for i := t.groups.Find(set, g); i >= 0; i = t.groups.FindNext(i, g) {
+		e := &t.data[i]
+		if e.basePA == basePA && e.perm == tr.Perm {
 			e.bitmap |= bitmap
 			e.dirty = e.dirty && dirtyAll
-			e.stamp = t.clock
+			t.groups.Touch(i)
 			return Cost{SetsFilled: 1, EntriesWritten: 1}
 		}
 	}
-	v := victimIndex2(set)
-	set[v] = coltEntry{
-		valid: true, group: g, bitmap: bitmap, basePA: basePA,
-		perm: tr.Perm, dirty: dirtyAll, stamp: t.clock,
-	}
+	v := t.groups.Victim(set)
+	t.groups.Put(v, g)
+	t.data[v] = coltData{bitmap: bitmap, basePA: basePA, perm: tr.Perm, dirty: dirtyAll}
 	return Cost{SetsFilled: 1, EntriesWritten: 1}
-}
-
-func victimIndex2(set []coltEntry) int {
-	victim, oldest := 0, ^uint64(0)
-	for i := range set {
-		if !set[i].valid {
-			return i
-		}
-		if set[i].stamp < oldest {
-			victim, oldest = i, set[i].stamp
-		}
-	}
-	return victim
 }
 
 // MarkDirty implements TLB: the entry-level dirty bit may only be set when
@@ -193,45 +178,32 @@ func victimIndex2(set []coltEntry) int {
 // multi-member bundles keep dirty=false so every member's first store
 // reaches the page table).
 func (t *Colt) MarkDirty(va addr.V) bool {
-	set := t.set(va)
-	g := t.group(va)
-	slot := t.slot(va)
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.group == g && e.bitmap&(1<<slot) != 0 {
-			if bits.OnesCount32(e.bitmap) == 1 {
-				e.dirty = true
-				return true
-			}
-			return false
-		}
+	i, _, _ := t.find(va)
+	if i < 0 || bits.OnesCount32(t.data[i].bitmap) != 1 {
+		return false
 	}
-	return false
+	t.data[i].dirty = true
+	return true
 }
 
 // Members implements BundleProvider: expand the entry covering va into
 // its member translations.
 func (t *Colt) Members(va addr.V) []pagetable.Translation {
-	set := t.set(va)
-	g := t.group(va)
-	slot := t.slot(va)
-	for i := range set {
-		e := &set[i]
-		if !e.valid || e.group != g || e.bitmap&(1<<slot) == 0 {
-			continue
-		}
-		// Reuse the scratch slice: callers consume the members before the
-		// next Lookup/Fill on this TLB, so one buffer suffices.
-		out := t.members[:0]
-		for s := 0; s < t.window; s++ {
-			if e.bitmap&(1<<s) != 0 {
-				out = append(out, t.member(e, s))
-			}
-		}
-		t.members = out[:0]
-		return out
+	i, g, _ := t.find(va)
+	if i < 0 {
+		return nil
 	}
-	return nil
+	// Reuse the scratch slice: callers consume the members before the
+	// next Lookup/Fill on this TLB, so one buffer suffices.
+	e := &t.data[i]
+	out := t.members[:0]
+	for s := 0; s < t.window; s++ {
+		if e.bitmap&(1<<s) != 0 {
+			out = append(out, t.member(e, g, s))
+		}
+	}
+	t.members = out[:0]
+	return out
 }
 
 // RefreshDirty implements DirtyRefresher: COLT windows fit inside one PTE
@@ -239,37 +211,32 @@ func (t *Colt) Members(va addr.V) []pagetable.Translation {
 // when all present members are dirty the entry's bit is set and further
 // stores skip the micro-op.
 func (t *Colt) RefreshDirty(va addr.V, line []pagetable.Translation) bool {
-	set := t.set(va)
-	g := t.group(va)
-	slot := t.slot(va)
-	for i := range set {
-		e := &set[i]
-		if !e.valid || e.group != g || e.bitmap&(1<<slot) == 0 {
+	i, g, _ := t.find(va)
+	if i < 0 {
+		return false
+	}
+	e := &t.data[i]
+	base := g * uint64(t.window)
+	for s := 0; s < t.window; s++ {
+		if e.bitmap&(1<<s) == 0 {
 			continue
 		}
-		base := g * uint64(t.window)
-		for s := 0; s < t.window; s++ {
-			if e.bitmap&(1<<s) == 0 {
-				continue
-			}
-			// Scan the line for this member's PTE directly (the line is at
-			// most 8 entries; no map needed on this hot path).
-			want := base + uint64(s)
-			dirty, found := false, false
-			for _, n := range line {
-				if n.Size == t.size && uint64(n.VA)>>t.shift == want {
-					dirty, found = n.Dirty, true
-					break
-				}
-			}
-			if !found || !dirty {
-				return false
+		// Scan the line for this member's PTE directly (the line is at
+		// most 8 entries; no map needed on this hot path).
+		want := base + uint64(s)
+		dirty, found := false, false
+		for _, n := range line {
+			if n.Size == t.size && uint64(n.VA)>>t.shift == want {
+				dirty, found = n.Dirty, true
+				break
 			}
 		}
-		e.dirty = true
-		return true
+		if !found || !dirty {
+			return false
+		}
 	}
-	return false
+	e.dirty = true
+	return true
 }
 
 // Invalidate implements TLB: clear the member's bit, dropping the entry
@@ -278,16 +245,13 @@ func (t *Colt) Invalidate(va addr.V, size addr.PageSize) int {
 	if size != t.size {
 		return 0
 	}
-	set := t.set(va)
-	g := t.group(va)
-	slot := t.slot(va)
+	g, slot := t.group(va), t.slot(va)
 	n := 0
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.group == g && e.bitmap&(1<<slot) != 0 {
+	for i := t.groups.Find(int(g&t.setsMask), g); i >= 0; i = t.groups.FindNext(i, g) {
+		if e := &t.data[i]; e.bitmap&(1<<slot) != 0 {
 			e.bitmap &^= 1 << slot
 			if e.bitmap == 0 {
-				e.valid = false
+				t.groups.Clear(i)
 			}
 			n++
 		}
@@ -296,13 +260,7 @@ func (t *Colt) Invalidate(va addr.V, size addr.PageSize) int {
 }
 
 // Flush implements TLB.
-func (t *Colt) Flush() {
-	for _, set := range t.data {
-		for i := range set {
-			set[i].valid = false
-		}
-	}
-}
+func (t *Colt) Flush() { t.groups.Flush() }
 
 // NewColtSplitL1 builds the COLT baseline of Fig 18: the Haswell L1
 // geometry with the 4KB component coalescing up to 4 small pages.

@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"mixtlb/internal/addr"
+	"mixtlb/internal/lru"
 	"mixtlb/internal/pagetable"
 )
 
@@ -16,12 +17,14 @@ type HashRehash struct {
 	sizes  []addr.PageSize // probe order (may be reordered per lookup by a predictor)
 	sets   int
 	ways   int
-	mask   uint64                   // sets-1
-	shifts [addr.NumPageSizes]uint  // page-number shift per size
-	cached [addr.NumPageSizes]bool  // size supported?
-	data   [][]entrySlot
-	clock  uint64
-	sink   EvictionSink // capacity-eviction feed (nil = detached)
+	mask   uint64                  // sets-1
+	shifts [addr.NumPageSizes]uint // page-number shift per size
+	cached [addr.NumPageSizes]bool // size supported?
+	// pages is tagged by sizedKey(page size, page number); data holds
+	// each way's translation.
+	pages lru.Array
+	data  []slotData
+	sink  EvictionSink // capacity-eviction feed (nil = detached)
 }
 
 // NewHashRehash builds a hash-rehash TLB probing the given sizes in order.
@@ -37,16 +40,15 @@ func NewHashRehash(name string, sets, ways int, sizes ...addr.PageSize) (*HashRe
 			return nil, cfgErr(name, "invalid page size %d", s)
 		}
 	}
-	t := &HashRehash{name: name, sizes: sizes, sets: sets, ways: ways, mask: uint64(sets - 1)}
+	t := &HashRehash{
+		name: name, sizes: sizes, sets: sets, ways: ways, mask: uint64(sets - 1),
+		pages: lru.New(sets, ways), data: make([]slotData, sets*ways),
+	}
 	for _, s := range addr.Sizes() {
 		t.shifts[s] = s.Shift()
 	}
 	for _, s := range sizes {
 		t.cached[s] = true
-	}
-	t.data = make([][]entrySlot, sets)
-	for i := range t.data {
-		t.data[i] = make([]entrySlot, ways)
 	}
 	return t, nil
 }
@@ -74,27 +76,19 @@ func (t *HashRehash) SetEvictionSink(sink EvictionSink) { t.sink = sink }
 // ReachBytes implements ReachReporter.
 func (t *HashRehash) ReachBytes() uint64 {
 	var b uint64
-	for _, set := range t.data {
-		for i := range set {
-			if set[i].valid {
-				b += set[i].t.Size.Bytes()
-			}
+	for i := range t.data {
+		if t.pages.Valid(i) {
+			b += t.data[i].t.Size.Bytes()
 		}
 	}
 	return b
 }
 
-// probe checks one set for a translation of one specific size.
-func (t *HashRehash) probe(va addr.V, s addr.PageSize) (*entrySlot, bool) {
-	shift := t.shifts[s]
-	vpn := uint64(va) >> shift
-	set := t.data[vpn&t.mask]
-	for i := range set {
-		if set[i].valid && set[i].t.Size == s && uint64(set[i].t.VA)>>shift == vpn {
-			return &set[i], true
-		}
-	}
-	return nil, false
+// locate returns the set a translation of size s for va lives in, and
+// its tag key.
+func (t *HashRehash) locate(va addr.V, s addr.PageSize) (int, uint64) {
+	vpn := uint64(va) >> t.shifts[s]
+	return int(vpn & t.mask), sizedKey(s, vpn)
 }
 
 // Lookup implements TLB using the default probe order.
@@ -106,7 +100,6 @@ func (t *HashRehash) Lookup(req Request) Result {
 // front-end passes its guess first. Every round costs a probe and a full
 // set read.
 func (t *HashRehash) LookupOrdered(req Request, order []addr.PageSize) Result {
-	t.clock++
 	var res Result
 	for _, s := range order {
 		if !t.caches(s) {
@@ -114,11 +107,11 @@ func (t *HashRehash) LookupOrdered(req Request, order []addr.PageSize) Result {
 		}
 		res.Cost.Probes++
 		res.Cost.WaysRead += t.ways
-		if e, ok := t.probe(req.VA, s); ok {
-			e.stamp = t.clock
+		if i := t.pages.Find(t.locate(req.VA, s)); i >= 0 {
+			t.pages.Touch(i)
 			res.Hit = true
-			res.T = e.t
-			res.Dirty = e.dirty
+			res.T = t.data[i].t
+			res.Dirty = t.data[i].dirty
 			return res
 		}
 	}
@@ -127,47 +120,43 @@ func (t *HashRehash) LookupOrdered(req Request, order []addr.PageSize) Result {
 
 // Fill implements TLB.
 func (t *HashRehash) Fill(req Request, walk pagetable.WalkResult) Cost {
-	if !walk.Found || !t.caches(walk.Translation.Size) {
+	tr := walk.Translation
+	if !walk.Found || !t.caches(tr.Size) {
 		return Cost{}
 	}
-	t.clock++
-	set := t.data[(uint64(req.VA)>>t.shifts[walk.Translation.Size])&t.mask]
-	v := victimIndex(set)
-	if set[v].valid && t.sink != nil {
-		t.sink(set[v].t, set[v].dirty)
+	set, _ := t.locate(req.VA, tr.Size)
+	i := t.pages.Victim(set)
+	if t.pages.Valid(i) && t.sink != nil {
+		t.sink(t.data[i].t, t.data[i].dirty)
 	}
-	set[v] = entrySlot{valid: true, t: walk.Translation, dirty: walk.Translation.Dirty, stamp: t.clock}
+	_, key := t.locate(tr.VA, tr.Size)
+	t.pages.Put(i, key)
+	t.data[i] = slotData{t: tr, dirty: tr.Dirty}
 	return Cost{SetsFilled: 1, EntriesWritten: 1}
 }
 
 // MarkDirty implements TLB.
 func (t *HashRehash) MarkDirty(va addr.V) bool {
 	for _, s := range t.sizes {
-		if e, ok := t.probe(va, s); ok {
-			e.dirty = true
+		if i := t.pages.Find(t.locate(va, s)); i >= 0 {
+			t.data[i].dirty = true
 			return true
 		}
 	}
 	return false
 }
 
-// Invalidate implements TLB.
+// Invalidate implements TLB: it drops the first copy of the page only.
 func (t *HashRehash) Invalidate(va addr.V, size addr.PageSize) int {
 	if !t.caches(size) {
 		return 0
 	}
-	if e, ok := t.probe(va, size); ok {
-		e.valid = false
+	if i := t.pages.Find(t.locate(va, size)); i >= 0 {
+		t.pages.Clear(i)
 		return 1
 	}
 	return 0
 }
 
 // Flush implements TLB.
-func (t *HashRehash) Flush() {
-	for _, set := range t.data {
-		for i := range set {
-			set[i].valid = false
-		}
-	}
-}
+func (t *HashRehash) Flush() { t.pages.Flush() }

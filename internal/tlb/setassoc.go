@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"mixtlb/internal/addr"
+	"mixtlb/internal/lru"
 	"mixtlb/internal/pagetable"
 )
 
@@ -18,9 +19,10 @@ type SetAssoc struct {
 	// masking so the probe loop does no per-call size dispatch.
 	shift uint
 	mask  uint64
-	data  []entrySlot // sets*ways, flattened row-major by set
-	clock uint64
-	sink  EvictionSink // capacity-eviction feed (nil = detached)
+	// vpns is tagged by page number; data holds each way's translation.
+	vpns lru.Array
+	data []slotData
+	sink EvictionSink // capacity-eviction feed (nil = detached)
 }
 
 // NewSetAssoc builds a TLB with the given geometry caching only pages of
@@ -29,16 +31,16 @@ func NewSetAssoc(name string, s addr.PageSize, sets, ways int) (*SetAssoc, error
 	if sets <= 0 || !addr.IsPow2(uint64(sets)) || ways <= 0 {
 		return nil, cfgErr(name, "bad geometry %dx%d", sets, ways)
 	}
-	t := &SetAssoc{
+	return &SetAssoc{
 		name:  name,
 		size:  s,
 		sets:  sets,
 		ways:  ways,
 		shift: s.Shift(),
 		mask:  uint64(sets - 1),
-	}
-	t.data = make([]entrySlot, sets*ways)
-	return t, nil
+		vpns:  lru.New(sets, ways),
+		data:  make([]slotData, sets*ways),
+	}, nil
 }
 
 // Name implements TLB.
@@ -60,7 +62,7 @@ func (t *SetAssoc) SetEvictionSink(sink EvictionSink) { t.sink = sink }
 func (t *SetAssoc) ReachBytes() uint64 {
 	n := uint64(0)
 	for i := range t.data {
-		if t.data[i].valid {
+		if t.vpns.Valid(i) {
 			n++
 		}
 	}
@@ -68,38 +70,22 @@ func (t *SetAssoc) ReachBytes() uint64 {
 }
 
 // OccupancyBySet implements OccupancyReporter.
-func (t *SetAssoc) OccupancyBySet() []int {
-	occ := make([]int, t.sets)
-	for si := 0; si < t.sets; si++ {
-		set := t.data[si*t.ways : (si+1)*t.ways]
-		for i := range set {
-			if set[i].valid {
-				occ[si]++
-			}
-		}
-	}
-	return occ
-}
+func (t *SetAssoc) OccupancyBySet() []int { return t.vpns.Occupancy() }
 
-func (t *SetAssoc) set(va addr.V) []entrySlot {
-	si := int((uint64(va) >> t.shift) & t.mask)
-	return t.data[si*t.ways : (si+1)*t.ways : (si+1)*t.ways]
+// locate returns va's set and page number.
+func (t *SetAssoc) locate(va addr.V) (int, uint64) {
+	vpn := uint64(va) >> t.shift
+	return int(vpn & t.mask), vpn
 }
 
 // Lookup implements TLB.
 func (t *SetAssoc) Lookup(req Request) Result {
-	t.clock++
 	res := Result{Cost: Cost{Probes: 1, WaysRead: t.ways}}
-	set := t.set(req.VA)
-	vpn := uint64(req.VA) >> t.shift
-	for i := range set {
-		if set[i].valid && uint64(set[i].t.VA)>>t.shift == vpn {
-			set[i].stamp = t.clock
-			res.Hit = true
-			res.T = set[i].t
-			res.Dirty = set[i].dirty
-			return res
-		}
+	if i := t.vpns.Find(t.locate(req.VA)); i >= 0 {
+		t.vpns.Touch(i)
+		res.Hit = true
+		res.T = t.data[i].t
+		res.Dirty = t.data[i].dirty
 	}
 	return res
 }
@@ -110,49 +96,39 @@ func (t *SetAssoc) Fill(req Request, walk pagetable.WalkResult) Cost {
 	if !walk.Found || walk.Translation.Size != t.size {
 		return Cost{}
 	}
-	t.clock++
-	set := t.set(req.VA)
-	v := victimIndex(set)
-	if set[v].valid && t.sink != nil {
-		t.sink(set[v].t, set[v].dirty)
+	set, _ := t.locate(req.VA)
+	i := t.vpns.Victim(set)
+	if t.vpns.Valid(i) && t.sink != nil {
+		t.sink(t.data[i].t, t.data[i].dirty)
 	}
-	set[v] = entrySlot{valid: true, t: walk.Translation, dirty: walk.Translation.Dirty, stamp: t.clock}
+	t.vpns.Put(i, uint64(walk.Translation.VA)>>t.shift)
+	t.data[i] = slotData{t: walk.Translation, dirty: walk.Translation.Dirty}
 	return Cost{SetsFilled: 1, EntriesWritten: 1}
 }
 
 // MarkDirty implements TLB.
 func (t *SetAssoc) MarkDirty(va addr.V) bool {
-	set := t.set(va)
-	vpn := uint64(va) >> t.shift
-	for i := range set {
-		if set[i].valid && uint64(set[i].t.VA)>>t.shift == vpn {
-			set[i].dirty = true
-			return true
-		}
+	if i := t.vpns.Find(t.locate(va)); i >= 0 {
+		t.data[i].dirty = true
+		return true
 	}
 	return false
 }
 
-// Invalidate implements TLB.
+// Invalidate implements TLB: Fill does not look for a resident copy, so
+// every copy of the page goes.
 func (t *SetAssoc) Invalidate(va addr.V, size addr.PageSize) int {
 	if size != t.size {
 		return 0
 	}
-	set := t.set(va)
-	vpn := uint64(va) >> t.shift
+	set, vpn := t.locate(va)
 	n := 0
-	for i := range set {
-		if set[i].valid && uint64(set[i].t.VA)>>t.shift == vpn {
-			set[i].valid = false
-			n++
-		}
+	for i := t.vpns.Find(set, vpn); i >= 0; i = t.vpns.FindNext(i, vpn) {
+		t.vpns.Clear(i)
+		n++
 	}
 	return n
 }
 
 // Flush implements TLB.
-func (t *SetAssoc) Flush() {
-	for i := range t.data {
-		t.data[i].valid = false
-	}
-}
+func (t *SetAssoc) Flush() { t.vpns.Flush() }

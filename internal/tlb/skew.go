@@ -136,8 +136,9 @@ func (t *Skew) LookupPredicted(req Request, predicted addr.PageSize) Result {
 	return res2
 }
 
-// Fill implements TLB: the victim is the oldest entry among the indexed
-// slots of the ways assigned to the translation's size.
+// Fill implements TLB: the victim is the first free, else the oldest,
+// entry among the indexed slots of the ways assigned to the translation's
+// size. The candidates are not one set, so this scan is Skew's own.
 func (t *Skew) Fill(req Request, walk pagetable.WalkResult) Cost {
 	if !walk.Found {
 		return Cost{}
@@ -196,4 +197,15 @@ func (t *Skew) Flush() {
 			t.data[w][i].valid = false
 		}
 	}
+}
+
+// entrySlot is one skew way's entry: a translation plus its valid bit
+// and LRU stamp. Skew keeps its own slots rather than an lru.Array
+// because a fill's candidates are one slot per way, each at its own
+// hashed index, not the ways of one set.
+type entrySlot struct {
+	valid bool
+	t     pagetable.Translation
+	dirty bool
+	stamp uint64
 }

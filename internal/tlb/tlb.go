@@ -179,26 +179,16 @@ type OccupancyReporter interface {
 	OccupancyBySet() []int
 }
 
-// entrySlot is the bookkeeping shared by the simple designs: one valid
-// translation plus an LRU stamp.
-type entrySlot struct {
-	valid bool
+// slotData is the payload of the single-translation designs' ways: the
+// translation and the entry's TLB dirty bit.
+type slotData struct {
 	t     pagetable.Translation
 	dirty bool
-	stamp uint64
 }
 
-// victimIndex picks the way to replace in a set: an invalid way if any,
-// else the least-recently-used.
-func victimIndex(set []entrySlot) int {
-	victim, oldest := 0, ^uint64(0)
-	for i := range set {
-		if !set[i].valid {
-			return i
-		}
-		if set[i].stamp < oldest {
-			victim, oldest = i, set[i].stamp
-		}
-	}
-	return victim
-}
+// sizeKeyShift places a page size above a page or bundle number in the
+// tag key of designs that hold several sizes in one array.
+const sizeKeyShift = 61
+
+// sizedKey is the tag key of page (or bundle) number n of size s.
+func sizedKey(s addr.PageSize, n uint64) uint64 { return uint64(s)<<sizeKeyShift | n }

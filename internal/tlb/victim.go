@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"mixtlb/internal/addr"
+	"mixtlb/internal/lru"
 	"mixtlb/internal/pagetable"
 )
 
@@ -25,24 +26,29 @@ type Victim struct {
 	sets int
 	ways int
 	mask uint64
-	data []vslot // sets*ways, flattened row-major by set
+	// bundles is tagged by sizedKey(page size, bundle number);
+	// data holds each way's packed PTEs. Way i is storage line i.
+	bundles lru.Array
+	data    []VBundle
 	// lineBase is the physical address of way 0 of set 0's storage line;
-	// slot (si, wi) lives at lineBase + (si*ways+wi)*CacheLineSize.
+	// way i lives at lineBase + i*CacheLineSize.
 	lineBase addr.P
-	clock    uint64
 
 	probed  []addr.P                // storage lines touched by the last Lookup
 	scratch []pagetable.Translation // reused by Members
 }
 
-// vslot is one victim way: a bundle of packed PTEs tagged by page size
-// and bundle number.
-type vslot struct {
-	valid bool
-	size  addr.PageSize
-	bvpn  uint64
-	b     VBundle
-	stamp uint64
+// locate returns the set holding va's bundle of the given size, the
+// bundle number and the bundle's tag key.
+func (t *Victim) locate(va addr.V, size addr.PageSize) (set int, bvpn, key uint64) {
+	bvpn = BundleVPN(va, size)
+	return int(bvpn & t.mask), bvpn, sizedKey(size, bvpn)
+}
+
+// bundleOf returns way i's page size and bundle number, decoded from its key.
+func (t *Victim) bundleOf(i int) (addr.PageSize, uint64) {
+	key := t.bundles.Key(i)
+	return addr.PageSize(key >> sizeKeyShift), key & (1<<sizeKeyShift - 1)
 }
 
 // victimSizes is the probe order: 4KB bundles first (the common case on
@@ -66,9 +72,10 @@ func NewVictim(name string, sets, ways int) (*Victim, error) {
 		sets:     sets,
 		ways:     ways,
 		mask:     uint64(sets - 1),
+		bundles:  lru.New(sets, ways),
+		data:     make([]VBundle, sets*ways),
 		lineBase: VictimLineBase,
 	}
-	t.data = make([]vslot, sets*ways)
 	t.probed = make([]addr.P, 0, len(victimSizes))
 	t.scratch = make([]pagetable.Translation, 0, BundlePTEs)
 	return t, nil
@@ -80,47 +87,33 @@ func (t *Victim) Name() string { return t.name }
 // Entries implements TLB: total PTE capacity, for area comparisons.
 func (t *Victim) Entries() int { return t.sets * t.ways * BundlePTEs }
 
-// set returns the ways of the set indexed by bvpn.
-func (t *Victim) set(bvpn uint64) []vslot {
-	si := int(bvpn & t.mask)
-	return t.data[si*t.ways : (si+1)*t.ways : (si+1)*t.ways]
-}
-
-// lineOf returns the storage line of way wi of set si.
-func (t *Victim) lineOf(si, wi int) addr.P {
-	return t.lineBase + addr.P((si*t.ways+wi)*addr.CacheLineSize)
+// lineOf returns the storage line of way i.
+func (t *Victim) lineOf(i int) addr.P {
+	return t.lineBase + addr.P(i*addr.CacheLineSize)
 }
 
 // Lookup implements TLB: one probe round per page size, each reading one
 // candidate storage line (the matching way's line on a hit; the set's
 // first way on a miss — the tag read that concludes "not here").
 func (t *Victim) Lookup(req Request) Result {
-	t.clock++
 	t.probed = t.probed[:0]
 	var res Result
 	for _, size := range victimSizes {
-		bvpn := BundleVPN(req.VA, size)
-		si := int(bvpn & t.mask)
-		set := t.set(bvpn)
+		set, bvpn, key := t.locate(req.VA, size)
 		res.Cost.Probes++
 		res.Cost.WaysRead += t.ways
-		hit := false
-		for i := range set {
-			if set[i].valid && set[i].size == size && set[i].bvpn == bvpn {
-				t.probed = append(t.probed, t.lineOf(si, i))
-				hit = true
-				if tr, ok := set[i].b.Get(BundleSlot(req.VA, size), bvpn, size); ok {
-					set[i].stamp = t.clock
-					res.Hit = true
-					res.T = tr
-					res.Dirty = tr.Dirty
-					return res
-				}
-				break
-			}
+		i := t.bundles.Find(set, key)
+		if i < 0 {
+			t.probed = append(t.probed, t.lineOf(set*t.ways))
+			continue
 		}
-		if !hit {
-			t.probed = append(t.probed, t.lineOf(si, 0))
+		t.probed = append(t.probed, t.lineOf(i))
+		if tr, ok := t.data[i].Get(BundleSlot(req.VA, size), bvpn, size); ok {
+			t.bundles.Touch(i)
+			res.Hit = true
+			res.T = tr
+			res.Dirty = tr.Dirty
+			return res
 		}
 	}
 	return res
@@ -144,38 +137,22 @@ func (t *Victim) Demote(tr pagetable.Translation, dirty bool) (absorbed bool, ev
 	if !tr.Valid() || (tr.Size != addr.Page4K && tr.Size != addr.Page2M) {
 		return false, 0
 	}
-	t.clock++
 	// A demoted entry was resident and used; its bundle slot carries the
 	// accessed bit and the sharpest dirty knowledge the SRAM level had.
 	tr.Accessed = true
 	tr.Dirty = tr.Dirty || dirty
-	bvpn := BundleVPN(tr.VA, tr.Size)
-	slot := BundleSlot(tr.VA, tr.Size)
-	set := t.set(bvpn)
-	// Merge into the resident bundle if one exists.
-	for i := range set {
-		if set[i].valid && set[i].size == tr.Size && set[i].bvpn == bvpn {
-			set[i].b.Set(slot, tr)
-			set[i].stamp = t.clock
-			return true, 0
+	set, _, key := t.locate(tr.VA, tr.Size)
+	// Merge into the resident bundle if one exists, else allocate. Way
+	// indexes never move: they are the storage lines the MMU charges.
+	i, resident := t.bundles.Probe(set, key)
+	if !resident {
+		if t.bundles.Valid(i) {
+			evicted = t.data[i].Count()
 		}
+		t.data[i] = VBundle{}
 	}
-	// Allocate: invalid way first, else LRU.
-	v, oldest := 0, ^uint64(0)
-	for i := range set {
-		if !set[i].valid {
-			v, oldest = i, 0
-			break
-		}
-		if set[i].stamp < oldest {
-			v, oldest = i, set[i].stamp
-		}
-	}
-	if set[v].valid {
-		evicted = set[v].b.Count()
-	}
-	set[v] = vslot{valid: true, size: tr.Size, bvpn: bvpn, stamp: t.clock}
-	set[v].b.Set(slot, tr)
+	t.data[i].Set(BundleSlot(tr.VA, tr.Size), tr)
+	t.bundles.Put(i, key)
 	return true, evicted
 }
 
@@ -184,37 +161,38 @@ func (t *Victim) Demote(tr pagetable.Translation, dirty bool) (absorbed bool, ev
 // is scratch, reused by the next call.
 func (t *Victim) Members(va addr.V) []pagetable.Translation {
 	for _, size := range victimSizes {
-		bvpn := BundleVPN(va, size)
-		set := t.set(bvpn)
-		for i := range set {
-			if set[i].valid && set[i].size == size && set[i].bvpn == bvpn {
-				if !set[i].b.Present(BundleSlot(va, size)) {
-					break
-				}
-				out := set[i].b.AppendMembers(t.scratch[:0], bvpn, size)
-				t.scratch = out[:0]
-				return out
-			}
+		i, bvpn := t.find(va, size)
+		if i < 0 || !t.data[i].Present(BundleSlot(va, size)) {
+			continue
 		}
+		out := t.data[i].AppendMembers(t.scratch[:0], bvpn, size)
+		t.scratch = out[:0]
+		return out
 	}
 	return nil
+}
+
+// find returns the way holding va's bundle of the given size, or -1, and
+// the bundle number. Demote merges into a resident bundle, so a set holds
+// each bundle at most once.
+func (t *Victim) find(va addr.V, size addr.PageSize) (int, uint64) {
+	set, bvpn, key := t.locate(va, size)
+	return t.bundles.Find(set, key), bvpn
 }
 
 // MarkDirty implements TLB: set the member PTE's D bit. Precise, so
 // future stores may skip the update micro-op.
 func (t *Victim) MarkDirty(va addr.V) bool {
 	for _, size := range victimSizes {
-		bvpn := BundleVPN(va, size)
-		set := t.set(bvpn)
-		for i := range set {
-			if set[i].valid && set[i].size == size && set[i].bvpn == bvpn {
-				slot := BundleSlot(va, size)
-				if tr, ok := set[i].b.Get(slot, bvpn, size); ok {
-					tr.Dirty = true
-					set[i].b.Set(slot, tr)
-					return true
-				}
-			}
+		i, bvpn := t.find(va, size)
+		if i < 0 {
+			continue
+		}
+		slot := BundleSlot(va, size)
+		if tr, ok := t.data[i].Get(slot, bvpn, size); ok {
+			tr.Dirty = true
+			t.data[i].Set(slot, tr)
+			return true
 		}
 	}
 	return false
@@ -226,64 +204,45 @@ func (t *Victim) Invalidate(va addr.V, size addr.PageSize) int {
 	if size != addr.Page4K && size != addr.Page2M {
 		return 0
 	}
-	bvpn := BundleVPN(va, size)
-	set := t.set(bvpn)
-	for i := range set {
-		if set[i].valid && set[i].size == size && set[i].bvpn == bvpn {
-			slot := BundleSlot(va, size)
-			if !set[i].b.Present(slot) {
-				return 0
-			}
-			set[i].b.Clear(slot)
-			if set[i].b.Empty() {
-				set[i].valid = false
-			}
-			return 1
-		}
+	i, _ := t.find(va, size)
+	slot := BundleSlot(va, size)
+	if i < 0 || !t.data[i].Present(slot) {
+		return 0
 	}
-	return 0
+	t.data[i].Clear(slot)
+	if t.data[i].Empty() {
+		t.bundles.Clear(i)
+	}
+	return 1
 }
 
 // Flush implements TLB.
-func (t *Victim) Flush() {
-	for i := range t.data {
-		t.data[i] = vslot{}
-	}
-}
+func (t *Victim) Flush() { t.bundles.Flush() }
 
 // ReachBytes implements ReachReporter: bytes of virtual address space
 // the resident members translate.
 func (t *Victim) ReachBytes() uint64 {
 	var b uint64
 	for i := range t.data {
-		if t.data[i].valid {
-			b += uint64(t.data[i].b.Count()) * t.data[i].size.Bytes()
+		if t.bundles.Valid(i) {
+			size, _ := t.bundleOf(i)
+			b += uint64(t.data[i].Count()) * size.Bytes()
 		}
 	}
 	return b
 }
 
 // OccupancyBySet implements OccupancyReporter: valid bundles per set.
-func (t *Victim) OccupancyBySet() []int {
-	occ := make([]int, t.sets)
-	for si := 0; si < t.sets; si++ {
-		for wi := 0; wi < t.ways; wi++ {
-			if t.data[si*t.ways+wi].valid {
-				occ[si]++
-			}
-		}
-	}
-	return occ
-}
+func (t *Victim) OccupancyBySet() []int { return t.bundles.Occupancy() }
 
 // Dump returns a fresh slice of every resident member translation
 // (diagnostics and tests; the simulation never calls it).
 func (t *Victim) Dump() []pagetable.Translation {
 	var out []pagetable.Translation
 	for i := range t.data {
-		s := &t.data[i]
-		if s.valid {
-			out = s.b.AppendMembers(out, s.bvpn, s.size)
+		if t.bundles.Valid(i) {
+			size, bvpn := t.bundleOf(i)
+			out = t.data[i].AppendMembers(out, bvpn, size)
 		}
 	}
 	return out
