@@ -21,7 +21,8 @@ race:
 	$(GO) test -race -timeout 20m ./...
 
 bench: bench-experiments
-	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/core
+	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/core \
+		./internal/cachesim ./internal/pwc ./internal/tlb ./internal/lru
 
 # Wall-clock timings for the parallel experiment engine: runs the perf
 # group at quick scale and writes per-cell and per-experiment timings to

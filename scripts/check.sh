@@ -227,6 +227,18 @@ echo "== MIX TLB digests, zero-alloc guard and micro-benchmarks"
 go test ./internal/core/ -run 'TestMixOpStreamDigest|TestMixZeroAlloc' -count=1 > /dev/null
 go test ./internal/core/ -run '^$' -bench 'Mix' -benchtime 100x > /dev/null
 
+# Shared LRU storage: the op-stream digests pin every value the data
+# caches, paging-structure caches and non-MIX TLBs return, bit for bit,
+# whatever their storage layout; the reference tests check the shared
+# array against the last-free scans it replaced; and the storage layers'
+# micro-benchmarks must still run, 100 iterations each (a smoke run, not
+# a timing gate).
+echo "== LRU storage digests and micro-benchmarks"
+go test ./internal/cachesim/ -run 'TestAccessStreamDigest|TestCacheMatchesLastFreeReference' -count=1 > /dev/null
+go test ./internal/pwc/ -run 'TestOpStreamDigest|TestCacheMatchesLastFreeReference' -count=1 > /dev/null
+go test ./internal/tlb/ -run 'TestOpStreamDigest' -count=1 > /dev/null
+go test -run '^$' -bench . -benchtime 100x ./internal/cachesim ./internal/pwc ./internal/tlb ./internal/lru > /dev/null
+
 # Cycle book and ledger: per-access results, Stats.Cycles and the MMU's
 # Attribution must be one number for every registry design and for nested
 # MMUs; the ledger's closed accesses must conserve per cell (chaos retries
