@@ -30,17 +30,33 @@ func DefaultHierarchy() *Hierarchy {
 	}, 200)
 }
 
-// cache is one level's state: an LRU array of line tags. A line's set is
+// cache is one level's state: LRU arrays of line tags. A line's set is
 // its low line-number bits and its tag the rest.
+//
+// The sets are split into banks, one LRU array each, whose tag and stamp
+// slices are at most bankBytes long. A single array would be two slices of
+// several MiB for a large LLC (3 MiB each for the default 24MB one), and a
+// multi-MiB heap object needs one contiguous run of free pages: when small
+// objects that outlive a hierarchy sit where its arrays were, the next
+// hierarchy's arrays land higher and the process's peak RSS moves by their
+// size from one run to the next. Banks fit in any free span. A set lies in
+// one bank, and only the order of its own stamps decides its victims, so a
+// clock per bank replaces exactly as one clock per level did.
 type cache struct {
-	cfg      Level
-	setMask  uint64 // sets-1
-	setShift uint   // log2(sets)
-	lines    lru.Array
+	cfg       Level
+	setMask   uint64 // sets-1
+	setShift  uint   // log2(sets)
+	bankMask  uint64 // sets per bank - 1
+	bankShift uint   // log2(sets per bank)
+	banks     []lru.Array
 
 	accesses uint64
 	misses   uint64
 }
+
+// bankBytes bounds a bank's tag (and stamp) slice: the Go runtime's
+// largest small object.
+const bankBytes = 32 << 10
 
 func newCache(cfg Level) *cache {
 	lines := cfg.Size / addr.CacheLineSize
@@ -48,25 +64,44 @@ func newCache(cfg Level) *cache {
 	if sets <= 0 || !addr.IsPow2(uint64(sets)) {
 		panic(fmt.Sprintf("cachesim: %s has %d sets; need a positive power of two", cfg.Name, sets))
 	}
-	return &cache{
-		cfg:      cfg,
-		setMask:  uint64(sets - 1),
-		setShift: addr.Log2(uint64(sets)),
-		lines:    lru.New(sets, cfg.Ways),
+	perBank := 1
+	for perBank < sets && 2*perBank*cfg.Ways*8 <= bankBytes {
+		perBank *= 2
 	}
+	c := &cache{
+		cfg:       cfg,
+		setMask:   uint64(sets - 1),
+		setShift:  addr.Log2(uint64(sets)),
+		bankMask:  uint64(perBank - 1),
+		bankShift: addr.Log2(uint64(perBank)),
+		banks:     make([]lru.Array, sets/perBank),
+	}
+	for i := range c.banks {
+		c.banks[i] = lru.New(perBank, cfg.Ways)
+	}
+	return c
 }
 
 // access looks up the line containing pa, filling on miss. Returns hit.
 func (c *cache) access(pa addr.P) bool {
 	c.accesses++
 	line := uint64(pa) / addr.CacheLineSize
+	set := line & c.setMask
 	tag := line >> c.setShift
-	i, hit := c.lines.Probe(int(line&c.setMask), tag)
-	c.lines.Put(i, tag)
+	b := &c.banks[set>>c.bankShift]
+	i, hit := b.Probe(int(set&c.bankMask), tag)
+	b.Put(i, tag)
 	if !hit {
 		c.misses++
 	}
 	return hit
+}
+
+// flush invalidates every line (counters are retained).
+func (c *cache) flush() {
+	for i := range c.banks {
+		c.banks[i].Flush()
+	}
 }
 
 // Hierarchy is an inclusive multi-level cache hierarchy over DRAM.
@@ -135,6 +170,6 @@ func (h *Hierarchy) MemAccesses() uint64 { return h.memAccess }
 // Flush invalidates every line in every level (counters are retained).
 func (h *Hierarchy) Flush() {
 	for _, c := range h.levels {
-		c.lines.Flush()
+		c.flush()
 	}
 }

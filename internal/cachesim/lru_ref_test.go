@@ -78,13 +78,43 @@ func TestCacheMatchesLastFreeReference(t *testing.T) {
 		span := uint64(sets*ways) * uint64(1+rng.Intn(4))
 		for i := 0; i < 3000; i++ {
 			if rng.Bool(0.002) {
-				c.lines.Flush()
+				c.flush()
 				ref.flush()
 			}
 			pa := addr.P(rng.Uint64n(span)*addr.CacheLineSize + rng.Uint64n(addr.CacheLineSize))
 			if got, want := c.access(pa), ref.access(pa); got != want {
 				t.Fatalf("trial %d (%dx%d) access %d of %#x: hit %v, reference %v",
 					trial, sets, ways, i, uint64(pa), got, want)
+			}
+		}
+	}
+}
+
+// TestBankedCacheMatchesReference runs refCache against levels large
+// enough to be split into several banks, including the default LLC's
+// geometry, over streams that revisit lines often enough to hit.
+func TestBankedCacheMatchesReference(t *testing.T) {
+	rng := simrand.New(0xba4c)
+	for _, g := range []struct{ sets, ways int }{{1024, 8}, {512, 24}, {16384, 24}, {64, 1024}} {
+		c := newCache(Level{Name: "x", Size: uint64(g.sets*g.ways) * addr.CacheLineSize, Ways: g.ways})
+		if len(c.banks) < 2 {
+			t.Fatalf("%dx%d: %d bank(s), want several", g.sets, g.ways, len(c.banks))
+		}
+		ref := newRefCache(g.sets, g.ways)
+		lines := uint64(g.sets * g.ways)
+		for i := 0; i < 200_000; i++ {
+			if i%50_000 == 49_999 {
+				c.flush()
+				ref.flush()
+			}
+			// Half the accesses reuse a hot footprint of half the capacity.
+			span := 3 * lines
+			if rng.Bool(0.5) {
+				span = lines / 2
+			}
+			pa := addr.P(rng.Uint64n(span) * addr.CacheLineSize)
+			if got, want := c.access(pa), ref.access(pa); got != want {
+				t.Fatalf("%dx%d access %d of %#x: hit %v, reference %v", g.sets, g.ways, i, uint64(pa), got, want)
 			}
 		}
 	}
