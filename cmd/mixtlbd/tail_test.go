@@ -87,7 +87,7 @@ func TestDebugTailEndpoint(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var doc struct {
-		Count int                     `json:"count"`
+		Count int                    `json:"count"`
 		Tail  []telemetry.TailRecord `json:"tail"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
