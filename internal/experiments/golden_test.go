@@ -8,20 +8,32 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"mixtlb/internal/stats"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/golden/*.csv from a -jobs=1 run instead of comparing")
 
-// goldenExperiments lists the registry entries under golden regression.
-// Race builds run the cheap subset; normal builds run everything.
+// goldenStudies are the table-producing studies outside the registry,
+// pinned beside its experiments under the same golden file naming.
+var goldenStudies = map[string]func(context.Context, Scale) (*stats.Table, error){
+	"coalesce-cap": func(ctx context.Context, s Scale) (*stats.Table, error) {
+		return CoalesceCapStudy(ctx, s, nil)
+	},
+	"encoding": EncodingStudy,
+}
+
+// goldenExperiments lists the registry entries and studies under golden
+// regression. Race builds run the cheap subset; normal builds run
+// everything.
 func goldenExperiments(t *testing.T) []string {
 	if !raceEnabled {
 		var names []string
 		for _, e := range All() {
 			names = append(names, e.Name)
 		}
-		return names
+		return append(names, "coalesce-cap", "encoding")
 	}
 	if *updateGolden {
 		t.Fatal("refusing to update goldens from a race build: run go test -update-golden without -race")
@@ -33,17 +45,21 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden", name+".csv")
 }
 
-// runExperimentCSV runs one registry experiment at QuickScale with the
-// given worker count and renders its table.
+// runExperimentCSV runs one registry experiment or golden study at
+// QuickScale with the given worker count and renders its table.
 func runExperimentCSV(t *testing.T, name string, jobs int) string {
 	t.Helper()
-	e, err := ByName(name)
-	if err != nil {
-		t.Fatal(err)
+	run, ok := goldenStudies[name]
+	if !ok {
+		e, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run = e.Run
 	}
 	s := QuickScale()
 	s.Jobs = jobs
-	tbl, err := e.Run(context.Background(), s)
+	tbl, err := run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
