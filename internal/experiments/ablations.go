@@ -9,7 +9,6 @@ import (
 	"mixtlb/internal/core"
 	"mixtlb/internal/mmu"
 	"mixtlb/internal/osmm"
-	"mixtlb/internal/perfmodel"
 	"mixtlb/internal/simrand"
 	"mixtlb/internal/stats"
 	"mixtlb/internal/workload"
@@ -69,35 +68,33 @@ func AblationIndexBits(ctx context.Context, s Scale) (*stats.Table, error) {
 		Title:   "Sec 3 ablation: small-page vs superpage index bits (4KB pages)",
 		Columns: []string{"pattern", "miss-ratio-smallidx", "miss-ratio-superidx", "factor"},
 	}
+	specs, err := s.specs(string(mmu.DesignMix), string(mmu.DesignMixSuperIndex))
+	if err != nil {
+		return nil, err
+	}
 	var cells []Cell
 	for _, p := range ablationPatterns() {
 		p := p
 		cells = append(cells, Cell{
 			Name: p.name,
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-				env, err := newNative(cs, osmm.BasePages, 0, cs.Seed)
+				env, err := newNative(cs, osmm.BasePages, 0)
 				if err != nil {
 					return nil, err
 				}
-				run := func(d mmu.Design) (float64, error) {
-					m, _, err := env.buildMMU(d)
+				var miss [2]float64
+				for i, ds := range specs {
+					m, _, err := env.build(ds)
 					if err != nil {
-						return 0, err
+						return nil, err
 					}
-					st, err := runStream(ctx, cs, m, p.build(env, cs.Seed))
+					st, err := env.run(ctx, cs, m, p.build(env, cs.Seed), "workload", p.name)
 					if err != nil {
-						return 0, err
+						return nil, err
 					}
-					return st.MissRatio(), nil
+					miss[i] = st.MissRatio()
 				}
-				small, err := run(mmu.DesignMix)
-				if err != nil {
-					return nil, err
-				}
-				super, err := run(mmu.DesignMixSuperIndex)
-				if err != nil {
-					return nil, err
-				}
+				small, super := miss[0], miss[1]
 				factor := 0.0
 				if small > 0 {
 					factor = super / small
@@ -124,38 +121,28 @@ func ScalingStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 	var cells []Cell
 	for _, spec := range s.workloads() {
 		for _, sets := range []int{64, 128, 512} {
-			wl, sets := spec.Name, sets
+			spec, sets := spec, sets
 			cells = append(cells, Cell{
-				Name: fmt.Sprintf("%s/%dsets", wl, sets),
+				Name: fmt.Sprintf("%s/%dsets", spec.Name, sets),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-					spec, err := workload.ByName(wl)
+					env, err := newNative(cs, osmm.THS, 0.2)
 					if err != nil {
 						return nil, err
 					}
-					env, err := newNative(cs, osmm.THS, 0.2, cs.Seed)
+					// The L2's bundle capacity defaults to min(sets, 64):
+					// the bitmap cap, beyond which windows would need ranges.
+					name := fmt.Sprintf("mix-L2-%dsets", sets)
+					_, est, _, err := env.measure(ctx, cs, spec, mmu.DesignSpec{
+						Name: name,
+						Levels: []mmu.LevelSpec{
+							{Kind: mmu.KindMix, Name: "mix-L1", Sets: 16, Ways: 6},
+							{Kind: mmu.KindMix, Name: name, Sets: sets, Ways: 8},
+						},
+					})
 					if err != nil {
 						return nil, err
 					}
-					k := sets
-					if k > 64 {
-						k = 64 // bitmap cap; larger windows than 64 use ranges
-					}
-					l2cfg := core.Config{
-						Name: fmt.Sprintf("mix-L2-%dsets", sets),
-						Sets: sets, Ways: 8, Coalesce: k, Encoding: core.Bitmap,
-					}
-					caches := cachesim.DefaultHierarchy()
-					m, err := mixMMU(l2cfg.Name, core.L1Config(), l2cfg, env, caches)
-					if err != nil {
-						return nil, err
-					}
-					stream := spec.Build(env.base, env.fp, simrand.New(cs.Seed))
-					st, err := runStream(ctx, cs, m, stream)
-					if err != nil {
-						return nil, err
-					}
-					est := perfmodel.Default(spec.BaseCPI, spec.RefsPerInstr).Runtime(st)
-					return []Row{{wl, sets, est.OverheadVsIdealPercent()}}, nil
+					return []Row{{spec.Name, sets, est.OverheadVsIdealPercent()}}, nil
 				},
 			})
 		}
@@ -181,15 +168,11 @@ func DuplicateStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 			label = "blind-mirrors"
 		}
 		for _, spec := range s.workloads() {
-			blind, label, wl := blind, label, spec.Name
+			blind, label, spec := blind, label, spec
 			cells = append(cells, Cell{
-				Name: label + "/" + wl,
+				Name: label + "/" + spec.Name,
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-					spec, err := workload.ByName(wl)
-					if err != nil {
-						return nil, err
-					}
-					env, err := newNative(cs, osmm.THS, 0, cs.Seed)
+					env, err := newNative(cs, osmm.THS, 0)
 					if err != nil {
 						return nil, err
 					}
@@ -205,20 +188,19 @@ func DuplicateStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 					if err != nil {
 						return nil, err
 					}
-					caches := cachesim.DefaultHierarchy()
 					m, err := mmu.New(mmu.Config{Name: label, Levels: mmu.L(l1, l2)},
-						env.as.PageTable(), caches, env.as.HandleFault)
+						env.src, cachesim.DefaultHierarchy(), env.fault)
 					if err != nil {
 						return nil, err
 					}
-					stream := spec.Build(env.base, env.fp, simrand.New(cs.Seed))
-					st, err := runStream(ctx, cs, m, stream)
+					st, err := env.run(ctx, cs, m, spec.Build(env.base, env.fp, simrand.New(cs.Seed)),
+						"workload", spec.Name)
 					if err != nil {
 						return nil, err
 					}
 					dups := l1.Stats().DupsEliminated + l2.Stats().DupsEliminated
 					mirrors := l1.Stats().MirrorWrites + l2.Stats().MirrorWrites
-					return []Row{{label, wl, st.MissRatio(), dups, mirrors}}, nil
+					return []Row{{label, spec.Name, st.MissRatio(), dups, mirrors}}, nil
 				},
 			})
 		}
@@ -242,37 +224,23 @@ func CoalesceCapStudy(ctx context.Context, s Scale, caps []int) (*stats.Table, e
 	var cells []Cell
 	for _, spec := range s.workloads() {
 		for _, k := range caps {
-			wl, k := spec.Name, k
+			spec, k := spec, k
 			cells = append(cells, Cell{
-				Name: fmt.Sprintf("%s/K%d", wl, k),
+				Name: fmt.Sprintf("%s/K%d", spec.Name, k),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-					spec, err := workload.ByName(wl)
+					env, err := newNative(cs, osmm.THS, 0)
 					if err != nil {
 						return nil, err
 					}
-					env, err := newNative(cs, osmm.THS, 0, cs.Seed)
+					name := fmt.Sprintf("mix-L1-K%d", k)
+					st, _, _, err := env.measure(ctx, cs, spec, mmu.DesignSpec{
+						Name:   name,
+						Levels: []mmu.LevelSpec{{Kind: mmu.KindMix, Name: name, Sets: 16, Ways: 6, Coalesce: k}},
+					})
 					if err != nil {
 						return nil, err
 					}
-					cfg := core.L1Config()
-					cfg.Name = fmt.Sprintf("mix-L1-K%d", k)
-					cfg.Coalesce = k
-					caches := cachesim.DefaultHierarchy()
-					l1, err := core.New(cfg)
-					if err != nil {
-						return nil, err
-					}
-					m, err := mmu.New(mmu.Config{Name: cfg.Name, Levels: mmu.L(l1)},
-						env.as.PageTable(), caches, env.as.HandleFault)
-					if err != nil {
-						return nil, err
-					}
-					stream := spec.Build(env.base, env.fp, simrand.New(cs.Seed))
-					st, err := runStream(ctx, cs, m, stream)
-					if err != nil {
-						return nil, err
-					}
-					return []Row{{wl, k, st.MissRatio()}}, nil
+					return []Row{{spec.Name, k, st.MissRatio()}}, nil
 				},
 			})
 		}
@@ -292,15 +260,21 @@ func EncodingStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 		Columns: []string{"arrival", "encoding", "miss-ratio"},
 	}
 	arrivals := []string{"sequential", "popularity"}
-	configs := []core.Config{core.L2Config(), core.L2RangeConfig()}
+	encodings := []string{"bitmap", "range"}
+	// The builtin designs' L2s are exactly the two encodings' default
+	// arrays, behind the same L1.
+	specs, err := s.specs(string(mmu.DesignMix), string(mmu.DesignMixRange))
+	if err != nil {
+		return nil, err
+	}
 	var cells []Cell
 	for _, a := range arrivals {
-		for _, l2cfg := range configs {
-			a, l2cfg := a, l2cfg
+		for i, enc := range encodings {
+			a, enc, ds := a, enc, specs[i]
 			cells = append(cells, Cell{
-				Name: a + "/" + l2cfg.Encoding.String(),
+				Name: a + "/" + enc,
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-					env, err := newNative(cs, osmm.THS, 0, cs.Seed)
+					env, err := newNative(cs, osmm.THS, 0)
 					if err != nil {
 						return nil, err
 					}
@@ -311,16 +285,15 @@ func EncodingStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 					default:
 						stream = workload.NewZipf(env.base, env.fp, simrand.New(cs.Seed), 0.99, 0, 2)
 					}
-					caches := cachesim.DefaultHierarchy()
-					m, err := mixMMU(l2cfg.Name, core.L1Config(), l2cfg, env, caches)
+					m, _, err := env.build(ds)
 					if err != nil {
 						return nil, err
 					}
-					st, err := runStream(ctx, cs, m, stream)
+					st, err := env.run(ctx, cs, m, stream, "workload", a)
 					if err != nil {
 						return nil, err
 					}
-					return []Row{{a, l2cfg.Encoding.String(), st.MissRatio()}}, nil
+					return []Row{{a, enc, st.MissRatio()}}, nil
 				},
 			})
 		}

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
-	"mixtlb/internal/cachesim"
 	"mixtlb/internal/chaos"
 	"mixtlb/internal/ledger"
 	"mixtlb/internal/mmu"
@@ -52,29 +50,20 @@ func Breakdown(ctx context.Context, s Scale) (*stats.Table, error) {
 	if len(designs) == 0 {
 		designs = defaultBreakdownDesigns
 	}
-	reg := s.registry()
-	specs := make([]mmu.DesignSpec, len(designs))
-	for i, d := range designs {
-		spec, ok := reg.Lookup(d)
-		if !ok {
-			return nil, &mmu.UnknownDesignError{Name: d, Valid: reg.Names()}
-		}
-		specs[i] = spec
+	specs, err := s.specs(designs...)
+	if err != nil {
+		return nil, err
 	}
 	// The chaos row reuses MIX when the registry has it (custom -designs
 	// lists still get their plain rows either way).
-	chaosSpec, haveChaosRow := reg.Lookup(string(mmu.DesignMix))
+	chaosSpec, haveChaosRow := s.registry().Lookup(string(mmu.DesignMix))
 	var cells []Cell
-	for _, wl := range s.workloads() {
-		wl := wl.Name
+	for _, spec := range s.workloads() {
+		spec := spec
 		cells = append(cells, Cell{
-			Name: wl,
+			Name: spec.Name,
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-				spec, err := workload.ByName(wl)
-				if err != nil {
-					return nil, err
-				}
-				env, err := newNative(cs, osmm.THS, breakdownMemhogFrac, cs.Seed)
+				env, err := newNative(cs, osmm.THS, breakdownMemhogFrac)
 				if err != nil {
 					return nil, err
 				}
@@ -109,8 +98,7 @@ func Breakdown(ctx context.Context, s Scale) (*stats.Table, error) {
 // attached and renders its cycle book's shares.
 func breakdownRow(ctx context.Context, cs Scale, env *nativeEnv, spec workload.Spec,
 	ds mmu.DesignSpec, label string, in *chaos.Injector, or *chaos.Oracle) (Row, error) {
-	caches := cachesim.DefaultHierarchy()
-	m, err := ds.Build(env.as.PageTable(), env.as.PageTable(), caches, env.as.HandleFault)
+	m, _, err := env.build(ds)
 	if err != nil {
 		return nil, err
 	}
@@ -120,21 +108,13 @@ func breakdownRow(ctx context.Context, cs Scale, env *nativeEnv, spec workload.S
 	if or != nil {
 		m.AttachOracle(or)
 	}
-	if cs.Telemetry != nil {
-		m.AttachTelemetry(cs.Telemetry.With("workload", spec.Name))
-	}
 	// Attach explicitly rather than via Scale.LedgerAudit: the breakdown
 	// is the attribution readout, so runStream's audit and tail flush run
 	// regardless of the scale's observer knobs.
 	m.AttachLedger(ledger.New(cs.TailK))
-	stream := spec.Build(env.base, env.fp, simrand.New(cs.Seed))
-	st, err := runStream(ctx, cs, m, stream)
+	st, err := env.run(ctx, cs, m, spec.Build(env.base, env.fp, simrand.New(cs.Seed)), "workload", spec.Name)
 	if err != nil {
-		return nil, fmt.Errorf("%s/%s (seed %d): %w", spec.Name, label, cs.Seed, err)
-	}
-	if cs.Telemetry != nil {
-		m.FlushTelemetry()
-		env.flushTelemetry()
+		return nil, err
 	}
 	sh := perfmodel.AttributionShares(m.Attribution())
 	return Row{label, spec.Name, st.CyclesPerAccess(),

@@ -44,7 +44,7 @@ func ChaosStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 			Name: string(d),
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
 				rates := cs.Chaos
-				env, err := newNative(cs, osmm.THS, 0.2, cs.Seed)
+				env, err := newNative(cs, osmm.THS, 0.2)
 				if err != nil {
 					return nil, err
 				}

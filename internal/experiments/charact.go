@@ -46,7 +46,7 @@ func Figure9(ctx context.Context, s Scale) (*stats.Table, error) {
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
 					sub := cs
 					sub.FootprintBytes = cl.fp
-					env, err := newNative(sub, osmm.THS, float64(hogPct)/100, cs.Seed)
+					env, err := newNative(sub, osmm.THS, float64(hogPct)/100)
 					if err != nil {
 						return nil, fmt.Errorf("fig9 memhog=%d%%: %w", hogPct, err)
 					}
@@ -188,12 +188,12 @@ func Figure11(ctx context.Context, s Scale) (*stats.Table, error) {
 					frac := float64(hogPct) / 100
 					sub := cs
 					sub.FootprintBytes = cs.MemoryBytes
-					env2, err := newNative(sub, osmm.THS, frac, cs.Seed)
+					env2, err := newNative(sub, osmm.THS, frac)
 					if err != nil {
 						return nil, fmt.Errorf("fig11 inst=%d: %w", inst, err)
 					}
 					c2 := osmm.ScanContiguity(env2.as.PageTable()).AverageContiguity(addr.Page2M)
-					env1, err := newNative(sub, osmm.Hugetlbfs1G, frac, cs.Seed)
+					env1, err := newNative(sub, osmm.Hugetlbfs1G, frac)
 					if err != nil {
 						return nil, fmt.Errorf("fig11 1GB inst=%d: %w", inst, err)
 					}
@@ -224,7 +224,7 @@ func Figure12(ctx context.Context, s Scale) (*stats.Table, error) {
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
 				sub := cs
 				sub.FootprintBytes = cs.MemoryBytes
-				env, err := newNative(sub, osmm.THS, float64(hogPct)/100, cs.Seed)
+				env, err := newNative(sub, osmm.THS, float64(hogPct)/100)
 				if err != nil {
 					return nil, fmt.Errorf("fig12 memhog=%d%%: %w", hogPct, err)
 				}
@@ -256,7 +256,7 @@ func Figure13(ctx context.Context, s Scale) (*stats.Table, error) {
 		cells = append(cells, Cell{
 			Name: fmt.Sprintf("virt-2vm/hog%d", hogPct),
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-				env, err := newVirt(cs, 2, float64(hogPct)/100, cs.Seed)
+				env, err := newVirt(cs, 2, float64(hogPct)/100)
 				if err != nil {
 					return nil, fmt.Errorf("fig13 virt: %w", err)
 				}
@@ -276,7 +276,7 @@ func Figure13(ctx context.Context, s Scale) (*stats.Table, error) {
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
 				sub := cs
 				sub.FootprintBytes = cs.FootprintBytes * 3 / 10
-				env, err := newNative(sub, osmm.THS, float64(hogPct)/100, cs.Seed)
+				env, err := newNative(sub, osmm.THS, float64(hogPct)/100)
 				if err != nil {
 					return nil, fmt.Errorf("fig13 gpu: %w", err)
 				}

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 
-	"mixtlb/internal/cachesim"
 	"mixtlb/internal/energy"
 	"mixtlb/internal/gpu"
 	"mixtlb/internal/mmu"
 	"mixtlb/internal/osmm"
 	"mixtlb/internal/perfmodel"
-	"mixtlb/internal/simrand"
 	"mixtlb/internal/stats"
 	"mixtlb/internal/workload"
 )
@@ -30,7 +28,7 @@ func designEnergyConfig(d mmu.Design) energy.Config {
 }
 
 // figure16Designs are the multi-indexing competitors MIX is compared to.
-var figure16Designs = []mmu.Design{mmu.DesignSkew, mmu.DesignRehash, mmu.DesignMix}
+var figure16Designs = []string{string(mmu.DesignSkew), string(mmu.DesignRehash), string(mmu.DesignMix)}
 
 // Figure16 regenerates the performance-energy scatter (Fig 16): for each
 // workload and multi-indexing design (skew-associative + predictor,
@@ -43,81 +41,65 @@ func Figure16(ctx context.Context, s Scale) (*stats.Table, error) {
 		Title:   "Figure 16: performance vs energy, relative to split",
 		Columns: []string{"design", "system", "workload", "perf-improvement-%", "energy-savings-%"},
 	}
+	specs, err := s.specs(append([]string{string(mmu.DesignSplit)}, figure16Designs...)...)
+	if err != nil {
+		return nil, err
+	}
+	// compare measures the split baseline and then every design in the
+	// environment. Native runs charge energy to their cache hierarchy;
+	// virtualized runs leave caches out of the energy model.
+	compare := func(ctx context.Context, cs Scale, env *runEnv, spec workload.Spec, system string, withCaches bool) ([]Row, error) {
+		model := energy.Default()
+		energyOf := func(ds mmu.DesignSpec) (perfmodel.Estimate, float64, error) {
+			st, est, caches, err := env.measure(ctx, cs, spec, ds)
+			if err != nil {
+				return est, 0, err
+			}
+			if !withCaches {
+				caches = nil
+			}
+			return est, model.TotalWithRuntime(st, caches, designEnergyConfig(mmu.Design(ds.Name)), est.TotalCycles), nil
+		}
+		baseEst, baseE, err := energyOf(specs[0])
+		if err != nil {
+			return nil, err
+		}
+		var rows []Row
+		for _, ds := range specs[1:] {
+			est, e, err := energyOf(ds)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, Row{ds.Name, system, spec.Name,
+				perfmodel.ImprovementPercent(baseEst, est), energy.SavingsPercent(baseE, e)})
+		}
+		return rows, nil
+	}
 	var cells []Cell
 	for _, spec := range s.workloads() {
-		wl := spec.Name
+		spec := spec
 		cells = append(cells, Cell{
-			Name: "native/" + wl,
+			Name: "native/" + spec.Name,
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-				spec, err := workload.ByName(wl)
+				env, err := newNative(cs, osmm.THS, 0.2)
 				if err != nil {
 					return nil, err
 				}
-				model := energy.Default()
-				env, err := newNative(cs, osmm.THS, 0.2, cs.Seed)
-				if err != nil {
-					return nil, err
-				}
-				type result struct {
-					est perfmodel.Estimate
-					e   float64
-				}
-				measure := func(d mmu.Design) (result, error) {
-					st, est, caches, err := measureNative(ctx, cs, env, spec, d)
-					if err != nil {
-						return result{}, err
-					}
-					return result{est, model.TotalWithRuntime(st, caches, designEnergyConfig(d), est.TotalCycles)}, nil
-				}
-				base, err := measure(mmu.DesignSplit)
-				if err != nil {
-					return nil, err
-				}
-				var rows []Row
-				for _, d := range figure16Designs {
-					r, err := measure(d)
-					if err != nil {
-						return nil, err
-					}
-					rows = append(rows, Row{string(d), "native", wl,
-						perfmodel.ImprovementPercent(base.est, r.est),
-						energy.SavingsPercent(base.e, r.e)})
-				}
-				return rows, nil
+				return compare(ctx, cs, &env.runEnv, spec, "native", true)
 			},
 		})
 	}
 	// Virtualized points.
 	for _, spec := range s.workloads() {
-		wl := spec.Name
+		spec := spec
 		cells = append(cells, Cell{
-			Name: "virt/" + wl,
+			Name: "virt/" + spec.Name,
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-				spec, err := workload.ByName(wl)
+				env, err := newVirt(cs, 2, 0.2)
 				if err != nil {
 					return nil, err
 				}
-				model := energy.Default()
-				venv, err := newVirt(cs, 2, 0.2, cs.Seed)
-				if err != nil {
-					return nil, err
-				}
-				baseSt, baseEst, err := measureVirt(ctx, cs, venv, spec, mmu.DesignSplit)
-				if err != nil {
-					return nil, err
-				}
-				baseE := model.TotalWithRuntime(baseSt, nil, designEnergyConfig(mmu.DesignSplit), baseEst.TotalCycles)
-				var rows []Row
-				for _, d := range figure16Designs {
-					st, est, err := measureVirt(ctx, cs, venv, spec, d)
-					if err != nil {
-						return nil, err
-					}
-					rows = append(rows, Row{string(d), "virtual", wl,
-						perfmodel.ImprovementPercent(baseEst, est),
-						energy.SavingsPercent(baseE, model.TotalWithRuntime(st, nil, designEnergyConfig(d), est.TotalCycles))})
-				}
-				return rows, nil
+				return compare(ctx, cs, &env.runEnv, spec, "virtual", false)
 			},
 		})
 	}
@@ -142,49 +124,29 @@ func Figure17(ctx context.Context, s Scale) (*stats.Table, error) {
 	}
 	var cells []Cell
 	for _, k := range kernels {
-		kn := k.Name
+		k := k
 		cells = append(cells, Cell{
-			Name: kn,
+			Name: k.Name,
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-				k, err := gpu.KernelByName(kn)
-				if err != nil {
-					return nil, err
-				}
 				model := energy.Default()
 				sub := cs
 				sub.FootprintBytes = cs.FootprintBytes * 3 / 10
-				env, err := newNative(sub, osmm.THS, 0.2, cs.Seed)
+				env, err := newNative(sub, osmm.THS, 0.2)
 				if err != nil {
 					return nil, err
 				}
 				run := func(d mmu.Design) (energy.Breakdown, error) {
-					if err := ctx.Err(); err != nil {
-						return energy.Breakdown{}, err
-					}
-					caches := cachesim.DefaultHierarchy()
-					sys, err := gpu.New(gpu.Config{Cores: cs.GPUCores, Design: d}, env.as, caches)
+					st, caches, err := runGPU(ctx, cs, env, k, d)
 					if err != nil {
-						return energy.Breakdown{}, err
-					}
-					cores := cs.GPUCores
-					kb := k.Build
-					sys.AttachStreams(func(id int) workload.Stream {
-						return kb(id, cores, env.base, env.fp, simrand.New(cs.Seed+uint64(id)))
-					})
-					if err := sys.Run(cs.WarmupRefs); err != nil {
-						return energy.Breakdown{}, err
-					}
-					sys.ResetStats()
-					if err := sys.Run(cs.MeasureRefs); err != nil {
-						return energy.Breakdown{}, err
+						return energy.Breakdown{}, fmt.Errorf("fig17 %s %s: %w", k.Name, d, err)
 					}
 					cfg := designEnergyConfig(d)
 					cfg.L1Entries *= cs.GPUCores // per-core L1s all burn energy
-					return model.Dynamic(sys.Stats(), caches, cfg), nil
+					return model.Dynamic(st, caches, cfg), nil
 				}
 				baseB, err := run(mmu.DesignSplit)
 				if err != nil {
-					return nil, fmt.Errorf("fig17 %s split: %w", kn, err)
+					return nil, err
 				}
 				norm := baseB.Total()
 				if norm == 0 {
@@ -194,9 +156,9 @@ func Figure17(ctx context.Context, s Scale) (*stats.Table, error) {
 				for _, d := range []mmu.Design{mmu.DesignSplit, mmu.DesignRehash, mmu.DesignSkew, mmu.DesignMix} {
 					b, err := run(d)
 					if err != nil {
-						return nil, fmt.Errorf("fig17 %s %s: %w", kn, d, err)
+						return nil, err
 					}
-					rows = append(rows, Row{string(d), kn, b.Lookup / norm, b.Walk / norm, b.Fill / norm, b.Other / norm, b.Total() / norm})
+					rows = append(rows, Row{string(d), k.Name, b.Lookup / norm, b.Walk / norm, b.Fill / norm, b.Other / norm, b.Total() / norm})
 				}
 				return rows, nil
 			},
@@ -208,7 +170,7 @@ func Figure17(ctx context.Context, s Scale) (*stats.Table, error) {
 }
 
 // figure18Designs are the coalescing variants compared against split.
-var figure18Designs = []mmu.Design{mmu.DesignColt, mmu.DesignColtPP, mmu.DesignMix, mmu.DesignMixColt}
+var figure18Designs = []string{string(mmu.DesignColt), string(mmu.DesignColtPP), string(mmu.DesignMix), string(mmu.DesignMixColt)}
 
 // Figure18 regenerates the COLT comparison (Fig 18): average improvement
 // over split for COLT (coalescing 4KB pages only), COLT++ (all split
@@ -231,34 +193,34 @@ func Figure18(ctx context.Context, s Scale) (*stats.Table, error) {
 		cells  []Cell
 		groups []group
 	)
+	specs, err := s.specs(append([]string{string(mmu.DesignSplit)}, figure18Designs...)...)
+	if err != nil {
+		return nil, err
+	}
+	// row measures every design against the split baseline and appends
+	// the improvements to head.
+	row := func(ctx context.Context, cs Scale, env *runEnv, spec workload.Spec, head ...any) ([]Row, error) {
+		imps, err := env.improvements(ctx, cs, spec, specs[0], specs[1:]...)
+		if err != nil {
+			return nil, err
+		}
+		for _, imp := range imps {
+			head = append(head, imp)
+		}
+		return []Row{head}, nil
+	}
 	for _, hogPct := range []int{20, 60} {
 		g := group{system: "native", hogPct: hogPct, start: len(cells)}
 		for _, spec := range s.workloads() {
-			hogPct, wl := hogPct, spec.Name
+			hogPct, spec := hogPct, spec
 			cells = append(cells, Cell{
-				Name: fmt.Sprintf("native/hog%d/%s", hogPct, wl),
+				Name: fmt.Sprintf("native/hog%d/%s", hogPct, spec.Name),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-					spec, err := workload.ByName(wl)
-					if err != nil {
-						return nil, err
-					}
-					env, err := newNative(cs, osmm.THS, float64(hogPct)/100, cs.Seed)
+					env, err := newNative(cs, osmm.THS, float64(hogPct)/100)
 					if err != nil {
 						return nil, fmt.Errorf("fig18 memhog=%d%%: %w", hogPct, err)
 					}
-					_, baseEst, _, err := measureNative(ctx, cs, env, spec, mmu.DesignSplit)
-					if err != nil {
-						return nil, err
-					}
-					row := Row{"native", hogPct}
-					for _, d := range figure18Designs {
-						_, est, _, err := measureNative(ctx, cs, env, spec, d)
-						if err != nil {
-							return nil, err
-						}
-						row = append(row, perfmodel.ImprovementPercent(baseEst, est))
-					}
-					return []Row{row}, nil
+					return row(ctx, cs, &env.runEnv, spec, "native", hogPct)
 				},
 			})
 		}
@@ -269,31 +231,15 @@ func Figure18(ctx context.Context, s Scale) (*stats.Table, error) {
 	{
 		g := group{system: "virtual-2vm", hogPct: 20, start: len(cells)}
 		for _, spec := range s.workloads() {
-			wl := spec.Name
+			spec := spec
 			cells = append(cells, Cell{
-				Name: "virt-2vm/" + wl,
+				Name: "virt-2vm/" + spec.Name,
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-					spec, err := workload.ByName(wl)
+					env, err := newVirt(cs, 2, 0.2)
 					if err != nil {
 						return nil, err
 					}
-					venv, err := newVirt(cs, 2, 0.2, cs.Seed)
-					if err != nil {
-						return nil, err
-					}
-					_, baseEst, err := measureVirt(ctx, cs, venv, spec, mmu.DesignSplit)
-					if err != nil {
-						return nil, err
-					}
-					row := Row{"virtual-2vm", 20}
-					for _, d := range figure18Designs {
-						_, est, err := measureVirt(ctx, cs, venv, spec, d)
-						if err != nil {
-							return nil, err
-						}
-						row = append(row, perfmodel.ImprovementPercent(baseEst, est))
-					}
-					return []Row{row}, nil
+					return row(ctx, cs, &env.runEnv, spec, "virtual-2vm", 20)
 				},
 			})
 		}

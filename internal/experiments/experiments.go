@@ -22,12 +22,12 @@ import (
 	"mixtlb/internal/addr"
 	"mixtlb/internal/cachesim"
 	"mixtlb/internal/chaos"
-	"mixtlb/internal/core"
 	"mixtlb/internal/isa"
 	"mixtlb/internal/journal"
 	"mixtlb/internal/ledger"
 	"mixtlb/internal/mmu"
 	"mixtlb/internal/osmm"
+	"mixtlb/internal/pagetable"
 	"mixtlb/internal/perfmodel"
 	"mixtlb/internal/physmem"
 	"mixtlb/internal/simrand"
@@ -51,8 +51,9 @@ type Scale struct {
 	GPUCores int
 	// Workloads optionally restricts the CPU workload set (nil = all).
 	Workloads []string
-	// Designs optionally overrides the design set of experiments that
-	// iterate the registry (currently "hierarchy"; nil = their defaults).
+	// Designs optionally overrides the design set of the experiments that
+	// iterate the registry ("hierarchy", "reach" and "breakdown"; nil =
+	// their defaults).
 	Designs []string
 	// Registry resolves design names for registry-driven experiments.
 	// Nil falls back to mmu.DefaultRegistry() (the builtin designs); the
@@ -188,6 +189,21 @@ func (s Scale) registry() *mmu.Registry {
 	return mmu.DefaultRegistry()
 }
 
+// specs resolves design names in the scale's registry, failing with
+// *mmu.UnknownDesignError on the first name it does not hold.
+func (s Scale) specs(names ...string) ([]mmu.DesignSpec, error) {
+	reg := s.registry()
+	out := make([]mmu.DesignSpec, len(names))
+	for i, name := range names {
+		spec, ok := reg.Lookup(name)
+		if !ok {
+			return nil, &mmu.UnknownDesignError{Name: name, Valid: reg.Names()}
+		}
+		out[i] = spec
+	}
+	return out, nil
+}
+
 // workloads resolves the scale's workload set.
 func (s Scale) workloads() []workload.Spec {
 	all := workload.Catalog()
@@ -205,14 +221,82 @@ func (s Scale) workloads() []workload.Spec {
 	return out
 }
 
+// runEnv is what building and running a design needs from an
+// environment. A native environment and VM 0 of a consolidated host
+// differ only in these values.
+type runEnv struct {
+	src   mmu.TranslationSource
+	pt    *pagetable.PageTable // nil in a VM: a nested walk has no single table
+	fault mmu.FaultHandler
+	base  addr.V
+	fp    uint64 // footprint actually mapped (capped under memory pressure)
+	// labels follow the caller's on every run's telemetry; flush, when
+	// set, exports the environment's own telemetry after a run.
+	labels []string
+	flush  func()
+}
+
+// build constructs a design over the environment with a fresh cache
+// hierarchy. It is the one place experiment cells build an MMU, apart
+// from DuplicateStudy's blind-mirror levels, which no design spec can
+// express.
+func (e *runEnv) build(ds mmu.DesignSpec) (*mmu.MMU, *cachesim.Hierarchy, error) {
+	caches := cachesim.DefaultHierarchy()
+	m, err := ds.Build(e.src, e.pt, caches, e.fault)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, caches, nil
+}
+
+// run drives a stream through an MMU built over the environment: it
+// attaches telemetry under the caller's labels and then the
+// environment's, runs warmup and measurement (runStream), flushes the
+// MMU's and the environment's telemetry, and names the labelled run, the
+// design and the seed in any error.
+func (e *runEnv) run(ctx context.Context, cs Scale, m *mmu.MMU, stream workload.Stream, labels ...string) (mmu.Stats, error) {
+	labels = append(labels, e.labels...)
+	if cs.Telemetry != nil {
+		m.AttachTelemetry(cs.Telemetry.With(labels...))
+	}
+	st, err := runStream(ctx, cs, m, stream)
+	if err != nil {
+		what := ""
+		for i := 1; i < len(labels); i += 2 {
+			what += labels[i] + "/"
+		}
+		return mmu.Stats{}, fmt.Errorf("%s%s (seed %d): %w", what, m.Name(), cs.Seed, err)
+	}
+	if cs.Telemetry != nil {
+		m.FlushTelemetry()
+		if e.flush != nil {
+			e.flush()
+		}
+	}
+	return st, nil
+}
+
+// measure runs one workload on one design in the environment, returning
+// functional stats, the runtime estimate and the caches the run charged.
+func (e *runEnv) measure(ctx context.Context, cs Scale, spec workload.Spec, ds mmu.DesignSpec) (mmu.Stats, perfmodel.Estimate, *cachesim.Hierarchy, error) {
+	m, caches, err := e.build(ds)
+	if err != nil {
+		return mmu.Stats{}, perfmodel.Estimate{}, nil, err
+	}
+	st, err := e.run(ctx, cs, m, spec.Build(e.base, e.fp, simrand.New(cs.Seed)), "workload", spec.Name)
+	if err != nil {
+		return mmu.Stats{}, perfmodel.Estimate{}, nil, err
+	}
+	return st, perfmodel.Default(spec.BaseCPI, spec.RefsPerInstr).Runtime(st), caches, nil
+}
+
 // nativeEnv is one native-CPU simulation environment: physical memory, an
 // OS address space with a chosen page-size policy, an optional memhog.
 type nativeEnv struct {
+	runEnv
 	phys *physmem.Buddy
 	hog  *physmem.Memhog
 	as   *osmm.AddressSpace
-	base addr.V
-	fp   uint64 // footprint actually mapped (capped under memory pressure)
 
 	// telFlushed makes flushTelemetry idempotent: an environment is often
 	// measured under several designs, but its OS/buddy/contiguity snapshot
@@ -234,9 +318,9 @@ func (e *nativeEnv) flushTelemetry() {
 // load), then the address space is created (reserving hugetlbfs pools
 // under that fragmentation) and the footprint is faulted in ascending
 // order.
-func newNative(s Scale, policy osmm.Policy, memhogFrac float64, seed uint64) (*nativeEnv, error) {
+func newNative(s Scale, policy osmm.Policy, memhogFrac float64) (*nativeEnv, error) {
 	phys := physmem.NewBuddy(s.MemoryBytes)
-	hog := physmem.NewMemhog(phys, simrand.New(seed^0x9e37))
+	hog := physmem.NewMemhog(phys, simrand.New(s.Seed^0x9e37))
 	// Heavy background load does not just consume memory: on long-loaded
 	// systems, migratetype fallbacks let unmovable allocations pollute
 	// movable pageblocks, which is what ultimately defeats compaction and
@@ -287,33 +371,10 @@ func newNative(s Scale, policy osmm.Policy, memhogFrac float64, seed uint64) (*n
 		}
 		fp = addr.AlignedDown(mapped, addr.Size2M) // memory exhausted: run over what fit
 	}
-	return &nativeEnv{phys: phys, hog: hog, as: as, base: base, fp: fp}, nil
-}
-
-// buildMMU constructs a design's MMU over the environment with a fresh
-// cache hierarchy.
-func (e *nativeEnv) buildMMU(d mmu.Design) (*mmu.MMU, *cachesim.Hierarchy, error) {
-	caches := cachesim.DefaultHierarchy()
-	m, err := mmu.Build(d, e.as.PageTable(), e.as.PageTable(), caches, e.as.HandleFault)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, caches, nil
-}
-
-// mixMMU assembles a two-level MIX MMU with explicit level configs over
-// the native environment.
-func mixMMU(name string, l1cfg, l2cfg core.Config, env *nativeEnv, caches *cachesim.Hierarchy) (*mmu.MMU, error) {
-	l1, err := core.New(l1cfg)
-	if err != nil {
-		return nil, err
-	}
-	l2, err := core.New(l2cfg)
-	if err != nil {
-		return nil, err
-	}
-	return mmu.New(mmu.Config{Name: name, Levels: mmu.L(l1, l2)},
-		env.as.PageTable(), caches, env.as.HandleFault)
+	env := &nativeEnv{phys: phys, hog: hog, as: as}
+	env.runEnv = runEnv{src: as.PageTable(), pt: as.PageTable(), fault: as.HandleFault,
+		base: base, fp: fp, flush: env.flushTelemetry}
+	return env, nil
 }
 
 // ctxCheckStride is how many refs a stream loop simulates between
@@ -421,87 +482,43 @@ func flushTail(cs Scale, m *mmu.MMU, led *ledger.Ledger) {
 	}
 }
 
-// measureNative runs one workload on one design in an environment,
-// returning functional stats and the runtime estimate.
-func measureNative(ctx context.Context, s Scale, env *nativeEnv, spec workload.Spec, d mmu.Design) (mmu.Stats, perfmodel.Estimate, *cachesim.Hierarchy, error) {
-	m, caches, err := env.buildMMU(d)
-	if err != nil {
-		return mmu.Stats{}, perfmodel.Estimate{}, nil, err
-	}
-	if s.Telemetry != nil {
-		m.AttachTelemetry(s.Telemetry.With("workload", spec.Name))
-	}
-	stream := spec.Build(env.base, env.fp, simrand.New(s.Seed))
-	st, err := runStream(ctx, s, m, stream)
-	if err != nil {
-		return mmu.Stats{}, perfmodel.Estimate{}, nil, fmt.Errorf("%s/%s (seed %d): %w", spec.Name, d, s.Seed, err)
-	}
-	if s.Telemetry != nil {
-		m.FlushTelemetry()
-		env.flushTelemetry()
-	}
-	est := perfmodel.Default(spec.BaseCPI, spec.RefsPerInstr).Runtime(st)
-	return st, est, caches, nil
-}
-
-// vmEnv is a consolidated virtualized environment.
+// vmEnv is a consolidated virtualized environment. Its runEnv runs
+// designs inside VM 0.
 type vmEnv struct {
-	machine *virt.Machine
-	vms     []*virt.VM
-	bases   []addr.V
-	fp      uint64
+	runEnv
+	vms []*virt.VM
 }
 
 // newVirt consolidates `vms` guests on one host, each running memhog at
 // guestHogFrac inside the VM (the Fig 10 methodology), with THS guests.
-func newVirt(s Scale, vms int, guestHogFrac float64, seed uint64) (*vmEnv, error) {
-	m := virt.NewMachine(s.MemoryBytes, simrand.New(seed^0x51))
-	env := &vmEnv{machine: m}
+func newVirt(s Scale, vms int, guestHogFrac float64) (*vmEnv, error) {
+	m := virt.NewMachine(s.MemoryBytes, simrand.New(s.Seed^0x51))
+	env := &vmEnv{}
 	// Guests split the host memory as in Sec 7.1 (8 x 10GB on 80GB).
 	guestBytes := s.MemoryBytes / uint64(vms)
-	env.fp = guestBytes / 2
+	fp := guestBytes / 2
 	for i := 0; i < vms; i++ {
-		vm, err := m.AddVM(guestBytes, osmm.Config{Policy: osmm.THS}, simrand.New(seed+uint64(i)))
+		vm, err := m.AddVM(guestBytes, osmm.Config{Policy: osmm.THS}, simrand.New(s.Seed+uint64(i)))
 		if err != nil {
 			return nil, err
 		}
 		if guestHogFrac > 0 {
 			vm.GuestHog().Run(guestHogFrac)
 		}
-		base, err := vm.GuestAS().Mmap(env.fp)
+		base, err := vm.GuestAS().Mmap(fp)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := vm.Populate(base, env.fp); err != nil {
+		if _, err := vm.Populate(base, fp); err != nil {
 			return nil, fmt.Errorf("VM %d populate: %w", i, err)
 		}
+		if i == 0 {
+			env.runEnv = runEnv{src: vm.Walker(), fault: vm.HandleFault,
+				base: base, fp: fp, labels: []string{"env", "virt"}}
+		}
 		env.vms = append(env.vms, vm)
-		env.bases = append(env.bases, base)
 	}
 	return env, nil
-}
-
-// measureVirt runs a workload inside VM 0 of the environment on a design.
-func measureVirt(ctx context.Context, s Scale, env *vmEnv, spec workload.Spec, d mmu.Design) (mmu.Stats, perfmodel.Estimate, error) {
-	vm := env.vms[0]
-	caches := cachesim.DefaultHierarchy()
-	m, err := mmu.Build(d, vm.Walker(), nil, caches, vm.HandleFault)
-	if err != nil {
-		return mmu.Stats{}, perfmodel.Estimate{}, err
-	}
-	if s.Telemetry != nil {
-		m.AttachTelemetry(s.Telemetry.With("workload", spec.Name, "env", "virt"))
-	}
-	stream := spec.Build(env.bases[0], env.fp, simrand.New(s.Seed))
-	st, err := runStream(ctx, s, m, stream)
-	if err != nil {
-		return mmu.Stats{}, perfmodel.Estimate{}, fmt.Errorf("%s/%s virt (seed %d): %w", spec.Name, d, s.Seed, err)
-	}
-	if s.Telemetry != nil {
-		m.FlushTelemetry()
-	}
-	est := perfmodel.Default(spec.BaseCPI, spec.RefsPerInstr).Runtime(st)
-	return st, est, nil
 }
 
 // Registry maps experiment names to their functions for the CLI.

@@ -5,9 +5,7 @@ import (
 	"io"
 
 	"mixtlb/internal/addr"
-	"mixtlb/internal/cachesim"
 	"mixtlb/internal/ledger"
-	"mixtlb/internal/mmu"
 	"mixtlb/internal/osmm"
 	"mixtlb/internal/simrand"
 	"mixtlb/internal/tlb"
@@ -26,22 +24,20 @@ import (
 // the mapped footprint, so `vaddr=0x0` explains the footprint's first
 // page without the caller knowing where the OS placed it.
 func Explain(w io.Writer, s Scale, design string, va uint64) error {
-	reg := s.registry()
-	spec, ok := reg.Lookup(design)
-	if !ok {
-		return &mmu.UnknownDesignError{Name: design, Valid: reg.Names()}
+	specs, err := s.specs(design)
+	if err != nil {
+		return err
 	}
 	wls := s.workloads()
 	if len(wls) == 0 {
 		return fmt.Errorf("explain: no workloads selected")
 	}
 	wl := wls[0]
-	env, err := newNative(s, osmm.THS, breakdownMemhogFrac, s.Seed)
+	env, err := newNative(s, osmm.THS, breakdownMemhogFrac)
 	if err != nil {
 		return err
 	}
-	m, err := spec.Build(env.as.PageTable(), env.as.PageTable(),
-		cachesim.DefaultHierarchy(), env.as.HandleFault)
+	m, _, err := env.build(specs[0])
 	if err != nil {
 		return err
 	}

@@ -2,14 +2,10 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
-	"mixtlb/internal/cachesim"
 	"mixtlb/internal/mmu"
 	"mixtlb/internal/osmm"
-	"mixtlb/internal/simrand"
 	"mixtlb/internal/stats"
-	"mixtlb/internal/workload"
 )
 
 // defaultHierarchyDesigns is the design set HierarchyStudy compares when
@@ -50,47 +46,25 @@ func HierarchyStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 	if len(designs) == 0 {
 		designs = defaultHierarchyDesigns
 	}
-	reg := s.registry()
-	specs := make([]mmu.DesignSpec, len(designs))
-	for i, d := range designs {
-		spec, ok := reg.Lookup(d)
-		if !ok {
-			return nil, &mmu.UnknownDesignError{Name: d, Valid: reg.Names()}
-		}
-		specs[i] = spec
+	specs, err := s.specs(designs...)
+	if err != nil {
+		return nil, err
 	}
 	var cells []Cell
-	for _, wl := range s.workloads() {
-		wl := wl.Name
+	for _, spec := range s.workloads() {
+		spec := spec
 		cells = append(cells, Cell{
-			Name: wl,
+			Name: spec.Name,
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-				spec, err := workload.ByName(wl)
-				if err != nil {
-					return nil, err
-				}
-				env, err := newNative(cs, osmm.THS, hierarchyMemhogFrac, cs.Seed)
+				env, err := newNative(cs, osmm.THS, hierarchyMemhogFrac)
 				if err != nil {
 					return nil, err
 				}
 				var rows []Row
 				for _, ds := range specs {
-					caches := cachesim.DefaultHierarchy()
-					m, err := ds.Build(env.as.PageTable(), env.as.PageTable(), caches, env.as.HandleFault)
+					st, _, _, err := env.measure(ctx, cs, spec, ds)
 					if err != nil {
 						return nil, err
-					}
-					if cs.Telemetry != nil {
-						m.AttachTelemetry(cs.Telemetry.With("workload", wl))
-					}
-					stream := spec.Build(env.base, env.fp, simrand.New(cs.Seed))
-					st, err := runStream(ctx, cs, m, stream)
-					if err != nil {
-						return nil, fmt.Errorf("%s/%s (seed %d): %w", wl, ds.Name, cs.Seed, err)
-					}
-					if cs.Telemetry != nil {
-						m.FlushTelemetry()
-						env.flushTelemetry()
 					}
 					acc := float64(st.Accesses)
 					if acc == 0 {
@@ -104,7 +78,7 @@ func HierarchyStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 					if tot := st.WalkRefs + st.PWCSkippedRefs; tot > 0 {
 						pwcSkip = 100 * float64(st.PWCSkippedRefs) / float64(tot)
 					}
-					rows = append(rows, Row{ds.Name, wl,
+					rows = append(rows, Row{ds.Name, spec.Name,
 						100 * float64(st.L1Hits) / acc,
 						100 * float64(st.L2Hits) / acc,
 						1000 * float64(st.Walks) / acc,

@@ -40,14 +40,14 @@ func InvalidationStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 		{"mix-range", string(mmu.DesignMixRange)},
 	}
 	const cores = 2
-	reg := s.registry()
 	var cells []Cell
 	for _, p := range points {
 		p := p
-		spec, ok := reg.Lookup(p.design)
-		if !ok {
-			return nil, &mmu.UnknownDesignError{Name: p.design, Valid: reg.Names()}
+		specs, err := s.specs(p.design)
+		if err != nil {
+			return nil, err
 		}
+		spec := specs[0]
 		cells = append(cells, Cell{
 			Name: p.name,
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {

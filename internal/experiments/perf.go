@@ -32,6 +32,10 @@ func Figure1(ctx context.Context, s Scale) (*stats.Table, error) {
 		Title:   "Figure 1: % runtime in address translation, split vs ideal",
 		Columns: []string{"workload", "policy", "split-%runtime", "ideal-%runtime"},
 	}
+	specs, err := s.specs(string(mmu.DesignSplit), string(mmu.DesignIdeal))
+	if err != nil {
+		return nil, err
+	}
 	var cells []Cell
 	for _, name := range figure1Workloads {
 		for _, policy := range figure1Policies {
@@ -43,15 +47,15 @@ func Figure1(ctx context.Context, s Scale) (*stats.Table, error) {
 					if err != nil {
 						return nil, err
 					}
-					env, err := newNative(cs, policy, 0, cs.Seed)
+					env, err := newNative(cs, policy, 0)
 					if err != nil {
 						return nil, fmt.Errorf("fig1 %s/%v: %w", name, policy, err)
 					}
-					_, splitEst, _, err := measureNative(ctx, cs, env, spec, mmu.DesignSplit)
+					_, splitEst, _, err := env.measure(ctx, cs, spec, specs[0])
 					if err != nil {
 						return nil, err
 					}
-					_, idealEst, _, err := measureNative(ctx, cs, env, spec, mmu.DesignIdeal)
+					_, idealEst, _, err := env.measure(ctx, cs, spec, specs[1])
 					if err != nil {
 						return nil, err
 					}
@@ -65,72 +69,68 @@ func Figure1(ctx context.Context, s Scale) (*stats.Table, error) {
 	return t, err
 }
 
-// gpuImprovement measures MIX's improvement over split for one kernel.
-func gpuImprovement(ctx context.Context, s Scale, hogFrac float64, kernelName string) (float64, error) {
-	env, err := newNative(s, osmm.THS, hogFrac, s.Seed)
+// runGPU runs a kernel on a fresh GPU of the given design over the
+// environment, one stream per core: warmup, reset, measure. It returns
+// the measured stats and the cache hierarchy they charged.
+func runGPU(ctx context.Context, cs Scale, env *nativeEnv, k gpu.KernelSpec, d mmu.Design) (mmu.Stats, *cachesim.Hierarchy, error) {
+	if err := ctx.Err(); err != nil {
+		return mmu.Stats{}, nil, err
+	}
+	caches := cachesim.DefaultHierarchy()
+	sys, err := gpu.New(gpu.Config{Cores: cs.GPUCores, Design: d}, env.as, caches)
 	if err != nil {
-		return 0, err
+		return mmu.Stats{}, nil, err
 	}
-	k, err := gpu.KernelByName(kernelName)
-	if err != nil {
-		return 0, err
+	sys.AttachStreams(func(id int) workload.Stream {
+		return k.Build(id, cs.GPUCores, env.base, env.fp, simrand.New(cs.Seed+uint64(id)))
+	})
+	if err := sys.Run(cs.WarmupRefs); err != nil {
+		return mmu.Stats{}, nil, err
 	}
-	run := func(d mmu.Design) (perfmodel.Estimate, error) {
-		if err := ctx.Err(); err != nil {
-			return perfmodel.Estimate{}, err
-		}
-		sys, err := gpu.New(gpu.Config{Cores: s.GPUCores, Design: d}, env.as, cachesim.DefaultHierarchy())
-		if err != nil {
-			return perfmodel.Estimate{}, err
-		}
-		cores := s.GPUCores
-		sys.AttachStreams(func(id int) workload.Stream {
-			return k.Build(id, cores, env.base, env.fp, simrand.New(s.Seed+uint64(id)))
-		})
-		if err := sys.Run(s.WarmupRefs); err != nil {
-			return perfmodel.Estimate{}, err
-		}
-		sys.ResetStats()
-		if err := sys.Run(s.MeasureRefs); err != nil {
-			return perfmodel.Estimate{}, err
-		}
-		// GPU throughput parameters: abundant memory parallelism hides
-		// some latency; a fixed parameterization suffices for relative
-		// comparisons.
-		return perfmodel.Default(1.0, 0.5).Runtime(sys.Stats()), nil
+	sys.ResetStats()
+	if err := sys.Run(cs.MeasureRefs); err != nil {
+		return mmu.Stats{}, nil, err
 	}
-	splitEst, err := run(mmu.DesignSplit)
-	if err != nil {
-		return 0, fmt.Errorf("gpu %s split: %w", kernelName, err)
-	}
-	mixEst, err := run(mmu.DesignMix)
-	if err != nil {
-		return 0, fmt.Errorf("gpu %s mix: %w", kernelName, err)
-	}
-	return perfmodel.ImprovementPercent(splitEst, mixEst), nil
+	return sys.Stats(), caches, nil
 }
 
-// mixVsSplitNative measures MIX's improvement over split for one workload
-// in a freshly built native environment — the body shared by the Figure 14
-// and 15 cells.
-func mixVsSplitNative(ctx context.Context, cs Scale, policy osmm.Policy, hogFrac float64, wl string) (float64, error) {
-	spec, err := workload.ByName(wl)
+// gpuImprovement measures MIX's improvement over split for one kernel.
+func gpuImprovement(ctx context.Context, s Scale, hogFrac float64, k gpu.KernelSpec) (float64, error) {
+	env, err := newNative(s, osmm.THS, hogFrac)
 	if err != nil {
 		return 0, err
 	}
-	env, err := newNative(cs, policy, hogFrac, cs.Seed)
+	// GPU throughput parameters: abundant memory parallelism hides some
+	// latency; a fixed parameterization suffices for relative comparisons.
+	model := perfmodel.Default(1.0, 0.5)
+	split, _, err := runGPU(ctx, s, env, k, mmu.DesignSplit)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("gpu %s split: %w", k.Name, err)
 	}
-	_, splitEst, _, err := measureNative(ctx, cs, env, spec, mmu.DesignSplit)
+	mix, _, err := runGPU(ctx, s, env, k, mmu.DesignMix)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("gpu %s mix: %w", k.Name, err)
 	}
-	_, mixEst, _, err := measureNative(ctx, cs, env, spec, mmu.DesignMix)
+	return perfmodel.ImprovementPercent(model.Runtime(split), model.Runtime(mix)), nil
+}
+
+// improvements measures one workload in the environment on a baseline
+// design and then on each design, returning each design's runtime
+// improvement over the baseline.
+func (e *runEnv) improvements(ctx context.Context, cs Scale, spec workload.Spec, base mmu.DesignSpec, designs ...mmu.DesignSpec) ([]float64, error) {
+	_, baseEst, _, err := e.measure(ctx, cs, spec, base)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return perfmodel.ImprovementPercent(splitEst, mixEst), nil
+	imps := make([]float64, len(designs))
+	for i, ds := range designs {
+		_, est, _, err := e.measure(ctx, cs, spec, ds)
+		if err != nil {
+			return nil, err
+		}
+		imps[i] = perfmodel.ImprovementPercent(baseEst, est)
+	}
+	return imps, nil
 }
 
 // Figure14 regenerates the headline comparison: % performance improvement
@@ -151,18 +151,26 @@ func Figure14(ctx context.Context, s Scale) (*stats.Table, error) {
 		{"1GB", osmm.Hugetlbfs1G},
 		{"THS", osmm.THS},
 	}
+	pair, err := s.specs(string(mmu.DesignSplit), string(mmu.DesignMix))
+	if err != nil {
+		return nil, err
+	}
 	var cells []Cell
 	for _, cfg := range nativeConfigs {
 		for _, spec := range s.workloads() {
-			cfg, wl := cfg, spec.Name
+			cfg, spec := cfg, spec
 			cells = append(cells, Cell{
-				Name: fmt.Sprintf("native/%s/%s", cfg.label, wl),
+				Name: fmt.Sprintf("native/%s/%s", cfg.label, spec.Name),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-					imp, err := mixVsSplitNative(ctx, cs, cfg.policy, 0, wl)
+					env, err := newNative(cs, cfg.policy, 0)
 					if err != nil {
 						return nil, fmt.Errorf("fig14 %s: %w", cfg.label, err)
 					}
-					return []Row{{"native", cfg.label, wl, imp}}, nil
+					imp, err := env.improvements(ctx, cs, spec, pair[0], pair[1])
+					if err != nil {
+						return nil, fmt.Errorf("fig14 %s: %w", cfg.label, err)
+					}
+					return []Row{{"native", cfg.label, spec.Name, imp[0]}}, nil
 				},
 			})
 		}
@@ -170,43 +178,34 @@ func Figure14(ctx context.Context, s Scale) (*stats.Table, error) {
 	// Virtualized configs: 1 VM and a consolidated 4-VM host.
 	for _, vms := range []int{1, 4} {
 		for _, spec := range s.workloads() {
-			vms, wl := vms, spec.Name
+			vms, spec := vms, spec
 			cells = append(cells, Cell{
-				Name: fmt.Sprintf("virt/%dVM/%s", vms, wl),
+				Name: fmt.Sprintf("virt/%dVM/%s", vms, spec.Name),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-					spec, err := workload.ByName(wl)
-					if err != nil {
-						return nil, err
-					}
-					env, err := newVirt(cs, vms, 0.2, cs.Seed)
+					env, err := newVirt(cs, vms, 0.2)
 					if err != nil {
 						return nil, fmt.Errorf("fig14 virt %dVM: %w", vms, err)
 					}
-					_, splitEst, err := measureVirt(ctx, cs, env, spec, mmu.DesignSplit)
+					imp, err := env.improvements(ctx, cs, spec, pair[0], pair[1])
 					if err != nil {
 						return nil, err
 					}
-					_, mixEst, err := measureVirt(ctx, cs, env, spec, mmu.DesignMix)
-					if err != nil {
-						return nil, err
-					}
-					return []Row{{"virtual", fmt.Sprintf("%dVM", vms), wl,
-						perfmodel.ImprovementPercent(splitEst, mixEst)}}, nil
+					return []Row{{"virtual", fmt.Sprintf("%dVM", vms), spec.Name, imp[0]}}, nil
 				},
 			})
 		}
 	}
 	// GPU kernels.
 	for _, k := range gpu.Kernels() {
-		kn := k.Name
+		k := k
 		cells = append(cells, Cell{
-			Name: "gpu/" + kn,
+			Name: "gpu/" + k.Name,
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-				imp, err := gpuImprovement(ctx, cs, 0, kn)
+				imp, err := gpuImprovement(ctx, cs, 0, k)
 				if err != nil {
 					return nil, err
 				}
-				return []Row{{"gpu", "THS", kn, imp}}, nil
+				return []Row{{"gpu", "THS", k.Name, imp}}, nil
 			},
 		})
 	}
@@ -245,18 +244,26 @@ func Figure15Left(ctx context.Context, s Scale) (*stats.Table, error) {
 		cells  []Cell
 		groups []group
 	)
+	pair, err := s.specs(string(mmu.DesignSplit), string(mmu.DesignMix))
+	if err != nil {
+		return nil, err
+	}
 	for _, hogPct := range []int{20, 80} {
 		g := group{start: len(cells)}
 		for _, spec := range s.workloads() {
-			hogPct, wl := hogPct, spec.Name
+			hogPct, spec := hogPct, spec
 			cells = append(cells, Cell{
-				Name: fmt.Sprintf("cpu/hog%d/%s", hogPct, wl),
+				Name: fmt.Sprintf("cpu/hog%d/%s", hogPct, spec.Name),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-					imp, err := mixVsSplitNative(ctx, cs, osmm.THS, float64(hogPct)/100, wl)
+					env, err := newNative(cs, osmm.THS, float64(hogPct)/100)
 					if err != nil {
 						return nil, fmt.Errorf("fig15l memhog=%d%%: %w", hogPct, err)
 					}
-					return []Row{{"cpu", hogPct, wl, imp}}, nil
+					imp, err := env.improvements(ctx, cs, spec, pair[0], pair[1])
+					if err != nil {
+						return nil, fmt.Errorf("fig15l memhog=%d%%: %w", hogPct, err)
+					}
+					return []Row{{"cpu", hogPct, spec.Name, imp[0]}}, nil
 				},
 			})
 		}
@@ -266,15 +273,15 @@ func Figure15Left(ctx context.Context, s Scale) (*stats.Table, error) {
 	for _, hogPct := range []int{20, 60} {
 		g := group{start: len(cells)}
 		for _, k := range gpu.Kernels() {
-			hogPct, kn := hogPct, k.Name
+			hogPct, k := hogPct, k
 			cells = append(cells, Cell{
-				Name: fmt.Sprintf("gpu/hog%d/%s", hogPct, kn),
+				Name: fmt.Sprintf("gpu/hog%d/%s", hogPct, k.Name),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-					imp, err := gpuImprovement(ctx, cs, float64(hogPct)/100, kn)
+					imp, err := gpuImprovement(ctx, cs, float64(hogPct)/100, k)
 					if err != nil {
 						return nil, err
 					}
-					return []Row{{"gpu", hogPct, kn, imp}}, nil
+					return []Row{{"gpu", hogPct, k.Name, imp}}, nil
 				},
 			})
 		}
@@ -311,26 +318,26 @@ func Figure15Right(ctx context.Context, s Scale) (*stats.Table, error) {
 		cells  []Cell
 		groups []group
 	)
-	for _, d := range []mmu.Design{mmu.DesignSplit, mmu.DesignMix} {
+	designs, err := s.specs(string(mmu.DesignSplit), string(mmu.DesignMix))
+	if err != nil {
+		return nil, err
+	}
+	for _, ds := range designs {
 		g := group{start: len(cells)}
 		for _, spec := range s.workloads() {
-			d, wl := d, spec.Name
+			ds, spec := ds, spec
 			cells = append(cells, Cell{
-				Name: fmt.Sprintf("%s/%s", d, wl),
+				Name: fmt.Sprintf("%s/%s", ds.Name, spec.Name),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-					spec, err := workload.ByName(wl)
+					env, err := newNative(cs, osmm.THS, 0.2)
 					if err != nil {
 						return nil, err
 					}
-					env, err := newNative(cs, osmm.THS, 0.2, cs.Seed)
+					_, est, _, err := env.measure(ctx, cs, spec, ds)
 					if err != nil {
 						return nil, err
 					}
-					_, est, _, err := measureNative(ctx, cs, env, spec, d)
-					if err != nil {
-						return nil, err
-					}
-					return []Row{{string(d), wl, est.OverheadVsIdealPercent()}}, nil
+					return []Row{{ds.Name, spec.Name, est.OverheadVsIdealPercent()}}, nil
 				},
 			})
 		}

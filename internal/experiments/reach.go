@@ -4,14 +4,12 @@ import (
 	"context"
 	"fmt"
 
-	"mixtlb/internal/cachesim"
 	"mixtlb/internal/mmu"
 	"mixtlb/internal/osmm"
 	"mixtlb/internal/perfmodel"
 	"mixtlb/internal/simrand"
 	"mixtlb/internal/stats"
 	"mixtlb/internal/tlb"
-	"mixtlb/internal/workload"
 )
 
 // defaultReachDesigns pits the two ways of buying translation reach
@@ -52,55 +50,38 @@ func ReachStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 	if len(designs) == 0 {
 		designs = defaultReachDesigns
 	}
-	reg := s.registry()
-	specs := make([]mmu.DesignSpec, len(designs))
-	for i, d := range designs {
-		spec, ok := reg.Lookup(d)
-		if !ok {
-			return nil, &mmu.UnknownDesignError{Name: d, Valid: reg.Names()}
-		}
-		specs[i] = spec
+	specs, err := s.specs(designs...)
+	if err != nil {
+		return nil, err
 	}
 	var cells []Cell
-	for _, wl := range s.workloads() {
+	for _, spec := range s.workloads() {
 		for _, frac := range reachMemhogFracs {
-			wl, frac := wl.Name, frac
+			spec, frac := spec, frac
 			cells = append(cells, Cell{
-				Name: fmt.Sprintf("%s/hog%02.0f", wl, 100*frac),
+				Name: fmt.Sprintf("%s/hog%02.0f", spec.Name, 100*frac),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-					spec, err := workload.ByName(wl)
-					if err != nil {
-						return nil, err
-					}
-					env, err := newNative(cs, osmm.THS, frac, cs.Seed)
+					env, err := newNative(cs, osmm.THS, frac)
 					if err != nil {
 						return nil, err
 					}
 					var rows []Row
 					for _, ds := range specs {
-						caches := cachesim.DefaultHierarchy()
-						m, err := ds.Build(env.as.PageTable(), env.as.PageTable(), caches, env.as.HandleFault)
+						m, _, err := env.build(ds)
 						if err != nil {
 							return nil, err
 						}
-						if cs.Telemetry != nil {
-							m.AttachTelemetry(cs.Telemetry.With("workload", wl))
-						}
-						stream := spec.Build(env.base, env.fp, simrand.New(cs.Seed))
-						st, err := runStream(ctx, cs, m, stream)
+						st, err := env.run(ctx, cs, m, spec.Build(env.base, env.fp, simrand.New(cs.Seed)),
+							"workload", spec.Name)
 						if err != nil {
-							return nil, fmt.Errorf("%s/%s (seed %d): %w", wl, ds.Name, cs.Seed, err)
-						}
-						if cs.Telemetry != nil {
-							m.FlushTelemetry()
-							env.flushTelemetry()
+							return nil, err
 						}
 						sramKB, deepKB := reachSnapshot(m)
 						acc := float64(st.Accesses)
 						if acc == 0 {
 							acc = 1
 						}
-						rows = append(rows, Row{ds.Name, wl, frac,
+						rows = append(rows, Row{ds.Name, spec.Name, frac,
 							100 * float64(st.L1Hits) / acc,
 							100 * float64(st.L2Hits) / acc,
 							100 * float64(st.DeepHits) / acc,

@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
-	"mixtlb/internal/cachesim"
 	"mixtlb/internal/mmu"
 	"mixtlb/internal/osmm"
 	"mixtlb/internal/simrand"
 	"mixtlb/internal/stats"
-	"mixtlb/internal/workload"
 )
 
 // xisaISAs is the descriptor sweep of the cross-ISA study: the x86-64
@@ -48,49 +45,32 @@ func CrossISAStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 		Columns: []string{"isa", "design", "workload", "l1-hit%",
 			"walks-per-1k", "refs-per-walk", "contig-walk%", "cyc/acc"},
 	}
-	reg := s.registry()
-	specs := make([]mmu.DesignSpec, len(xisaDesigns))
-	for i, d := range xisaDesigns {
-		spec, ok := reg.Lookup(d)
-		if !ok {
-			return nil, &mmu.UnknownDesignError{Name: d, Valid: reg.Names()}
-		}
-		specs[i] = spec
+	specs, err := s.specs(xisaDesigns...)
+	if err != nil {
+		return nil, err
 	}
 	var cells []Cell
 	for _, isaName := range xisaISAs {
-		for _, wl := range s.workloads() {
-			isaName, wl := isaName, wl.Name
+		for _, spec := range s.workloads() {
+			isaName, spec := isaName, spec
 			cells = append(cells, Cell{
-				Name: isaName + "/" + wl,
+				Name: isaName + "/" + spec.Name,
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-					spec, err := workload.ByName(wl)
-					if err != nil {
-						return nil, err
-					}
 					cs.ISA = isaName // the whole cell lives on this descriptor
-					env, err := newNative(cs, osmm.THS, hierarchyMemhogFrac, cs.Seed)
+					env, err := newNative(cs, osmm.THS, hierarchyMemhogFrac)
 					if err != nil {
 						return nil, err
 					}
 					var rows []Row
 					for _, ds := range specs {
-						caches := cachesim.DefaultHierarchy()
-						m, err := ds.Build(env.as.PageTable(), env.as.PageTable(), caches, env.as.HandleFault)
+						m, _, err := env.build(ds)
 						if err != nil {
 							return nil, err
 						}
-						if cs.Telemetry != nil {
-							m.AttachTelemetry(cs.Telemetry.With("workload", wl, "isa", isaName))
-						}
-						stream := spec.Build(env.base, env.fp, simrand.New(cs.Seed))
-						st, err := runStream(ctx, cs, m, stream)
+						st, err := env.run(ctx, cs, m, spec.Build(env.base, env.fp, simrand.New(cs.Seed)),
+							"workload", spec.Name, "isa", isaName)
 						if err != nil {
-							return nil, fmt.Errorf("%s/%s/%s (seed %d): %w", isaName, wl, ds.Name, cs.Seed, err)
-						}
-						if cs.Telemetry != nil {
-							m.FlushTelemetry()
-							env.flushTelemetry()
+							return nil, err
 						}
 						acc := float64(st.Accesses)
 						if acc == 0 {
@@ -104,7 +84,7 @@ func CrossISAStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 						if st.Walks > 0 {
 							contigWalk = 100 * float64(st.ContigWalks) / float64(st.Walks)
 						}
-						rows = append(rows, Row{isaName, ds.Name, wl,
+						rows = append(rows, Row{isaName, ds.Name, spec.Name,
 							100 * float64(st.L1Hits) / acc,
 							1000 * float64(st.Walks) / acc,
 							refsPerWalk,
