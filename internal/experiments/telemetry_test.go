@@ -12,18 +12,18 @@ import (
 	"mixtlb/internal/telemetry"
 )
 
-// runFig15rTelemetry runs fig15r at quick scale with the given pool size
-// and a fresh registry/tracer, returning the result table CSV and the
-// Prometheus metric dump. All three exporter formats must parse back, and
-// the dump must carry the core metric families.
-func runFig15rTelemetry(t *testing.T, jobs int) (csv, metrics string) {
+// runTelemetry runs the named experiment at quick scale with the given
+// pool size and a fresh registry/tracer, returning the result table CSV
+// and the Prometheus metric dump. All three exporter formats must parse
+// back, and the dump must carry the core metric families.
+func runTelemetry(t *testing.T, name string, jobs int) (csv, metrics string) {
 	t.Helper()
 	s := QuickScale()
 	s.Jobs = jobs
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(0)
 	s.Telemetry = telemetry.NewCollector(reg, tracer)
-	e, err := ByName("fig15r")
+	e, err := ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +67,8 @@ func runFig15rTelemetry(t *testing.T, jobs int) (csv, metrics string) {
 // data (spans, worker ids, ETA) live only in the tracer, never here.
 func TestTelemetryJobsDeterminism(t *testing.T) {
 	t.Parallel()
-	csv1, m1 := runFig15rTelemetry(t, 1)
-	csv8, m8 := runFig15rTelemetry(t, 8)
+	csv1, m1 := runTelemetry(t, "fig15r", 1)
+	csv8, m8 := runTelemetry(t, "fig15r", 8)
 	if csv1 != csv8 {
 		t.Errorf("tables differ between jobs=1 and jobs=8:\n%s\n---\n%s", csv1, csv8)
 	}
@@ -82,22 +82,33 @@ func TestTelemetryJobsDeterminism(t *testing.T) {
 
 // TestTelemetryOnOffIdenticalTables is the non-interference contract:
 // simulation statistics never read telemetry state, so an instrumented run
-// and a bare run produce byte-identical result tables.
+// and a bare run produce byte-identical result tables. It covers fig15r
+// and the ablation cells, which export MMU metrics through the same run
+// path as every other cell.
 func TestTelemetryOnOffIdenticalTables(t *testing.T) {
 	t.Parallel()
-	exp, err := ByName("fig15r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := QuickScale()
-	s.Jobs = 4
-	bare, err := exp.Run(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onCSV, _ := runFig15rTelemetry(t, 4)
-	if bare.CSV() != onCSV {
-		t.Errorf("tables differ with telemetry on vs off:\n%s\n---\n%s", bare.CSV(), onCSV)
+	for _, name := range []string{"fig15r", "scaling", "duplicates"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			exp, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := QuickScale()
+			s.Jobs = 4
+			bare, err := exp.Run(context.Background(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			onCSV, metrics := runTelemetry(t, name, 4)
+			if bare.CSV() != onCSV {
+				t.Errorf("tables differ with telemetry on vs off:\n%s\n---\n%s", bare.CSV(), onCSV)
+			}
+			if !strings.Contains(metrics, "mmu_accesses_total") {
+				t.Errorf("dump has no mmu_accesses_total series")
+			}
+		})
 	}
 }
 
