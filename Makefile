@@ -1,7 +1,7 @@
 GO ?= go
 JOBS ?= 0
 
-.PHONY: check build vet test race bench bench-experiments benchdiff fuzz golden chaos
+.PHONY: check build vet test race bench bench-experiments benchdiff fuzz golden chaos loc
 
 # The full tier-1 gate: build, vet, and the test suite under the race
 # detector. Test failures print the reproducing seed — rerun the named
@@ -64,3 +64,10 @@ golden:
 # lost IPIs, and transient OOM. The unrecovered column must be zero.
 chaos:
 	$(GO) run ./cmd/mixtlb -chaos -quick
+
+# Added, removed and net non-test Go lines of the working tree against
+# BASE, the count every change reports: make loc BASE=<commit>.
+BASE ?= HEAD
+loc:
+	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' | \
+		awk '{a += $$1; r += $$2} END {printf "added %d removed %d net %+d\n", a, r, a - r}'
