@@ -82,12 +82,13 @@ func TestTelemetryJobsDeterminism(t *testing.T) {
 
 // TestTelemetryOnOffIdenticalTables is the non-interference contract:
 // simulation statistics never read telemetry state, so an instrumented run
-// and a bare run produce byte-identical result tables. It covers fig15r
-// and the ablation cells, which export MMU metrics through the same run
-// path as every other cell.
+// and a bare run produce byte-identical result tables. It covers fig15r,
+// the ablation cells, which export MMU metrics through the same run path
+// as every other cell, and chaos and invalidation, the two cells that
+// attach telemetry to a multi-core system.
 func TestTelemetryOnOffIdenticalTables(t *testing.T) {
 	t.Parallel()
-	for _, name := range []string{"fig15r", "scaling", "duplicates"} {
+	for _, name := range []string{"fig15r", "scaling", "duplicates", "chaos", "invalidation"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
