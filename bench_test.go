@@ -207,11 +207,11 @@ func newSuperpageEnv(b *testing.B) *superpageEnv {
 	return &superpageEnv{as: as, base: base, fp: fp}
 }
 
-// benchDesignConfig runs a zipf stream through one MMU design, reporting
+// benchDesign runs a zipf stream through one MMU design, reporting
 // per-translation simulator throughput and the design's miss ratio.
-func benchDesign(b *testing.B, d mmu.Design) {
+func benchDesign(b *testing.B, d string) {
 	env := newSuperpageEnv(b)
-	m := tlb.Must(mmu.Build(d, env.as.PageTable(), env.as.PageTable(),
+	m := tlb.Must(mmu.DefaultRegistry().Build(d, env.as.PageTable(), env.as.PageTable(),
 		cachesim.DefaultHierarchy(), env.as.HandleFault))
 	stream := workload.NewZipf(env.base, env.fp, simrand.New(1), 0.9, 0.2, 0xbe)
 	for i := 0; i < 50_000; i++ { // warm

@@ -428,7 +428,7 @@ func main() {
 // parseExplainArgs reads -explain's k=v operands: vaddr (required hex or
 // decimal address) and design (default mix).
 func parseExplainArgs(args []string) (design string, va uint64, err error) {
-	design = string(mmu.DesignMix)
+	design = mmu.DesignMix
 	haveVA := false
 	for _, a := range args {
 		k, v, ok := strings.Cut(a, "=")

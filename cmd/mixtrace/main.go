@@ -180,7 +180,7 @@ func run(args []string) {
 	if _, err := as.Populate(vmaBase, span); err != nil {
 		log.Fatal(err)
 	}
-	m, err := mmu.Build(mmu.Design(*designName), as.PageTable(), as.PageTable(),
+	m, err := mmu.DefaultRegistry().Build(*designName, as.PageTable(), as.PageTable(),
 		cachesim.DefaultHierarchy(), as.HandleFault)
 	if err != nil {
 		log.Fatal(err)

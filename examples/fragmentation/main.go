@@ -45,8 +45,8 @@ func main() {
 		}
 		rep := osmm.ScanContiguity(as.PageTable())
 
-		measure := func(d mmu.Design) float64 {
-			m, err := mmu.Build(d, as.PageTable(), as.PageTable(),
+		measure := func(d string) float64 {
+			m, err := mmu.DefaultRegistry().Build(d, as.PageTable(), as.PageTable(),
 				cachesim.DefaultHierarchy(), as.HandleFault)
 			if err != nil {
 				log.Fatal(err)

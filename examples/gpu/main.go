@@ -13,8 +13,6 @@ import (
 	"mixtlb/internal/mmu"
 	"mixtlb/internal/osmm"
 	"mixtlb/internal/physmem"
-	"mixtlb/internal/simrand"
-	"mixtlb/internal/workload"
 )
 
 func main() {
@@ -37,22 +35,20 @@ func main() {
 		log.Fatal(err)
 	}
 	const cores = 8
-	for _, d := range []mmu.Design{mmu.DesignSplit, mmu.DesignMix, mmu.DesignRehash, mmu.DesignSkew} {
-		sys, err := gpu.New(gpu.Config{Cores: cores, Design: d}, as, cachesim.DefaultHierarchy())
+	for _, d := range []string{mmu.DesignSplit, mmu.DesignMix, mmu.DesignRehash, mmu.DesignSkew} {
+		sys, err := gpu.New(cores, d, as, cachesim.DefaultHierarchy())
 		if err != nil {
 			log.Fatal(err)
 		}
-		sys.AttachStreams(func(id int) workload.Stream {
-			return kernel.Build(id, cores, base, footprint, simrand.New(uint64(id)))
-		})
-		if err := sys.Run(200_000); err != nil {
+		streams := kernel.Streams(cores, base, footprint, 0)
+		if err := sys.Run(streams, 200_000); err != nil {
 			log.Fatal(err)
 		}
 		sys.ResetStats()
-		if err := sys.Run(400_000); err != nil {
+		if err := sys.Run(streams, 400_000); err != nil {
 			log.Fatal(err)
 		}
-		st := sys.Stats()
+		st := sys.Aggregate()
 		fmt.Printf("%-12s %s\n", d, st.String())
 	}
 	fmt.Println("\nGPU TLBs absorb hundreds of threads' traffic; designs that use")

@@ -40,8 +40,8 @@ func main() {
 		100*rep.SuperpageFraction(), rep.AverageContiguity(addr.Page2M))
 
 	// The same pointer-chasing workload drives both designs.
-	run := func(design mmu.Design) mmu.Stats {
-		m, err := mmu.Build(design, as.PageTable(), as.PageTable(),
+	run := func(design string) mmu.Stats {
+		m, err := mmu.DefaultRegistry().Build(design, as.PageTable(), as.PageTable(),
 			cachesim.DefaultHierarchy(), as.HandleFault)
 		if err != nil {
 			log.Fatal(err)
@@ -61,7 +61,7 @@ func main() {
 		return m.Stats()
 	}
 
-	for _, d := range []mmu.Design{mmu.DesignSplit, mmu.DesignMix} {
+	for _, d := range []string{mmu.DesignSplit, mmu.DesignMix} {
 		st := run(d)
 		fmt.Printf("%-6s  %s\n", d, st.String())
 	}

@@ -47,8 +47,8 @@ func main() {
 	fmt.Printf("host backings for VM 0: %d x 2MB, %d x 4KB (splintered)\n\n", two, four)
 
 	// Run a graph workload inside VM 0 under both TLB designs.
-	for _, d := range []mmu.Design{mmu.DesignSplit, mmu.DesignMix} {
-		m, err := mmu.Build(d, vms[0].Walker(), nil, cachesim.DefaultHierarchy(), vms[0].HandleFault)
+	for _, d := range []string{mmu.DesignSplit, mmu.DesignMix} {
+		m, err := mmu.DefaultRegistry().Build(d, vms[0].Walker(), nil, cachesim.DefaultHierarchy(), vms[0].HandleFault)
 		if err != nil {
 			log.Fatal(err)
 		}

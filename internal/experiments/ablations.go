@@ -68,7 +68,7 @@ func AblationIndexBits(ctx context.Context, s Scale) (*stats.Table, error) {
 		Title:   "Sec 3 ablation: small-page vs superpage index bits (4KB pages)",
 		Columns: []string{"pattern", "miss-ratio-smallidx", "miss-ratio-superidx", "factor"},
 	}
-	specs, err := s.specs(string(mmu.DesignMix), string(mmu.DesignMixSuperIndex))
+	specs, err := s.specs(mmu.DesignMix, mmu.DesignMixSuperIndex)
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +263,7 @@ func EncodingStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 	encodings := []string{"bitmap", "range"}
 	// The builtin designs' L2s are exactly the two encodings' default
 	// arrays, behind the same L1.
-	specs, err := s.specs(string(mmu.DesignMix), string(mmu.DesignMixRange))
+	specs, err := s.specs(mmu.DesignMix, mmu.DesignMixRange)
 	if err != nil {
 		return nil, err
 	}

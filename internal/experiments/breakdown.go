@@ -19,11 +19,11 @@ import (
 // reach trades walk cycles for probe cycles), and the victim-level
 // designs whose deep hits spend data-cache time instead of walk time.
 var defaultBreakdownDesigns = []string{
-	string(mmu.DesignSplit),
-	string(mmu.DesignSplitPWC),
-	string(mmu.DesignMix),
-	string(mmu.DesignVictima),
-	string(mmu.DesignMixVictima),
+	mmu.DesignSplit,
+	mmu.DesignSplitPWC,
+	mmu.DesignMix,
+	mmu.DesignVictima,
+	mmu.DesignMixVictima,
 }
 
 // breakdownMemhogFrac matches the hierarchy study's fragmentation point:
@@ -56,7 +56,7 @@ func Breakdown(ctx context.Context, s Scale) (*stats.Table, error) {
 	}
 	// The chaos row reuses MIX when the registry has it (custom -designs
 	// lists still get their plain rows either way).
-	chaosSpec, haveChaosRow := s.registry().Lookup(string(mmu.DesignMix))
+	chaosSpec, haveChaosRow := s.registry().Lookup(mmu.DesignMix)
 	var cells []Cell
 	for _, spec := range s.workloads() {
 		spec := spec

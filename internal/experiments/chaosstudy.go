@@ -34,14 +34,21 @@ func ChaosStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 			"ipi-lost", "ipi-forced", "alloc-fails"},
 	}
 	const cores = 2
-	var cells []Cell
+	var names []string
 	for _, d := range mmu.AllDesigns() {
-		if d == mmu.DesignIdeal {
-			continue // no TLB array to corrupt
+		if d != mmu.DesignIdeal { // ideal has no TLB array to corrupt
+			names = append(names, d)
 		}
-		d := d
+	}
+	specs, err := s.specs(names...)
+	if err != nil {
+		return nil, err
+	}
+	var cells []Cell
+	for _, spec := range specs {
+		d := spec.Name
 		cells = append(cells, Cell{
-			Name: string(d),
+			Name: d,
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
 				rates := cs.Chaos
 				env, err := newNative(cs, osmm.THS, 0.2)
@@ -50,7 +57,7 @@ func ChaosStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 				}
 				in := chaos.NewInjector(cs.Seed, rates)
 				or := chaos.NewOracle(env.as.PageTable())
-				sys, err := smp.New(smp.Config{Cores: cores, Design: d}, env.as, cachesim.DefaultHierarchy())
+				sys, err := smp.New(cores, env.as, cachesim.DefaultHierarchy(), spec)
 				if err != nil {
 					return nil, err
 				}
@@ -99,7 +106,7 @@ func ChaosStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 				agg := sys.Aggregate()
 				is := in.Stats()
 				ss := sys.Stats()
-				return []Row{{string(d), is.TLBCorruptions - warm.TLBCorruptions,
+				return []Row{{d, is.TLBCorruptions - warm.TLBCorruptions,
 					agg.ECC.ParityDetected, agg.ECC.SilentCorruptions, agg.PTECorruptions,
 					agg.OracleMismatches, agg.OracleRecoveries, agg.OracleUnrecovered,
 					ss.IPIsLost, ss.ForcedDeliveries, is.AllocFailures - warm.AllocFailures}}, nil

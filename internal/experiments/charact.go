@@ -135,16 +135,7 @@ func figure10Point(s Scale, vms int, hogFrac float64) (float64, error) {
 			return 0, err
 		}
 		hog := vm.GuestHog()
-		if hogFrac >= 0.5 { // in-VM load pollutes like native load does
-			hog.UnmovableFrac = 0.25 + (hogFrac-0.4)*1.75
-			if hog.UnmovableFrac > 0.95 {
-				hog.UnmovableFrac = 0.95
-			}
-			hog.UnmovableScatterFrac = (hogFrac - 0.4) * 4
-			if hog.UnmovableScatterFrac > 1 {
-				hog.UnmovableScatterFrac = 1
-			}
-		}
+		pollute(hog, hogFrac) // in-VM load pollutes like native load does
 		if hogFrac > 0 {
 			hog.Run(hogFrac)
 			// The guest's memhog touches its memory: the host must back it.

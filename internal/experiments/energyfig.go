@@ -14,7 +14,7 @@ import (
 )
 
 // designEnergyConfig maps a design to its energy-model description.
-func designEnergyConfig(d mmu.Design) energy.Config {
+func designEnergyConfig(d string) energy.Config {
 	switch d {
 	case mmu.DesignSkew:
 		return energy.Config{L1Entries: 96, L2Entries: 384, Timestamps: true}
@@ -28,7 +28,7 @@ func designEnergyConfig(d mmu.Design) energy.Config {
 }
 
 // figure16Designs are the multi-indexing competitors MIX is compared to.
-var figure16Designs = []string{string(mmu.DesignSkew), string(mmu.DesignRehash), string(mmu.DesignMix)}
+var figure16Designs = []string{mmu.DesignSkew, mmu.DesignRehash, mmu.DesignMix}
 
 // Figure16 regenerates the performance-energy scatter (Fig 16): for each
 // workload and multi-indexing design (skew-associative + predictor,
@@ -41,7 +41,7 @@ func Figure16(ctx context.Context, s Scale) (*stats.Table, error) {
 		Title:   "Figure 16: performance vs energy, relative to split",
 		Columns: []string{"design", "system", "workload", "perf-improvement-%", "energy-savings-%"},
 	}
-	specs, err := s.specs(append([]string{string(mmu.DesignSplit)}, figure16Designs...)...)
+	specs, err := s.specs(append([]string{mmu.DesignSplit}, figure16Designs...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +58,7 @@ func Figure16(ctx context.Context, s Scale) (*stats.Table, error) {
 			if !withCaches {
 				caches = nil
 			}
-			return est, model.TotalWithRuntime(st, caches, designEnergyConfig(mmu.Design(ds.Name)), est.TotalCycles), nil
+			return est, model.TotalWithRuntime(st, caches, designEnergyConfig(ds.Name), est.TotalCycles), nil
 		}
 		baseEst, baseE, err := energyOf(specs[0])
 		if err != nil {
@@ -135,7 +135,7 @@ func Figure17(ctx context.Context, s Scale) (*stats.Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				run := func(d mmu.Design) (energy.Breakdown, error) {
+				run := func(d string) (energy.Breakdown, error) {
 					st, caches, err := runGPU(ctx, cs, env, k, d)
 					if err != nil {
 						return energy.Breakdown{}, fmt.Errorf("fig17 %s %s: %w", k.Name, d, err)
@@ -153,12 +153,12 @@ func Figure17(ctx context.Context, s Scale) (*stats.Table, error) {
 					norm = 1
 				}
 				var rows []Row
-				for _, d := range []mmu.Design{mmu.DesignSplit, mmu.DesignRehash, mmu.DesignSkew, mmu.DesignMix} {
+				for _, d := range []string{mmu.DesignSplit, mmu.DesignRehash, mmu.DesignSkew, mmu.DesignMix} {
 					b, err := run(d)
 					if err != nil {
 						return nil, err
 					}
-					rows = append(rows, Row{string(d), k.Name, b.Lookup / norm, b.Walk / norm, b.Fill / norm, b.Other / norm, b.Total() / norm})
+					rows = append(rows, Row{d, k.Name, b.Lookup / norm, b.Walk / norm, b.Fill / norm, b.Other / norm, b.Total() / norm})
 				}
 				return rows, nil
 			},
@@ -170,7 +170,7 @@ func Figure17(ctx context.Context, s Scale) (*stats.Table, error) {
 }
 
 // figure18Designs are the coalescing variants compared against split.
-var figure18Designs = []string{string(mmu.DesignColt), string(mmu.DesignColtPP), string(mmu.DesignMix), string(mmu.DesignMixColt)}
+var figure18Designs = []string{mmu.DesignColt, mmu.DesignColtPP, mmu.DesignMix, mmu.DesignMixColt}
 
 // Figure18 regenerates the COLT comparison (Fig 18): average improvement
 // over split for COLT (coalescing 4KB pages only), COLT++ (all split
@@ -193,7 +193,7 @@ func Figure18(ctx context.Context, s Scale) (*stats.Table, error) {
 		cells  []Cell
 		groups []group
 	)
-	specs, err := s.specs(append([]string{string(mmu.DesignSplit)}, figure18Designs...)...)
+	specs, err := s.specs(append([]string{mmu.DesignSplit}, figure18Designs...)...)
 	if err != nil {
 		return nil, err
 	}

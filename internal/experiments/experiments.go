@@ -314,6 +314,20 @@ func (e *nativeEnv) flushTelemetry() {
 	e.as.FlushTelemetry()
 }
 
+// pollute sets how far a memhog load of frac pollutes memory. Heavy
+// background load does not just consume memory: on long-loaded systems,
+// migratetype fallbacks let unmovable allocations pollute movable
+// pageblocks, which is what ultimately defeats compaction and pushes the
+// OS into the mixed / mostly-small-pages regimes of Fig 9. Loads below
+// half of memory leave the hog's defaults.
+func pollute(hog *physmem.Memhog, frac float64) {
+	if frac < 0.5 {
+		return
+	}
+	hog.UnmovableFrac = min(0.25+(frac-0.4)*1.75, 0.95)
+	hog.UnmovableScatterFrac = min((frac-0.4)*4, 1)
+}
+
 // newNative builds an environment: memhog fragments first (background
 // load), then the address space is created (reserving hugetlbfs pools
 // under that fragmentation) and the footprint is faulted in ascending
@@ -321,20 +335,7 @@ func (e *nativeEnv) flushTelemetry() {
 func newNative(s Scale, policy osmm.Policy, memhogFrac float64) (*nativeEnv, error) {
 	phys := physmem.NewBuddy(s.MemoryBytes)
 	hog := physmem.NewMemhog(phys, simrand.New(s.Seed^0x9e37))
-	// Heavy background load does not just consume memory: on long-loaded
-	// systems, migratetype fallbacks let unmovable allocations pollute
-	// movable pageblocks, which is what ultimately defeats compaction and
-	// pushes the OS into the mixed / mostly-small-pages regimes of Fig 9.
-	if memhogFrac >= 0.5 {
-		hog.UnmovableFrac = 0.25 + (memhogFrac-0.4)*1.75
-		if hog.UnmovableFrac > 0.95 {
-			hog.UnmovableFrac = 0.95
-		}
-		hog.UnmovableScatterFrac = (memhogFrac - 0.4) * 4
-		if hog.UnmovableScatterFrac > 1 {
-			hog.UnmovableScatterFrac = 1
-		}
-	}
+	pollute(hog, memhogFrac)
 	if memhogFrac > 0 {
 		hog.Run(memhogFrac)
 	}

@@ -14,10 +14,10 @@ import (
 // MIX-as-L2 upgrade. Together they separate "better TLB" gains from
 // "cheaper walk" gains.
 var defaultHierarchyDesigns = []string{
-	string(mmu.DesignSplit),
-	string(mmu.DesignSplitPWC),
-	string(mmu.DesignMix),
-	string(mmu.DesignMixAsL2),
+	mmu.DesignSplit,
+	mmu.DesignSplitPWC,
+	mmu.DesignMix,
+	mmu.DesignMixAsL2,
 }
 
 // hierarchyMemhogFrac is the background fragmentation the study runs

@@ -35,9 +35,9 @@ func InvalidationStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 		name   string // pinned cell name (feeds the seed split)
 		design string // registry design the cell builds
 	}{
-		{"split", string(mmu.DesignSplit)},
-		{"mix-bitmap", string(mmu.DesignMix)},
-		{"mix-range", string(mmu.DesignMixRange)},
+		{"split", mmu.DesignSplit},
+		{"mix-bitmap", mmu.DesignMix},
+		{"mix-range", mmu.DesignMixRange},
 	}
 	const cores = 2
 	var cells []Cell
@@ -64,7 +64,7 @@ func InvalidationStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 				if _, err := as.Populate(base, fp); err != nil {
 					return nil, fmt.Errorf("invalidation study populate: %w", err)
 				}
-				sys, err := smp.NewFromSpec(cores, as, cachesim.DefaultHierarchy(), spec)
+				sys, err := smp.New(cores, as, cachesim.DefaultHierarchy(), spec)
 				if err != nil {
 					return nil, err
 				}

@@ -10,7 +10,6 @@ import (
 	"mixtlb/internal/mmu"
 	"mixtlb/internal/osmm"
 	"mixtlb/internal/perfmodel"
-	"mixtlb/internal/simrand"
 	"mixtlb/internal/stats"
 	"mixtlb/internal/workload"
 )
@@ -32,7 +31,7 @@ func Figure1(ctx context.Context, s Scale) (*stats.Table, error) {
 		Title:   "Figure 1: % runtime in address translation, split vs ideal",
 		Columns: []string{"workload", "policy", "split-%runtime", "ideal-%runtime"},
 	}
-	specs, err := s.specs(string(mmu.DesignSplit), string(mmu.DesignIdeal))
+	specs, err := s.specs(mmu.DesignSplit, mmu.DesignIdeal)
 	if err != nil {
 		return nil, err
 	}
@@ -72,26 +71,24 @@ func Figure1(ctx context.Context, s Scale) (*stats.Table, error) {
 // runGPU runs a kernel on a fresh GPU of the given design over the
 // environment, one stream per core: warmup, reset, measure. It returns
 // the measured stats and the cache hierarchy they charged.
-func runGPU(ctx context.Context, cs Scale, env *nativeEnv, k gpu.KernelSpec, d mmu.Design) (mmu.Stats, *cachesim.Hierarchy, error) {
+func runGPU(ctx context.Context, cs Scale, env *nativeEnv, k gpu.KernelSpec, d string) (mmu.Stats, *cachesim.Hierarchy, error) {
 	if err := ctx.Err(); err != nil {
 		return mmu.Stats{}, nil, err
 	}
 	caches := cachesim.DefaultHierarchy()
-	sys, err := gpu.New(gpu.Config{Cores: cs.GPUCores, Design: d}, env.as, caches)
+	sys, err := gpu.New(cs.GPUCores, d, env.as, caches)
 	if err != nil {
 		return mmu.Stats{}, nil, err
 	}
-	sys.AttachStreams(func(id int) workload.Stream {
-		return k.Build(id, cs.GPUCores, env.base, env.fp, simrand.New(cs.Seed+uint64(id)))
-	})
-	if err := sys.Run(cs.WarmupRefs); err != nil {
+	streams := k.Streams(len(sys.Cores()), env.base, env.fp, cs.Seed)
+	if err := sys.Run(streams, cs.WarmupRefs); err != nil {
 		return mmu.Stats{}, nil, err
 	}
 	sys.ResetStats()
-	if err := sys.Run(cs.MeasureRefs); err != nil {
+	if err := sys.Run(streams, cs.MeasureRefs); err != nil {
 		return mmu.Stats{}, nil, err
 	}
-	return sys.Stats(), caches, nil
+	return sys.Aggregate(), caches, nil
 }
 
 // gpuImprovement measures MIX's improvement over split for one kernel.
@@ -151,7 +148,7 @@ func Figure14(ctx context.Context, s Scale) (*stats.Table, error) {
 		{"1GB", osmm.Hugetlbfs1G},
 		{"THS", osmm.THS},
 	}
-	pair, err := s.specs(string(mmu.DesignSplit), string(mmu.DesignMix))
+	pair, err := s.specs(mmu.DesignSplit, mmu.DesignMix)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +241,7 @@ func Figure15Left(ctx context.Context, s Scale) (*stats.Table, error) {
 		cells  []Cell
 		groups []group
 	)
-	pair, err := s.specs(string(mmu.DesignSplit), string(mmu.DesignMix))
+	pair, err := s.specs(mmu.DesignSplit, mmu.DesignMix)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +315,7 @@ func Figure15Right(ctx context.Context, s Scale) (*stats.Table, error) {
 		cells  []Cell
 		groups []group
 	)
-	designs, err := s.specs(string(mmu.DesignSplit), string(mmu.DesignMix))
+	designs, err := s.specs(mmu.DesignSplit, mmu.DesignMix)
 	if err != nil {
 		return nil, err
 	}

@@ -18,11 +18,11 @@ import (
 // spill evicted entries into cache-resident victim bundles. The split
 // baseline anchors both; victima-lite shows capacity sensitivity.
 var defaultReachDesigns = []string{
-	string(mmu.DesignSplit),
-	string(mmu.DesignMix),
-	string(mmu.DesignVictima),
-	string(mmu.DesignVictimaLite),
-	string(mmu.DesignMixVictima),
+	mmu.DesignSplit,
+	mmu.DesignMix,
+	mmu.DesignVictima,
+	mmu.DesignVictimaLite,
+	mmu.DesignMixVictima,
 }
 
 // reachMemhogFracs are the fragmentation points of the study. 0.55 is

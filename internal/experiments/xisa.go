@@ -22,12 +22,12 @@ var xisaISAs = []string{"x86-64", "x86-64-la57", "sv48-napot", "arm64-contig"}
 // small-page COLT coalescing, the drop-in MIX-as-L2 upgrade, and the
 // cache-backed victim hierarchy.
 var xisaDesigns = []string{
-	string(mmu.DesignSplit),
-	string(mmu.DesignSplitPWC),
-	string(mmu.DesignMix),
-	string(mmu.DesignMixColt),
-	string(mmu.DesignMixAsL2),
-	string(mmu.DesignVictima),
+	mmu.DesignSplit,
+	mmu.DesignSplitPWC,
+	mmu.DesignMix,
+	mmu.DesignMixColt,
+	mmu.DesignMixAsL2,
+	mmu.DesignVictima,
 }
 
 // CrossISAStudy runs the headline designs across translation

@@ -1,10 +1,11 @@
 // Package gpu models CPU-GPU shared virtual memory address translation
 // (Sec 2, 6.3): a GPU of many shader cores, each with private L1 TLBs,
 // sharing an L2 TLB, a hardware page-table walker, and the process page
-// table with the CPU ("a pointer is a pointer everywhere"). GPU TLBs
-// service hundreds of concurrent threads, so per-core reference streams
-// are interleaved round-robin, producing the heavy, low-locality TLB
-// traffic that makes GPUs so sensitive to TLB design.
+// table with the CPU ("a pointer is a pointer everywhere"). A GPU is an
+// smp.System whose cores share one L2 TLB: GPU TLBs service hundreds of
+// concurrent threads, so smp's round-robin interleaving of per-core
+// streams produces the heavy, low-locality TLB traffic that makes GPUs so
+// sensitive to TLB design.
 package gpu
 
 import (
@@ -16,33 +17,18 @@ import (
 	"mixtlb/internal/mmu"
 	"mixtlb/internal/osmm"
 	"mixtlb/internal/simrand"
+	"mixtlb/internal/smp"
 	"mixtlb/internal/tlb"
 	"mixtlb/internal/workload"
 )
 
-// Config sizes the GPU.
-type Config struct {
-	// Cores is the number of shader cores (each gets private L1 TLBs).
-	Cores int
-	// Design selects the TLB organization per core + shared L2.
-	Design mmu.Design
-}
-
 // DefaultCores matches the scale of the gem5-gpu studies the paper cites.
 const DefaultCores = 16
-
-// System is a GPU attached to a process address space.
-type System struct {
-	cfg     Config
-	cores   []*mmu.MMU
-	streams []workload.Stream
-	as      *osmm.AddressSpace
-}
 
 // perCoreL1 builds the paper's GPU L1 TLBs (Sec 6.3): per shader core, a
 // 128-entry 4-way set-associative 4KB TLB next to split superpage TLBs
 // (32-entry 4-way 2MB, 4-entry fully-associative 1GB).
-func perCoreL1(design mmu.Design, coreID int) (tlb.TLB, error) {
+func perCoreL1(design string, coreID int) (tlb.TLB, error) {
 	switch design {
 	case mmu.DesignSplit:
 		small, e1 := tlb.NewSetAssoc("gpu-4K", addr.Page4K, 32, 4)
@@ -65,21 +51,21 @@ func perCoreL1(design mmu.Design, coreID int) (tlb.TLB, error) {
 		if err := firstErr(e1, e2); err != nil {
 			return nil, err
 		}
-		return tlb.NewPredictedRehash(inner, pred), nil
+		return tlb.NewPredicted(inner, pred), nil
 	case mmu.DesignSkew:
 		inner, e1 := tlb.NewSkewAllSizes(fmt.Sprintf("gpu-skew-L1.%d", coreID), 16, 2)
 		pred, e2 := tlb.NewSizePredictor(256)
 		if err := firstErr(e1, e2); err != nil {
 			return nil, err
 		}
-		return tlb.NewPredictedSkew(inner, pred), nil
+		return tlb.NewPredicted(inner, pred), nil
 	default:
 		return nil, fmt.Errorf("gpu: unsupported design %q", design)
 	}
 }
 
 // sharedL2 builds the GPU-wide L2 TLB for a design.
-func sharedL2(design mmu.Design) (tlb.TLB, error) {
+func sharedL2(design string) (tlb.TLB, error) {
 	switch design {
 	case mmu.DesignSplit:
 		hr, e1 := tlb.NewHashRehash("gpu-L2-4K2M", 128, 4, addr.Page4K, addr.Page2M)
@@ -98,14 +84,14 @@ func sharedL2(design mmu.Design) (tlb.TLB, error) {
 		if err := firstErr(e1, e2); err != nil {
 			return nil, err
 		}
-		return tlb.NewPredictedRehash(inner, pred), nil
+		return tlb.NewPredicted(inner, pred), nil
 	case mmu.DesignSkew:
 		inner, e1 := tlb.NewSkewAllSizes("gpu-skew-L2", 64, 2)
 		pred, e2 := tlb.NewSizePredictor(256)
 		if err := firstErr(e1, e2); err != nil {
 			return nil, err
 		}
-		return tlb.NewPredictedSkew(inner, pred), nil
+		return tlb.NewPredicted(inner, pred), nil
 	default:
 		return nil, fmt.Errorf("gpu: unsupported design %q", design)
 	}
@@ -120,78 +106,34 @@ func firstErr(errs ...error) error {
 	return nil
 }
 
-// New builds a GPU over the process address space; every core shares the
-// L2 TLB, cache hierarchy, and page table, as in gem5-gpu models.
-func New(cfg Config, as *osmm.AddressSpace, caches *cachesim.Hierarchy) (*System, error) {
-	if cfg.Cores <= 0 {
-		cfg.Cores = DefaultCores
+// New builds a GPU of the given design over the process address space:
+// each of cores shader cores (DefaultCores if cores <= 0) gets private L1
+// TLBs, and every core shares the L2 TLB, cache hierarchy, and page
+// table, as in gem5-gpu models.
+func New(cores int, design string, as *osmm.AddressSpace, caches *cachesim.Hierarchy) (*smp.System, error) {
+	if cores <= 0 {
+		cores = DefaultCores
 	}
-	s := &System{cfg: cfg, as: as}
-	l2, err := sharedL2(cfg.Design)
+	l2, err := sharedL2(design)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < cfg.Cores; i++ {
-		l1, err := perCoreL1(cfg.Design, i)
+	mmus := make([]*mmu.MMU, cores)
+	for i := range mmus {
+		l1, err := perCoreL1(design, i)
 		if err != nil {
 			return nil, err
 		}
-		m, err := mmu.New(mmu.Config{
-			Name:   fmt.Sprintf("%s.core%d", cfg.Design, i),
+		mmus[i], err = mmu.New(mmu.Config{
+			Name:   fmt.Sprintf("%s.core%d", design, i),
 			Levels: mmu.L(l1, l2),
 		}, as.PageTable(), caches, as.HandleFault)
 		if err != nil {
 			return nil, err
 		}
-		s.cores = append(s.cores, m)
 	}
-	return s, nil
+	return smp.FromCores(as, mmus), nil
 }
-
-// AttachStreams gives each core its reference stream. The builder
-// receives the core index so workloads can tile their data.
-func (s *System) AttachStreams(build func(coreID int) workload.Stream) {
-	s.streams = s.streams[:0]
-	for i := range s.cores {
-		s.streams = append(s.streams, build(i))
-	}
-}
-
-// Run interleaves n references round-robin across the cores, the
-// many-threads-in-flight pattern of a GPU. Faults abort with an error.
-func (s *System) Run(n uint64) error {
-	if len(s.streams) != len(s.cores) {
-		return fmt.Errorf("gpu: %d streams for %d cores", len(s.streams), len(s.cores))
-	}
-	for i := uint64(0); i < n; i++ {
-		c := int(i) % len(s.cores)
-		ref := s.streams[c].Next()
-		res := s.cores[c].Translate(tlb.Request{VA: ref.VA, Write: ref.Write, PC: ref.PC})
-		if res.Faulted {
-			return fmt.Errorf("gpu: core %d faulted at %v", c, ref.VA)
-		}
-	}
-	return nil
-}
-
-// ResetStats zeroes all core counters (for warm-up separation).
-func (s *System) ResetStats() {
-	for _, c := range s.cores {
-		c.ResetStats()
-	}
-}
-
-// Stats sums all cores' counters.
-func (s *System) Stats() mmu.Stats {
-	var total mmu.Stats
-	for _, c := range s.cores {
-		total.Add(c.Stats())
-	}
-	return total
-}
-
-// Cores exposes the per-core MMUs (diagnostics).
-func (s *System) Cores() []*mmu.MMU { return s.cores }
 
 // KernelSpec is a Rodinia-style GPU workload: a per-core stream builder
 // over a shared data region.
@@ -199,6 +141,17 @@ type KernelSpec struct {
 	Name string
 	// Build returns core coreID's stream over [base, base+footprint).
 	Build func(coreID, cores int, base addr.V, footprint uint64, rng *simrand.Source) workload.Stream
+}
+
+// Streams builds the kernel's per-core streams for a GPU of the given
+// core count over [base, base+footprint), seeding core i's generator
+// with seed+i.
+func (k KernelSpec) Streams(cores int, base addr.V, footprint, seed uint64) []workload.Stream {
+	streams := make([]workload.Stream, cores)
+	for i := range streams {
+		streams[i] = k.Build(i, cores, base, footprint, simrand.New(seed+uint64(i)))
+	}
+	return streams
 }
 
 // Kernels returns the GPU workload suite, mirroring the locality classes

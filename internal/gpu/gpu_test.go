@@ -9,10 +9,11 @@ import (
 	"mixtlb/internal/osmm"
 	"mixtlb/internal/physmem"
 	"mixtlb/internal/simrand"
+	"mixtlb/internal/smp"
 	"mixtlb/internal/workload"
 )
 
-func newGPUEnv(t *testing.T, policy osmm.Policy, design mmu.Design, cores int) (*System, addr.V, uint64) {
+func newGPUEnv(t *testing.T, policy osmm.Policy, design string, cores int) (*smp.System, addr.V, uint64) {
 	t.Helper()
 	phys := physmem.NewBuddy(4 << 30)
 	as, err := osmm.New(phys, osmm.Config{Policy: policy})
@@ -27,25 +28,30 @@ func newGPUEnv(t *testing.T, policy osmm.Policy, design mmu.Design, cores int) (
 	if _, err := as.Populate(base, fp); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(Config{Cores: cores, Design: design}, as, cachesim.DefaultHierarchy())
+	sys, err := New(cores, design, as, cachesim.DefaultHierarchy())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sys, base, fp
 }
 
+// coreStreams builds one stream per core of sys.
+func coreStreams(sys *smp.System, build func(coreID int) workload.Stream) []workload.Stream {
+	streams := make([]workload.Stream, len(sys.Cores()))
+	for i := range streams {
+		streams[i] = build(i)
+	}
+	return streams
+}
+
 func TestRunAllKernelsBothDesigns(t *testing.T) {
-	for _, design := range []mmu.Design{mmu.DesignSplit, mmu.DesignMix} {
+	for _, design := range []string{mmu.DesignSplit, mmu.DesignMix} {
 		for _, k := range Kernels() {
 			sys, base, fp := newGPUEnv(t, osmm.THS, design, 4)
-			kernel := k
-			sys.AttachStreams(func(id int) workload.Stream {
-				return kernel.Build(id, 4, base, fp, simrand.New(uint64(id)))
-			})
-			if err := sys.Run(20000); err != nil {
+			if err := sys.Run(k.Streams(4, base, fp, 0), 20000); err != nil {
 				t.Fatalf("%s/%s: %v", design, k.Name, err)
 			}
-			st := sys.Stats()
+			st := sys.Aggregate()
 			if st.Accesses != 20000 {
 				t.Errorf("%s/%s accesses = %d", design, k.Name, st.Accesses)
 			}
@@ -62,19 +68,19 @@ func TestMixBeatsSplitOnSuperpageGPU(t *testing.T) {
 	// through its small dedicated 2MB L1 (64MB of reach) while MIX uses
 	// its whole L1 for coalesced superpage bundles (hundreds of MB), so
 	// MIX spends fewer cycles per translation.
-	run := func(design mmu.Design) float64 {
+	run := func(design string) float64 {
 		sys, base, fp := newGPUEnv(t, osmm.THS, design, 4)
-		sys.AttachStreams(func(id int) workload.Stream {
+		streams := coreStreams(sys, func(id int) workload.Stream {
 			return workload.NewZipf(base, fp/2, simrand.New(uint64(100+id)), 0.99, 0.05, 42)
 		})
-		if err := sys.Run(30000); err != nil {
+		if err := sys.Run(streams, 30000); err != nil {
 			t.Fatal(err)
 		}
 		sys.ResetStats()
-		if err := sys.Run(30000); err != nil {
+		if err := sys.Run(streams, 30000); err != nil {
 			t.Fatal(err)
 		}
-		return sys.Stats().CyclesPerAccess()
+		return sys.Aggregate().CyclesPerAccess()
 	}
 	split := run(mmu.DesignSplit)
 	mix := run(mmu.DesignMix)
@@ -90,8 +96,7 @@ func TestCoresShareL2(t *testing.T) {
 	sameStream := func(id int) workload.Stream {
 		return workload.NewSequential(base, fp/64, 4096, false, 1)
 	}
-	sys.AttachStreams(sameStream)
-	if err := sys.Run(4000); err != nil {
+	if err := sys.Run(coreStreams(sys, sameStream), 4000); err != nil {
 		t.Fatal(err)
 	}
 	var l2hits uint64
@@ -105,13 +110,13 @@ func TestCoresShareL2(t *testing.T) {
 
 func TestStatsAggregation(t *testing.T) {
 	sys, base, fp := newGPUEnv(t, osmm.BasePages, mmu.DesignMix, 3)
-	sys.AttachStreams(func(id int) workload.Stream {
+	streams := coreStreams(sys, func(id int) workload.Stream {
 		return workload.NewUniform(base, fp, simrand.New(uint64(id)), 0.5, 7)
 	})
-	if err := sys.Run(9999); err != nil {
+	if err := sys.Run(streams, 9999); err != nil {
 		t.Fatal(err)
 	}
-	st := sys.Stats()
+	st := sys.Aggregate()
 	if st.Accesses != 9999 {
 		t.Errorf("aggregated accesses = %d", st.Accesses)
 	}
@@ -129,7 +134,7 @@ func TestStatsAggregation(t *testing.T) {
 
 func TestRunWithoutStreamsFails(t *testing.T) {
 	sys, _, _ := newGPUEnv(t, osmm.BasePages, mmu.DesignSplit, 2)
-	if err := sys.Run(10); err == nil {
+	if err := sys.Run(nil, 10); err == nil {
 		t.Error("Run without streams succeeded")
 	}
 }
@@ -147,12 +152,12 @@ func TestKernelByName(t *testing.T) {
 }
 
 func TestAllDesignsSupported(t *testing.T) {
-	for _, d := range []mmu.Design{mmu.DesignSplit, mmu.DesignMix, mmu.DesignRehash, mmu.DesignSkew} {
+	for _, d := range []string{mmu.DesignSplit, mmu.DesignMix, mmu.DesignRehash, mmu.DesignSkew} {
 		sys, base, fp := newGPUEnv(t, osmm.THS, d, 2)
-		sys.AttachStreams(func(id int) workload.Stream {
+		streams := coreStreams(sys, func(id int) workload.Stream {
 			return workload.NewSequential(base, fp, 64, false, 3)
 		})
-		if err := sys.Run(1000); err != nil {
+		if err := sys.Run(streams, 1000); err != nil {
 			t.Errorf("%s: %v", d, err)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // allTestDesigns is every comparable design plus the superpage-index
 // ablation and the cache-backed victim designs, so equivalence
 // guarantees cover the full catalog.
-func allTestDesigns() []Design {
+func allTestDesigns() []string {
 	return append(AllDesigns(), DesignMixSuperIndex,
 		DesignVictima, DesignMixVictima, DesignVictimaLite)
 }
@@ -69,10 +69,10 @@ func randomRequests(seed uint64, mapped []mappedPage, n int) []tlb.Request {
 	return reqs
 }
 
-func buildDesign(t *testing.T, d Design, pages4k int) *MMU {
+func buildDesign(t *testing.T, d string, pages4k int) *MMU {
 	t.Helper()
 	e, _ := buildRefEnv(t, pages4k)
-	m, err := Build(d, e.pt, e.pt, e.caches, nil)
+	m, err := DefaultRegistry().Build(d, e.pt, e.pt, e.caches, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func buildDesign(t *testing.T, d Design, pages4k int) *MMU {
 func TestTranslateBatchMatchesScalar(t *testing.T) {
 	const pages4k = 1024
 	for _, d := range allTestDesigns() {
-		t.Run(string(d), func(t *testing.T) {
+		t.Run(d, func(t *testing.T) {
 			_, mapped := buildRefEnv(t, pages4k)
 			reqs := randomRequests(0xfeed+uint64(len(d)), mapped, 20000)
 
@@ -139,7 +139,7 @@ func TestTranslateBatchMatchesScalar(t *testing.T) {
 // produced.
 func TestTranslateBatchFaultStops(t *testing.T) {
 	e, mapped := buildRefEnv(t, 4)
-	m, err := Build(DesignSplit, e.pt, e.pt, e.caches, nil)
+	m, err := DefaultRegistry().Build(DesignSplit, e.pt, e.pt, e.caches, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestTranslateZeroAlloc(t *testing.T) {
 	}
 	const pages4k = 1024
 	for _, d := range allTestDesigns() {
-		t.Run(string(d), func(t *testing.T) {
+		t.Run(d, func(t *testing.T) {
 			_, mapped := buildRefEnv(t, pages4k)
 			reqs := randomRequests(0xa110c+uint64(len(d)), mapped, 4096)
 			m := buildDesign(t, d, pages4k)

@@ -10,7 +10,7 @@ import (
 
 // chaosEnv maps a small mixed-size working set and returns the MMU plus
 // the expected PA for each VA.
-func chaosEnv(t *testing.T, d Design) (*env, *MMU, map[addr.V]addr.P) {
+func chaosEnv(t *testing.T, d string) (*env, *MMU, map[addr.V]addr.P) {
 	t.Helper()
 	e := newEnv(t)
 	want := map[addr.V]addr.P{}
@@ -22,7 +22,7 @@ func chaosEnv(t *testing.T, d Design) (*env, *MMU, map[addr.V]addr.P) {
 		va := addr.V(0x10000000 + i*addr.Size4K)
 		want[va] = e.mapPage(t, va, addr.Page4K)
 	}
-	m := mustBuild(Build(d, e.pt, e.pt, e.caches, nil))
+	m := mustBuild(DefaultRegistry().Build(d, e.pt, e.pt, e.caches, nil))
 	return e, m, want
 }
 

@@ -18,7 +18,7 @@ import (
 func TestLedgerConservationAllDesigns(t *testing.T) {
 	const pages4k = 1024
 	for _, d := range allTestDesigns() {
-		t.Run(string(d), func(t *testing.T) {
+		t.Run(d, func(t *testing.T) {
 			_, mapped := buildRefEnv(t, pages4k)
 			reqs := randomRequests(0x1ed6e4+uint64(len(d)), mapped, 6000)
 			m := buildDesign(t, d, pages4k)
@@ -122,8 +122,8 @@ func checkConservation(t *testing.T, m *MMU, resultSum uint64) {
 // cycles land in the chaos-retry category instead of polluting the
 // steady-state ones.
 func TestLedgerConservationUnderChaos(t *testing.T) {
-	for _, d := range []Design{DesignSplit, DesignMix, DesignVictima, DesignSplitPWC} {
-		t.Run(string(d), func(t *testing.T) {
+	for _, d := range []string{DesignSplit, DesignMix, DesignVictima, DesignSplitPWC} {
+		t.Run(d, func(t *testing.T) {
 			e, m, want := chaosEnv(t, d)
 			m.InjectFaults(chaos.NewInjector(11, chaos.Rates{
 				TLBCorrupt: 0.05, SilentFrac: 0.6, PTECorrupt: 0.05,
@@ -217,7 +217,7 @@ func TestAttributionFoldsRetries(t *testing.T) {
 func TestLedgerObserverOnly(t *testing.T) {
 	const pages4k = 512
 	for _, d := range allTestDesigns() {
-		t.Run(string(d), func(t *testing.T) {
+		t.Run(d, func(t *testing.T) {
 			reqs := randomRequests(0x0b5e4e4+uint64(len(d)), nil2mapped(t, pages4k), 4000)
 			bare := buildDesign(t, d, pages4k)
 			wired := buildDesign(t, d, pages4k)
@@ -293,7 +293,7 @@ func TestTranslateZeroAllocLedgerEnabled(t *testing.T) {
 	}
 	const pages4k = 1024
 	for _, d := range allTestDesigns() {
-		t.Run(string(d), func(t *testing.T) {
+		t.Run(d, func(t *testing.T) {
 			_, mapped := buildRefEnv(t, pages4k)
 			reqs := randomRequests(0xa110c+uint64(len(d)), mapped, 4096)
 			for _, attach := range []bool{false, true} {

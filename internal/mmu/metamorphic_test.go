@@ -85,12 +85,12 @@ func victimOf(m *MMU) (*tlb.Victim, int) {
 //  4. promote-on-deep-hit removes the served page from the victim.
 func TestVictimInvariants(t *testing.T) {
 	const pages4k = 2048
-	for _, d := range []Design{DesignVictima, DesignVictimaLite, DesignMixVictima} {
+	for _, d := range []string{DesignVictima, DesignVictimaLite, DesignMixVictima} {
 		d := d
-		t.Run(string(d), func(t *testing.T) {
+		t.Run(d, func(t *testing.T) {
 			e, mapped := buildRefEnv(t, pages4k)
 			reqs := randomRequests(0x71c71c+uint64(len(d)), mapped, 30000)
-			m, err := Build(d, e.pt, e.pt, e.caches, nil)
+			m, err := DefaultRegistry().Build(d, e.pt, e.pt, e.caches, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,7 +171,7 @@ func TestVictimShootdownConsistency(t *testing.T) {
 	const pages4k = 2048
 	e, mapped := buildRefEnv(t, pages4k)
 	reqs := randomRequests(0x5078d0, mapped, 30000)
-	m, err := Build(DesignVictima, e.pt, e.pt, e.caches, nil)
+	m, err := DefaultRegistry().Build(DesignVictima, e.pt, e.pt, e.caches, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

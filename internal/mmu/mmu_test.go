@@ -41,7 +41,7 @@ func (e *env) mapPage(t *testing.T, va addr.V, size addr.PageSize) addr.P {
 }
 
 func splitMMU(e *env, fault FaultHandler) *MMU {
-	return mustBuild(Build(DesignSplit, e.pt, e.pt, e.caches, fault))
+	return mustBuild(DefaultRegistry().Build(DesignSplit, e.pt, e.pt, e.caches, fault))
 }
 
 // mustBuild unwraps constructor errors in tests, where configs are static.
@@ -194,7 +194,7 @@ func TestInvalidateShootdown(t *testing.T) {
 func TestIdealDesignNeverWalksTwice(t *testing.T) {
 	e := newEnv(t)
 	e.mapPage(t, 0x200000, addr.Page2M)
-	m := mustBuild(Build(DesignIdeal, e.pt, e.pt, e.caches, nil))
+	m := mustBuild(DefaultRegistry().Build(DesignIdeal, e.pt, e.pt, e.caches, nil))
 	r := m.Translate(tlb.Request{VA: 0x234567})
 	if !r.L1Hit || r.Cycles != DefaultLatencies().L1Hit {
 		t.Fatalf("ideal access: %+v", r)
@@ -213,7 +213,7 @@ func TestIdealDemandPagingIsFree(t *testing.T) {
 		}
 		return e.pt.Map(va.PageBase(addr.Page4K), pa, addr.Page4K, addr.PermRW) == nil
 	}
-	m := mustBuild(Build(DesignIdeal, e.pt, e.pt, e.caches, handler))
+	m := mustBuild(DefaultRegistry().Build(DesignIdeal, e.pt, e.pt, e.caches, handler))
 	r := m.Translate(tlb.Request{VA: 0x5000})
 	if r.Faulted || r.PA == 0 {
 		t.Fatalf("ideal demand paging: %+v", r)
@@ -238,7 +238,7 @@ func TestAllDesignsTranslateCorrectly(t *testing.T) {
 		want[0x40000000] = pa1
 		want[0x200000+0x7ffff] = pa2 + 0x7ffff
 		want[0x1000+0xfff] = pa4 + 0xfff
-		m := mustBuild(Build(d, e.pt, e.pt, e.caches, nil))
+		m := mustBuild(DefaultRegistry().Build(d, e.pt, e.pt, e.caches, nil))
 		for round := 0; round < 3; round++ { // cold, warm, warm
 			for _, va := range vas {
 				r := m.Translate(tlb.Request{VA: va, Write: round == 2})
@@ -257,7 +257,7 @@ func TestAllDesignsTranslateCorrectly(t *testing.T) {
 
 func TestUnknownDesignErrors(t *testing.T) {
 	e := newEnv(t)
-	if _, err := Build(Design("bogus"), e.pt, e.pt, e.caches, nil); err == nil {
+	if _, err := DefaultRegistry().Build("bogus", e.pt, e.pt, e.caches, nil); err == nil {
 		t.Fatal("no error for unknown design")
 	}
 }
@@ -350,7 +350,7 @@ func TestHashRehashProbeLatency(t *testing.T) {
 	e := newEnv(t)
 	e.mapPage(t, 0x1000, addr.Page4K)
 	e.mapPage(t, 0x40000000, addr.Page1G)
-	m := mustBuild(Build(DesignRehash, e.pt, e.pt, e.caches, nil))
+	m := mustBuild(DefaultRegistry().Build(DesignRehash, e.pt, e.pt, e.caches, nil))
 	m.Translate(tlb.Request{VA: 0x1000, PC: 1})
 	m.Translate(tlb.Request{VA: 0x40000000, PC: 2})
 	// Warm hits; PC 2 is now trained to predict 1GB, so use a fresh PC to
@@ -382,7 +382,7 @@ func TestDirtyGroupRefreshThroughMMU(t *testing.T) {
 		}
 		e.pt.SetAccessed(va)
 	}
-	m := mustBuild(Build(DesignMix, e.pt, e.pt, e.caches, nil))
+	m := mustBuild(DefaultRegistry().Build(DesignMix, e.pt, e.pt, e.caches, nil))
 	// Write every member once: 8 micro-ops (one per member's first store).
 	for i := 0; i < 8; i++ {
 		m.Translate(tlb.Request{VA: baseVA + addr.V(i)<<21, Write: true})

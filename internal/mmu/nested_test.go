@@ -51,11 +51,11 @@ func TestTranslateZeroAllocNested(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	for _, d := range []Design{DesignSplit, DesignMix} {
-		t.Run(string(d), func(t *testing.T) {
+	for _, d := range []string{DesignSplit, DesignMix} {
+		t.Run(d, func(t *testing.T) {
 			vm, reqs := nestedWalkHeavy(t, 0x2d, 4096)
 			for _, attach := range []bool{false, true} {
-				m, err := Build(d, vm.Walker(), nil, cachesim.DefaultHierarchy(), vm.HandleFault)
+				m, err := DefaultRegistry().Build(d, vm.Walker(), nil, cachesim.DefaultHierarchy(), vm.HandleFault)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -88,10 +88,10 @@ func TestTranslateZeroAllocNested(t *testing.T) {
 // nested walker, whose 2D walks and dirty assists run through the same
 // charge site as native ones.
 func TestCycleConservationNested(t *testing.T) {
-	for _, d := range []Design{DesignSplit, DesignMix, DesignSplitPWC} {
-		t.Run(string(d), func(t *testing.T) {
+	for _, d := range []string{DesignSplit, DesignMix, DesignSplitPWC} {
+		t.Run(d, func(t *testing.T) {
 			vm, reqs := nestedWalkHeavy(t, 0xc2d, 6000)
-			m, err := Build(d, vm.Walker(), nil, cachesim.DefaultHierarchy(), vm.HandleFault)
+			m, err := DefaultRegistry().Build(d, vm.Walker(), nil, cachesim.DefaultHierarchy(), vm.HandleFault)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -365,7 +365,7 @@ func (s DesignSpec) buildLevel(i int, pt *pagetable.PageTable, desc *isa.Descrip
 		if err != nil {
 			return nil, err
 		}
-		return tlb.NewPredictedRehash(inner, pred), nil
+		return tlb.NewPredicted(inner, pred), nil
 	case KindSkewPred:
 		inner, err := tlb.NewSkewAllSizes(s.levelName(i), l.Sets, l.Ways)
 		if err != nil {
@@ -375,7 +375,7 @@ func (s DesignSpec) buildLevel(i int, pt *pagetable.PageTable, desc *isa.Descrip
 		if err != nil {
 			return nil, err
 		}
-		return tlb.NewPredictedSkew(inner, pred), nil
+		return tlb.NewPredicted(inner, pred), nil
 	case KindIdeal:
 		if pt == nil {
 			return nil, fmt.Errorf("design %q: ideal level requires the native page table", s.Name)

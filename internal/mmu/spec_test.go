@@ -127,10 +127,10 @@ func TestRegistryBuiltinsConstruct(t *testing.T) {
 			t.Errorf("design %q has no hierarchy levels", n)
 		}
 	}
-	// Every legacy Design constant must resolve.
+	// Every Design constant must resolve.
 	for _, d := range append(AllDesigns(), DesignMixSuperIndex, DesignMixRange,
 		DesignMixAsL2, DesignSplitPWC, DesignVictima, DesignMixVictima, DesignVictimaLite) {
-		if _, ok := reg.Lookup(string(d)); !ok {
+		if _, ok := reg.Lookup(d); !ok {
 			t.Errorf("design constant %q missing from registry", d)
 		}
 	}

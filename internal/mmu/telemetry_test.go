@@ -19,7 +19,7 @@ func TestTranslateZeroAllocTelemetryDisabled(t *testing.T) {
 	}
 	const pages4k = 1024
 	for _, d := range allTestDesigns() {
-		t.Run(string(d), func(t *testing.T) {
+		t.Run(d, func(t *testing.T) {
 			_, mapped := buildRefEnv(t, pages4k)
 			reqs := randomRequests(0x7e1+uint64(len(d)), mapped, 4096)
 			m := buildDesign(t, d, pages4k)
@@ -53,7 +53,7 @@ func TestTranslateZeroAllocTelemetryEnabled(t *testing.T) {
 	}
 	const pages4k = 1024
 	for _, d := range allTestDesigns() {
-		t.Run(string(d), func(t *testing.T) {
+		t.Run(d, func(t *testing.T) {
 			_, mapped := buildRefEnv(t, pages4k)
 			reqs := randomRequests(0x7e2+uint64(len(d)), mapped, 4096)
 			m := buildDesign(t, d, pages4k)

@@ -1,8 +1,9 @@
-// Package smp models a multi-core CPU sharing one address space: every
-// core has its own two-level TLB hierarchy, all cores share the page
-// table, the cache hierarchy, and the OS — and page-table updates
-// broadcast TLB shootdowns to every core (Sec 4.4's invalidation
-// operations, exercised under real sharing).
+// Package smp models a multi-core machine sharing one address space:
+// every core has its own MMU, all cores share the page table, the cache
+// hierarchy, and the OS — and page-table updates broadcast TLB shootdowns
+// to every core (Sec 4.4's invalidation operations, exercised under real
+// sharing). CPU cores each build their own TLB hierarchy (New); GPU
+// shader cores share an L2 TLB (package gpu builds them with FromCores).
 //
 // The interesting design consequence for MIX TLBs: invalidating one
 // superpage touches mirror copies in many sets, and the two bundle
@@ -25,12 +26,6 @@ import (
 	"mixtlb/internal/tlb"
 	"mixtlb/internal/workload"
 )
-
-// Config sizes the system.
-type Config struct {
-	Cores  int
-	Design mmu.Design
-}
 
 // maxIPIRetries bounds the shootdown retry protocol: after this many lost
 // IPIs to one core, delivery is forced (the NMI-class fallback real
@@ -55,33 +50,43 @@ type Stats struct {
 
 // System is a multi-core machine over one OS address space.
 type System struct {
-	cfg    Config
-	as     *osmm.AddressSpace
-	caches *cachesim.Hierarchy
-	cores  []*mmu.MMU
-	chaos  *chaos.Injector
-	stats  Stats
+	as    *osmm.AddressSpace
+	cores []*mmu.MMU
+	chaos *chaos.Injector
+	stats Stats
 
 	// tel is the telemetry hook block, nil unless AttachTelemetry enabled
 	// it.
 	tel *smpTel
 }
 
-// New builds the system; all cores share the cache hierarchy and fault
-// into the same OS.
-func New(cfg Config, as *osmm.AddressSpace, caches *cachesim.Hierarchy) (*System, error) {
-	if cfg.Cores <= 0 {
-		cfg.Cores = 4
+// New builds a system of cores whose MMUs each construct a fresh
+// hierarchy from spec, which need not be a registered design. All cores
+// share the cache hierarchy and fault into the same OS. Cores get
+// distinct MMU names ("<design>.core<i>") so multi-core telemetry keeps
+// per-core series.
+func New(cores int, as *osmm.AddressSpace, caches *cachesim.Hierarchy, spec mmu.DesignSpec) (*System, error) {
+	if cores <= 0 {
+		cores = 4
 	}
-	s := &System{cfg: cfg, as: as, caches: caches}
-	for i := 0; i < cfg.Cores; i++ {
-		m, err := mmu.Build(cfg.Design, as.PageTable(), as.PageTable(), caches, as.HandleFault)
+	mmus := make([]*mmu.MMU, cores)
+	for i := range mmus {
+		cfg, err := spec.BuildConfig(as.PageTable())
 		if err != nil {
 			return nil, fmt.Errorf("smp: core %d: %w", i, err)
 		}
-		s.cores = append(s.cores, m)
+		cfg.Name = fmt.Sprintf("%s.core%d", spec.Name, i)
+		if mmus[i], err = mmu.New(cfg, as.PageTable(), caches, as.HandleFault); err != nil {
+			return nil, fmt.Errorf("smp: core %d: %w", i, err)
+		}
 	}
-	return s, nil
+	return FromCores(as, mmus), nil
+}
+
+// FromCores wraps already-built per-core MMUs over one address space, for
+// systems whose cores share TLB levels (the GPU's shared L2).
+func FromCores(as *osmm.AddressSpace, cores []*mmu.MMU) *System {
+	return &System{as: as, cores: cores}
 }
 
 // SetChaos attaches a fault injector to the shootdown interconnect: IPIs
@@ -170,28 +175,4 @@ func (s *System) Aggregate() mmu.Stats {
 		total.Add(c.Stats())
 	}
 	return total
-}
-
-// NewFromSpec builds a system whose cores each construct a fresh
-// hierarchy from spec — which need not be a registered design. Cores get
-// distinct MMU names ("<design>.core<i>") so multi-core telemetry keeps
-// per-core series. Used by experiments that sweep custom configurations.
-func NewFromSpec(cores int, as *osmm.AddressSpace, caches *cachesim.Hierarchy, spec mmu.DesignSpec) (*System, error) {
-	if cores <= 0 {
-		cores = 4
-	}
-	s := &System{cfg: Config{Cores: cores, Design: mmu.Design(spec.Name)}, as: as, caches: caches}
-	for i := 0; i < cores; i++ {
-		cfg, err := spec.BuildConfig(as.PageTable())
-		if err != nil {
-			return nil, fmt.Errorf("smp: core %d: %w", i, err)
-		}
-		cfg.Name = fmt.Sprintf("%s.core%d", spec.Name, i)
-		m, err := mmu.New(cfg, as.PageTable(), caches, as.HandleFault)
-		if err != nil {
-			return nil, fmt.Errorf("smp: core %d: %w", i, err)
-		}
-		s.cores = append(s.cores, m)
-	}
-	return s, nil
 }

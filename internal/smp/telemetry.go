@@ -14,9 +14,8 @@ type smpTel struct {
 var fanoutBounds = []uint64{1, 2, 4, 8, 16, 32, 64}
 
 // AttachTelemetry implements telemetry.Instrumentable, forwarding the
-// collector to every core's MMU. Core MMUs share a design name, so their
-// series merge additively — a deliberate whole-system view that stays
-// schedule-independent.
+// collector to every core's MMU. Each core's MMU has its own name
+// ("<design>.core<i>"), so every core exports its own series.
 func (s *System) AttachTelemetry(c *telemetry.Collector) {
 	for _, m := range s.cores {
 		m.AttachTelemetry(c)

@@ -15,7 +15,7 @@ import (
 // victimSMP builds a multi-core victima system over a 4KB-only address
 // space: the small-page flood overflows every SRAM level, so the victim
 // level churns with demotions and promotions throughout the run.
-func victimSMP(t *testing.T, design mmu.Design, cores int) (*System, *osmm.AddressSpace, addr.V, uint64) {
+func victimSMP(t *testing.T, design string, cores int) (*System, *osmm.AddressSpace, addr.V, uint64) {
 	t.Helper()
 	phys := physmem.NewBuddy(1 << 30)
 	as, err := osmm.New(phys, osmm.Config{Policy: osmm.BasePages})
@@ -30,7 +30,7 @@ func victimSMP(t *testing.T, design mmu.Design, cores int) (*System, *osmm.Addre
 	if _, err := as.Populate(base, fp); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(Config{Cores: cores, Design: design}, as, cachesim.DefaultHierarchy())
+	sys, err := New(cores, as, cachesim.DefaultHierarchy(), lookupSpec(t, design))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func victims(t *testing.T, s *System) []*tlb.Victim {
 // an entry for an unmapped page — a stale victim entry would serve a
 // freed physical frame on the next deep hit.
 func TestVictimNoStaleAfterShootdown(t *testing.T) {
-	for _, design := range []mmu.Design{mmu.DesignVictima, mmu.DesignVictimaLite} {
+	for _, design := range []string{mmu.DesignVictima, mmu.DesignVictimaLite} {
 		design := design
 		t.Run(string(design), func(t *testing.T) {
 			const cores = 2

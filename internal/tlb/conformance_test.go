@@ -21,10 +21,10 @@ func TestInterfaceConformance(t *testing.T) {
 		"haswell-l2":  func() TLB { return Must(NewHaswellL2()) },
 		"rehash":      func() TLB { return Must(NewHashRehash("t", 16, 4, addr.Page4K, addr.Page2M, addr.Page1G)) },
 		"rehash+pred": func() TLB {
-			return NewPredictedRehash(Must(NewHashRehash("t", 16, 4, addr.Page4K, addr.Page2M, addr.Page1G)), Must(NewSizePredictor(64)))
+			return NewPredicted(Must(NewHashRehash("t", 16, 4, addr.Page4K, addr.Page2M, addr.Page1G)), Must(NewSizePredictor(64)))
 		},
 		"skew":         func() TLB { return Must(NewSkewAllSizes("t", 16, 2)) },
-		"skew+pred":    func() TLB { return NewPredictedSkew(Must(NewSkewAllSizes("t", 16, 2)), Must(NewSizePredictor(64))) },
+		"skew+pred":    func() TLB { return NewPredicted(Must(NewSkewAllSizes("t", 16, 2)), Must(NewSizePredictor(64))) },
 		"colt-4k":      func() TLB { return Must(NewColt("t", addr.Page4K, 8, 4, 4)) },
 		"colt-2m":      func() TLB { return Must(NewColt("t", addr.Page2M, 8, 4, 4)) },
 		"colt-split":   func() TLB { return Must(NewColtSplitL1()) },

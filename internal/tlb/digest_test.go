@@ -29,7 +29,7 @@ var streamKinds = []struct {
 			return nil, err
 		}
 		pred, err := NewSizePredictor(512)
-		return NewPredictedRehash(inner, pred), err
+		return NewPredicted(inner, pred), err
 	}},
 	{"skew+pred", func(*pagetable.PageTable) (TLB, error) {
 		inner, err := NewSkewAllSizes("skew", 16, 2)
@@ -37,7 +37,7 @@ var streamKinds = []struct {
 			return nil, err
 		}
 		pred, err := NewSizePredictor(512)
-		return NewPredictedSkew(inner, pred), err
+		return NewPredicted(inner, pred), err
 	}},
 	{"ideal", func(pt *pagetable.PageTable) (TLB, error) { return NewIdeal(pt), nil }},
 	{"victim", func(*pagetable.PageTable) (TLB, error) { return NewVictim("victim", 16, 4) }},

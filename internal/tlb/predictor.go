@@ -69,44 +69,35 @@ func (p *SizePredictor) Accuracy() float64 {
 	return float64(p.correct) / float64(p.lookups)
 }
 
-// PredictedRehash is a hash-rehash TLB fronted by a size predictor: the
-// predicted size is probed first, cutting the expected probe count when
-// prediction is accurate but adding predictor energy to every lookup and
-// extra rounds on mispredictions.
-type PredictedRehash struct {
-	inner *HashRehash
-	pred  *SizePredictor
-	// orders[g] is the probe order with guess g first, precomputed so
-	// every lookup reuses it instead of rebuilding a slice.
-	orders [addr.NumPageSizes][]addr.PageSize
+// predictable is a multi-indexing TLB that can probe a guessed page size
+// first: HashRehash and Skew.
+type predictable interface {
+	TLB
+	LookupPredicted(req Request, guess addr.PageSize) Result
 }
 
-// NewPredictedRehash wraps inner with predictor pred.
-func NewPredictedRehash(inner *HashRehash, pred *SizePredictor) *PredictedRehash {
-	t := &PredictedRehash{inner: inner, pred: pred}
-	for _, g := range addr.Sizes() {
-		order := make([]addr.PageSize, 0, len(inner.sizes)+1)
-		order = append(order, g)
-		for _, s := range inner.sizes {
-			if s != g {
-				order = append(order, s)
-			}
-		}
-		t.orders[g] = order
-	}
-	return t
+// Predicted is a multi-indexing TLB fronted by a size predictor (Sec
+// 5.1): the predicted size is probed first, cutting the expected probe
+// count (hash-rehash) or the ways read (skew) when prediction is accurate,
+// but adding predictor energy to every lookup and a further round on
+// mispredictions.
+type Predicted struct {
+	predictable
+	pred *SizePredictor
+}
+
+// NewPredicted wraps inner (a *HashRehash or *Skew) with predictor pred.
+func NewPredicted(inner predictable, pred *SizePredictor) *Predicted {
+	return &Predicted{predictable: inner, pred: pred}
 }
 
 // Name implements TLB.
-func (t *PredictedRehash) Name() string { return t.inner.Name() + "+pred" }
-
-// Entries implements TLB.
-func (t *PredictedRehash) Entries() int { return t.inner.Entries() }
+func (t *Predicted) Name() string { return t.predictable.Name() + "+pred" }
 
 // Lookup implements TLB: probe the predicted size first, then the rest.
-func (t *PredictedRehash) Lookup(req Request) Result {
+func (t *Predicted) Lookup(req Request) Result {
 	guess := t.pred.Predict(req.PC)
-	res := t.inner.LookupOrdered(req, t.orders[guess])
+	res := t.LookupPredicted(req, guess)
 	res.Cost.PredictorReads = 1
 	if res.Hit {
 		t.pred.Update(req.PC, res.T.Size)
@@ -116,75 +107,11 @@ func (t *PredictedRehash) Lookup(req Request) Result {
 }
 
 // Fill implements TLB and trains the predictor with the walked size.
-func (t *PredictedRehash) Fill(req Request, walk pagetable.WalkResult) Cost {
-	c := t.inner.Fill(req, walk)
+func (t *Predicted) Fill(req Request, walk pagetable.WalkResult) Cost {
+	c := t.predictable.Fill(req, walk)
 	if walk.Found {
 		t.pred.Update(req.PC, walk.Translation.Size)
 		c.PredictorWrites++
 	}
 	return c
 }
-
-// MarkDirty implements TLB.
-func (t *PredictedRehash) MarkDirty(va addr.V) bool { return t.inner.MarkDirty(va) }
-
-// Invalidate implements TLB.
-func (t *PredictedRehash) Invalidate(va addr.V, size addr.PageSize) int {
-	return t.inner.Invalidate(va, size)
-}
-
-// Flush implements TLB.
-func (t *PredictedRehash) Flush() { t.inner.Flush() }
-
-// PredictedSkew is a skew TLB fronted by a size predictor: only the
-// predicted size's ways are read in the first round, saving the lookup
-// energy that plagues plain skew designs, at the cost of a second round
-// (reading the remaining ways) on mispredictions.
-type PredictedSkew struct {
-	inner *Skew
-	pred  *SizePredictor
-}
-
-// NewPredictedSkew wraps inner with predictor pred.
-func NewPredictedSkew(inner *Skew, pred *SizePredictor) *PredictedSkew {
-	return &PredictedSkew{inner: inner, pred: pred}
-}
-
-// Name implements TLB.
-func (t *PredictedSkew) Name() string { return t.inner.Name() + "+pred" }
-
-// Entries implements TLB.
-func (t *PredictedSkew) Entries() int { return t.inner.Entries() }
-
-// Lookup implements TLB.
-func (t *PredictedSkew) Lookup(req Request) Result {
-	guess := t.pred.Predict(req.PC)
-	res := t.inner.LookupPredicted(req, guess)
-	res.Cost.PredictorReads = 1
-	if res.Hit {
-		t.pred.Update(req.PC, res.T.Size)
-		res.Cost.PredictorWrites = 1
-	}
-	return res
-}
-
-// Fill implements TLB.
-func (t *PredictedSkew) Fill(req Request, walk pagetable.WalkResult) Cost {
-	c := t.inner.Fill(req, walk)
-	if walk.Found {
-		t.pred.Update(req.PC, walk.Translation.Size)
-		c.PredictorWrites++
-	}
-	return c
-}
-
-// MarkDirty implements TLB.
-func (t *PredictedSkew) MarkDirty(va addr.V) bool { return t.inner.MarkDirty(va) }
-
-// Invalidate implements TLB.
-func (t *PredictedSkew) Invalidate(va addr.V, size addr.PageSize) int {
-	return t.inner.Invalidate(va, size)
-}
-
-// Flush implements TLB.
-func (t *PredictedSkew) Flush() { t.inner.Flush() }

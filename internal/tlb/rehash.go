@@ -13,8 +13,11 @@ import (
 // round — the drawbacks the paper charges this design with. Intel's
 // Haswell/Skylake L2 TLBs use this scheme for 4KB+2MB only.
 type HashRehash struct {
-	name   string
-	sizes  []addr.PageSize // probe order (may be reordered per lookup by a predictor)
+	name  string
+	sizes []addr.PageSize // default probe order
+	// orders[g] is the probe order with guess g first and every other
+	// size after it once, precomputed so a predicted lookup reuses it.
+	orders [addr.NumPageSizes][]addr.PageSize
 	sets   int
 	ways   int
 	mask   uint64                  // sets-1
@@ -49,6 +52,15 @@ func NewHashRehash(name string, sets, ways int, sizes ...addr.PageSize) (*HashRe
 	}
 	for _, s := range sizes {
 		t.cached[s] = true
+	}
+	for _, g := range addr.Sizes() {
+		order := append(make([]addr.PageSize, 0, len(sizes)+1), g)
+		for _, s := range sizes {
+			if s != g {
+				order = append(order, s)
+			}
+		}
+		t.orders[g] = order
 	}
 	return t, nil
 }
@@ -93,13 +105,17 @@ func (t *HashRehash) locate(va addr.V, s addr.PageSize) (int, uint64) {
 
 // Lookup implements TLB using the default probe order.
 func (t *HashRehash) Lookup(req Request) Result {
-	return t.LookupOrdered(req, t.sizes)
+	return t.lookupOrdered(req, t.sizes)
 }
 
-// LookupOrdered probes page sizes in the given order; a predictor
-// front-end passes its guess first. Every round costs a probe and a full
-// set read.
-func (t *HashRehash) LookupOrdered(req Request, order []addr.PageSize) Result {
+// LookupPredicted probes the guessed size first, then the others.
+func (t *HashRehash) LookupPredicted(req Request, guess addr.PageSize) Result {
+	return t.lookupOrdered(req, t.orders[guess])
+}
+
+// lookupOrdered probes page sizes in the given order. Every round costs a
+// probe and a full set read.
+func (t *HashRehash) lookupOrdered(req Request, order []addr.PageSize) Result {
 	var res Result
 	for _, s := range order {
 		if !t.caches(s) {

@@ -245,7 +245,7 @@ func TestHashRehashNoFalseHits(t *testing.T) {
 func TestPredictedRehashLearns(t *testing.T) {
 	inner := Must(NewHashRehash("h", 16, 4, addr.Page4K, addr.Page2M, addr.Page1G))
 	pred := Must(NewSizePredictor(256))
-	p := NewPredictedRehash(inner, pred)
+	p := NewPredicted(inner, pred)
 	const pc = 0xdeadbeef
 	va := addr.V(0x40000000)
 	p.Fill(Request{VA: va, PC: pc}, walkFor(va, 0x80000000, addr.Page1G))
@@ -262,6 +262,12 @@ func TestPredictedRehashLearns(t *testing.T) {
 	r = p.Lookup(Request{VA: va, PC: 0x1111})
 	if !r.Hit || r.Cost.Probes != 3 {
 		t.Errorf("untrained lookup: hit=%v probes=%d", r.Hit, r.Cost.Probes)
+	}
+	// A miss probes every size once: the guess leads the order and is
+	// not probed again after it.
+	r = p.Lookup(Request{VA: 0x7f0000000000, PC: pc})
+	if r.Hit || r.Cost.Probes != 3 {
+		t.Errorf("miss after 1GB guess: hit=%v probes=%d", r.Hit, r.Cost.Probes)
 	}
 	if pred.Accuracy() <= 0 {
 		t.Error("accuracy not tracked")
@@ -344,7 +350,7 @@ func TestSkewInvalidate(t *testing.T) {
 }
 
 func TestPredictedSkewEndToEnd(t *testing.T) {
-	s := NewPredictedSkew(Must(NewSkewAllSizes("skew", 16, 2)), Must(NewSizePredictor(64)))
+	s := NewPredicted(Must(NewSkewAllSizes("skew", 16, 2)), Must(NewSizePredictor(64)))
 	const pc = 7
 	va := addr.V(0x200000)
 	s.Fill(Request{VA: va, PC: pc}, walkFor(va, 0x800000, addr.Page2M))

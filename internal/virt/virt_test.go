@@ -130,7 +130,7 @@ func TestNestedWithMixTLBEndToEnd(t *testing.T) {
 	_, vm := newVM(t, 2<<30, 512<<20, osmm.Config{Policy: osmm.THS})
 	start, _ := vm.GuestAS().Mmap(32 << 20)
 	caches := cachesim.DefaultHierarchy()
-	m, err := mmu.Build(mmu.DesignMix, vm.Walker(), nil, caches, vm.HandleFault)
+	m, err := mmu.DefaultRegistry().Build(mmu.DesignMix, vm.Walker(), nil, caches, vm.HandleFault)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,6 +123,23 @@ if ! cmp -s "$tmpdir/hier1.csv" "$tmpdir/hier8.csv"; then
     exit 1
 fi
 
+# Front ends no test drives: mixtrace must record, inspect and replay a
+# short trace and reject an unknown design with a non-zero exit, and the
+# four library examples must run to completion.
+echo "== mixtrace and examples"
+go build -o "$tmpdir/mixtrace" ./cmd/mixtrace
+"$tmpdir/mixtrace" record -workload mcf -footprint-mb 64 -refs 50000 \
+    -o "$tmpdir/mcf.trace" > /dev/null
+"$tmpdir/mixtrace" info "$tmpdir/mcf.trace" > /dev/null
+"$tmpdir/mixtrace" run -design mix -trace "$tmpdir/mcf.trace" > /dev/null
+if "$tmpdir/mixtrace" run -design nope -trace "$tmpdir/mcf.trace" > /dev/null 2>&1; then
+    echo "FAIL: mixtrace run -design nope exited 0" >&2
+    exit 1
+fi
+for ex in quickstart fragmentation gpu virtualized; do
+    go run "./examples/$ex" > /dev/null
+done
+
 # Host-time gates: bench_gate NAME PCT OLD NEW compares two -bench-out
 # files with benchtrend, which fails on any cell more than PCT% slower
 # than OLD or an overall geomean speedup below its 0.85x floor. On
