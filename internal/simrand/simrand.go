@@ -9,6 +9,7 @@ package simrand
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -58,16 +59,18 @@ func (s *Source) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("simrand: Uint64n(0)")
 	}
-	// Lemire's nearly-divisionless method would be overkill; a simple
-	// rejection loop keeps the distribution exactly uniform.
 	if n&(n-1) == 0 {
 		return s.Uint64() & (n - 1)
 	}
-	max := ^uint64(0) - ^uint64(0)%n
+	// A rejection loop keeps the distribution exactly uniform: v is kept
+	// when it lies below the largest multiple of n that fits in 64 bits,
+	// which is exactly when (v/n+1)*n does not overflow. That costs one
+	// division per draw instead of two.
 	for {
 		v := s.Uint64()
-		if v < max {
-			return v % n
+		q := v / n
+		if hi, _ := bits.Mul64(q+1, n); hi == 0 {
+			return v - q*n
 		}
 	}
 }
@@ -99,10 +102,25 @@ func (s *Source) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes the elements of a slice in place via the swap callback.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, s.Intn(i+1))
+// shuffleBlock is how many swap indexes Shuffle draws before applying
+// them.
+const shuffleBlock = 64
+
+// Shuffle permutes p in place with a Fisher-Yates shuffle, swapping each
+// p[i], from the last down, with p[Uint64n(i+1)]. The draws do not depend
+// on p, so Shuffle draws a block of them before applying its swaps: the
+// block's random loads then overlap instead of each waiting behind the
+// generator, and the permutation is the one swap-by-swap order gives.
+func (s *Source) Shuffle(p []uint32) {
+	var js [shuffleBlock]uint64
+	for i := len(p) - 1; i > 0; i -= shuffleBlock {
+		k := min(shuffleBlock, i)
+		for b := 0; b < k; b++ {
+			js[b] = s.Uint64n(uint64(i - b + 1))
+		}
+		for b, j := range js[:k] {
+			p[i-b], p[j] = p[j], p[i-b]
+		}
 	}
 }
 
@@ -148,7 +166,7 @@ func SplitSeed(seed uint64, labels ...string) uint64 {
 type Zipf struct {
 	src              *Source
 	n                uint64
-	theta            float64
+	rank1            float64 // 1 + 0.5^theta: Next returns rank 1 below it
 	alpha, zetan     float64
 	eta, zeta2thetas float64
 }
@@ -179,7 +197,7 @@ func NewZipf(src *Source, n uint64, theta float64) *Zipf {
 	if theta <= 0 || theta >= 1 {
 		panic("simrand: NewZipf theta must be in (0,1)")
 	}
-	z := &Zipf{src: src, n: n, theta: theta}
+	z := &Zipf{src: src, n: n, rank1: 1 + math.Pow(0.5, theta)}
 	key := zipfKey{n: n, theta: theta}
 	if c, ok := zipfCache.Load(key); ok {
 		k := c.(zipfConsts)
@@ -221,7 +239,7 @@ func (z *Zipf) Next() uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

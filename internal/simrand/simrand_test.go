@@ -138,13 +138,13 @@ func TestPermIsPermutation(t *testing.T) {
 
 func TestShuffleKeepsElements(t *testing.T) {
 	s := New(29)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
+	xs := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
+	sum := uint32(0)
 	for _, x := range xs {
 		sum += x
 	}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
+	s.Shuffle(xs)
+	got := uint32(0)
 	for _, x := range xs {
 		got += x
 	}

@@ -11,6 +11,8 @@
 package workload
 
 import (
+	"slices"
+
 	"mixtlb/internal/addr"
 	"mixtlb/internal/simrand"
 )
@@ -103,24 +105,23 @@ func newZipf(r region, rng *simrand.Source, theta, writeFrac float64, pc uint64)
 	for i := range s.perm {
 		s.perm[i] = uint32(i)
 	}
-	shuf := rng.Split()
-	shuf.Shuffle(len(s.perm), func(i, j int) { s.perm[i], s.perm[j] = s.perm[j], s.perm[i] })
+	rng.Split().Shuffle(s.perm)
 	return s
 }
 
 func (s *zipfStream) Next() Ref {
-	page := uint64(s.perm[s.z.Next()%uint64(len(s.perm))])
+	page := uint64(s.perm[s.z.Next()])
 	off := page*addr.Size4K + (s.rng.Uint64n(addr.Size4K) &^ 7)
 	return Ref{VA: s.r.at(off), Write: s.rng.Bool(s.write), PC: s.pc}
 }
 
-// chaseStream follows a precomputed random cycle over cache-line-sized
-// nodes — mcf/omnetpp pointer chasing, the classic latency-bound pattern.
+// chaseStream walks a random cycle over cache-line-sized nodes —
+// mcf/omnetpp pointer chasing, the classic latency-bound pattern.
 type chaseStream struct {
 	r     region
-	next  []uint32 // node permutation cycle
-	cur   uint32
-	nodes uint64
+	order []uint32 // shuffled node indexes, visited cyclically
+	pos   int      // index in order of the next node
+	span  uint64   // bytes between consecutive node indexes
 	pc    uint64
 }
 
@@ -136,27 +137,27 @@ func newChase(r region, rng *simrand.Source, pc uint64) *chaseStream {
 	if nodes < 2 {
 		nodes = 2
 	}
-	// Sattolo's algorithm: a single cycle visiting every node.
-	next := make([]uint32, nodes)
+	// A Fisher-Yates shuffle of the nodes, visited cyclically, is a single
+	// cycle through every node; the walk starts at node 0.
 	order := make([]uint32, nodes)
 	for i := range order {
 		order[i] = uint32(i)
 	}
-	sh := rng.Split()
-	sh.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	for i := 0; i < len(order)-1; i++ {
-		next[order[i]] = order[i+1]
+	rng.Split().Shuffle(order)
+	return &chaseStream{
+		r: r, order: order, pos: slices.Index(order, 0), pc: pc,
+		// Spread the capped node index space over the whole region so
+		// large footprints are fully covered.
+		span: r.size / nodes,
 	}
-	next[order[len(order)-1]] = order[0]
-	return &chaseStream{r: r, next: next, nodes: nodes, pc: pc}
 }
 
 func (s *chaseStream) Next() Ref {
-	// Spread the capped node index space over the whole region so large
-	// footprints are fully covered.
-	span := s.r.size / s.nodes
-	off := uint64(s.cur) * span
-	s.cur = s.next[s.cur]
+	off := uint64(s.order[s.pos]) * s.span
+	s.pos++
+	if s.pos == len(s.order) {
+		s.pos = 0
+	}
 	return Ref{VA: s.r.at(off &^ 7), PC: s.pc}
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"mixtlb/internal/addr"
@@ -128,19 +129,38 @@ func TestChaseVisitsFullCycle(t *testing.T) {
 	rng := simrand.New(5)
 	r := region{0, 1 << 20} // 16K nodes
 	c := newChase(r, rng, 0)
-	seen := make(map[addr.V]bool)
 	nodes := int(r.size / chaseNodeBytes)
-	for i := 0; i < nodes; i++ {
-		seen[c.Next().VA] = true
-	}
-	// A Sattolo cycle visits every node exactly once per period.
-	if len(seen) != nodes {
-		t.Errorf("chase visited %d/%d nodes in one period", len(seen), nodes)
-	}
-	// Second period repeats.
 	first := c.Next()
-	if !seen[first.VA] {
-		t.Error("second period diverged")
+	seen := map[addr.V]bool{first.VA: true}
+	for i := 1; i < nodes; i++ {
+		va := c.Next().VA
+		if seen[va] {
+			t.Fatalf("ref %d revisits %v inside the %d-node period", i, va, nodes)
+		}
+		seen[va] = true
+	}
+	// A single cycle through every node: the period is exactly nodes.
+	if again := c.Next(); again != first {
+		t.Errorf("ref %d = %+v, want the first ref %+v", nodes, again, first)
+	}
+}
+
+// TestChaseBuildBytes pins a chase stream's build to one 4-byte array
+// entry per node, plus a few small objects.
+func TestChaseBuildBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const size = 64 << 20 // 1 Mi nodes
+	rng := simrand.New(9)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := newChase(region{0, size}, rng, 0)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	nodes := uint64(size / chaseNodeBytes)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, 4*nodes+4096; got > limit {
+		t.Errorf("newChase over %d nodes allocated %d bytes, want at most %d", nodes, got, limit)
 	}
 }
 
