@@ -54,7 +54,6 @@ fuzz:
 	$(GO) test ./internal/pagetable/ -fuzz 'FuzzPTE' -fuzztime 10s -run ^$$
 	$(GO) test ./internal/journal/ -fuzz 'FuzzJournalDecode' -fuzztime 10s -run ^$$
 	$(GO) test ./internal/tlb/ -fuzz 'FuzzVictimBundle' -fuzztime 10s -run ^$$
-	$(GO) test ./cmd/mixtlbd/ -fuzz 'FuzzDecodeJob' -fuzztime 10s -run ^$$
 
 # Regenerate the golden experiment tables after an intentional change in
 # simulator behavior (records at -jobs=1; the test verifies at -jobs=8).

@@ -83,7 +83,7 @@ func main() {
 	var expName string
 	flag.StringVar(&expName, "exp", "", "experiment or group to run (see -list), or 'all'")
 	flag.StringVar(&expName, "experiment", "", "alias for -exp")
-	// The run's settings are an experiments.RunSpec, shared with mixtlbd;
+	// The run's settings are an experiments.RunSpec;
 	// everything else here observes or steers the process.
 	spec := experiments.DefaultRunSpec()
 	spec.RegisterFlags(flag.CommandLine)

@@ -13,30 +13,30 @@ import (
 	"mixtlb/internal/workload"
 )
 
-// RunSpec is a run's settings as a person states them: mixtlb's flags and
-// the body of mixtlbd's POST /jobs are both a RunSpec, so the two front
-// ends declare, default and validate a run in one place. Zero values keep
-// the scale preset's setting; Scale turns a spec into the engine's Scale.
+// RunSpec is a run's settings as a person states them: mixtlb's flags
+// fill one, so a run is declared, defaulted and validated in one place.
+// Zero values keep the scale preset's setting; Scale turns a spec into the
+// engine's Scale.
 type RunSpec struct {
-	Quick        bool     `json:"quick"`
-	MemGB        uint64   `json:"mem_gb"`
-	FootprintGB  uint64   `json:"footprint_gb"`
-	Refs         uint64   `json:"refs"` // measured refs per cell; warm-up is half
-	Seed         uint64   `json:"seed"`
-	Workloads    []string `json:"workloads"`
-	Designs      []string `json:"designs"`
-	ISA          string   `json:"isa"`
-	FaultScale   float64  `json:"fault_scale"`
-	Jobs         int      `json:"jobs"`
-	Cell         string   `json:"cell"`
-	MaxRetries   int      `json:"max_retries"`
-	CellDeadline string   `json:"cell_deadline"` // Go duration, e.g. "2m"
-	FailSoft     bool     `json:"fail_soft"`
-	LedgerAudit  bool     `json:"ledger_audit"`
-	TailK        int      `json:"tail_k"`
+	Quick        bool
+	MemGB        uint64
+	FootprintGB  uint64
+	Refs         uint64 // measured refs per cell; warm-up is half
+	Seed         uint64
+	Workloads    []string
+	Designs      []string
+	ISA          string
+	FaultScale   float64
+	Jobs         int
+	Cell         string
+	MaxRetries   int
+	CellDeadline time.Duration
+	FailSoft     bool
+	LedgerAudit  bool
+	TailK        int
 }
 
-// MaxMemoryGB caps mem_gb and footprint_gb at 3.2x the paper's 80 GB
+// MaxMemoryGB caps -mem-gb and -footprint-gb at 3.2x the paper's 80 GB
 // machine. Every machine a cell builds keeps a buddy tree of 2 bytes per
 // 4 KB frame (128 MiB at the cap); an uncapped size could exhaust host
 // memory, which Go reports as a fatal error that no recover catches.
@@ -46,8 +46,8 @@ const MaxMemoryGB = 256
 // chaos fault rates at 1x. mixtlb's flag defaults are its values.
 func DefaultRunSpec() RunSpec { return RunSpec{FaultScale: 1} }
 
-// FieldError reports a RunSpec field, by JSON name, whose value cannot
-// configure a run.
+// FieldError reports a RunSpec field, by its mixtlb flag name, whose value
+// cannot configure a run.
 type FieldError struct {
 	Field string
 	Err   error
@@ -58,8 +58,7 @@ func (e *FieldError) Error() string { return fmt.Sprintf("experiments: bad %s: %
 func (e *FieldError) Unwrap() error { return e.Err }
 
 // RegisterFlags declares r's fields as flags on fs, with r's current
-// values as defaults. A flag is named after its JSON field with '-' for
-// '_', except tail_k, which is -tail.
+// values as defaults.
 func (r *RunSpec) RegisterFlags(fs *flag.FlagSet) {
 	list := func(dst *[]string) func(string) error {
 		return func(v string) error {
@@ -82,7 +81,7 @@ func (r *RunSpec) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&r.Jobs, "jobs", r.Jobs, "worker-pool size for experiment cells (0 = GOMAXPROCS)")
 	fs.StringVar(&r.Cell, "cell", r.Cell, "run only grid cells whose name contains this substring")
 	fs.IntVar(&r.MaxRetries, "max-retries", r.MaxRetries, "re-run a transiently failing cell up to this many times (seeded backoff)")
-	fs.StringVar(&r.CellDeadline, "cell-deadline", r.CellDeadline, "per-cell watchdog: cancel and requeue cells exceeding this wall time, a Go duration (empty or 0 disables)")
+	fs.DurationVar(&r.CellDeadline, "cell-deadline", r.CellDeadline, "per-cell watchdog: cancel and requeue cells exceeding this wall time (0 disables)")
 	fs.BoolVar(&r.FailSoft, "fail-soft", r.FailSoft, "record cells that exhaust retries as FAILED table markers instead of aborting")
 	fs.BoolVar(&r.LedgerAudit, "ledger-audit", r.LedgerAudit, "attach the cycle-attribution ledger to every cell and fail cells whose books do not balance")
 	fs.IntVar(&r.TailK, "tail", r.TailK, "record the K slowest translations per cell in the tail flight recorder (0 disables)")
@@ -92,7 +91,7 @@ func (r *RunSpec) RegisterFlags(fs *flag.FlagSet) {
 // non-zero fields, with designs resolved in reg (nil = the builtins). It
 // is the one place a run's settings are checked. An unknown name returns
 // *UnknownWorkloadError, *mmu.UnknownDesignError or *isa.UnknownISAError;
-// a size above MaxMemoryGB or a bad duration returns *FieldError.
+// a size above MaxMemoryGB returns *FieldError.
 func (r RunSpec) Scale(reg *mmu.Registry) (Scale, error) {
 	s := DefaultScale()
 	if r.Quick {
@@ -102,7 +101,7 @@ func (r RunSpec) Scale(reg *mmu.Registry) (Scale, error) {
 		name string
 		gb   uint64
 		dst  *uint64
-	}{{"mem_gb", r.MemGB, &s.MemoryBytes}, {"footprint_gb", r.FootprintGB, &s.FootprintBytes}} {
+	}{{"mem-gb", r.MemGB, &s.MemoryBytes}, {"footprint-gb", r.FootprintGB, &s.FootprintBytes}} {
 		if f.gb > MaxMemoryGB {
 			return Scale{}, &FieldError{f.name, fmt.Errorf("%d GiB is above the %d GiB ceiling", f.gb, MaxMemoryGB)}
 		}
@@ -125,15 +124,8 @@ func (r RunSpec) Scale(reg *mmu.Registry) (Scale, error) {
 	if r.FaultScale != 1 {
 		s.Chaos = chaos.DefaultRates().Scaled(r.FaultScale)
 	}
-	if r.CellDeadline != "" {
-		d, err := time.ParseDuration(r.CellDeadline)
-		if err != nil {
-			return Scale{}, &FieldError{"cell_deadline", err}
-		}
-		s.CellDeadline = d
-	}
 	s.ISA, s.Registry = r.ISA, reg
-	s.Jobs, s.Cell, s.MaxRetries = r.Jobs, r.Cell, r.MaxRetries
+	s.Jobs, s.Cell, s.MaxRetries, s.CellDeadline = r.Jobs, r.Cell, r.MaxRetries, r.CellDeadline
 	s.FailSoft, s.LedgerAudit, s.TailK = r.FailSoft, r.LedgerAudit, r.TailK
 
 	var valid []string

@@ -50,7 +50,7 @@ func TestRunSpecScale(t *testing.T) {
 		}},
 		{name: "overrides", spec: quick(func(r *RunSpec) {
 			r.MemGB, r.FootprintGB, r.Refs, r.Seed = 2, 1, 1000, 7
-			r.CellDeadline, r.FaultScale, r.Jobs, r.TailK = "2m", 0, 3, 4
+			r.CellDeadline, r.FaultScale, r.Jobs, r.TailK = 2*time.Minute, 0, 3, 4
 		}), check: func(t *testing.T, s Scale) {
 			if s.MemoryBytes != 2<<30 || s.FootprintBytes != 1<<30 || s.MeasureRefs != 1000 ||
 				s.WarmupRefs != 500 || s.Seed != 7 || s.CellDeadline != 2*time.Minute ||
@@ -63,10 +63,12 @@ func TestRunSpecScale(t *testing.T) {
 				t.Errorf("MemoryBytes = %d", s.MemoryBytes)
 			}
 		}},
-		{name: "mem above ceiling", spec: quick(func(r *RunSpec) { r.MemGB = MaxMemoryGB + 1 }), fails: fieldErr("mem_gb")},
-		{name: "mem shifts to zero", spec: quick(func(r *RunSpec) { r.MemGB = 1 << 34 }), fails: fieldErr("mem_gb")},
-		{name: "footprint shifts to zero", spec: quick(func(r *RunSpec) { r.FootprintGB = 1 << 34 }), fails: fieldErr("footprint_gb")},
-		{name: "bad deadline", spec: quick(func(r *RunSpec) { r.CellDeadline = "soon" }), fails: fieldErr("cell_deadline")},
+		{name: "mem above ceiling", spec: quick(func(r *RunSpec) { r.MemGB = MaxMemoryGB + 1 }), fails: fieldErr("mem-gb")},
+		{name: "mem far above ceiling", spec: quick(func(r *RunSpec) { r.MemGB = 65536 }), fails: fieldErr("mem-gb")},
+		{name: "mem shifts to zero", spec: quick(func(r *RunSpec) { r.MemGB = 1 << 34 }), fails: fieldErr("mem-gb")},
+		{name: "mem shifts to all ones", spec: quick(func(r *RunSpec) { r.MemGB = 1<<34 - 1 }), fails: fieldErr("mem-gb")},
+		{name: "footprint above ceiling", spec: quick(func(r *RunSpec) { r.FootprintGB = MaxMemoryGB + 1 }), fails: fieldErr("footprint-gb")},
+		{name: "footprint shifts to zero", spec: quick(func(r *RunSpec) { r.FootprintGB = 1 << 34 }), fails: fieldErr("footprint-gb")},
 		{name: "workload subset", spec: quick(func(r *RunSpec) { r.Workloads = []string{"gups"} }), check: func(t *testing.T, s Scale) {
 			if !reflect.DeepEqual(s.Workloads, []string{"gups"}) {
 				t.Errorf("Workloads = %v", s.Workloads)
@@ -141,7 +143,7 @@ func TestRunSpecFlags(t *testing.T) {
 		"-fail-soft", "-ledger-audit", "-tail", "8")
 	want := RunSpec{Quick: true, MemGB: 2, FootprintGB: 1, Refs: 9, Seed: 7,
 		Workloads: []string{"gups", "mcf"}, Designs: []string{"split"}, ISA: "sv39", FaultScale: 0.5,
-		Jobs: 3, Cell: "hog", MaxRetries: 2, CellDeadline: "5ms", FailSoft: true, LedgerAudit: true, TailK: 8}
+		Jobs: 3, Cell: "hog", MaxRetries: 2, CellDeadline: 5 * time.Millisecond, FailSoft: true, LedgerAudit: true, TailK: 8}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flags parsed to %+v\nwant %+v", got, want)
 	}

@@ -1,7 +1,7 @@
-// Package logx builds the structured loggers the CLIs share. Both
-// mixtlb and mixtlbd emit their operational chatter (run lifecycle,
-// journal events, telemetry endpoints) through log/slog so the stream is
-// grep-able as text or machine-readable as JSON, selected by one flag.
+// Package logx builds mixtlb's structured logger. The CLI emits its
+// operational chatter (run lifecycle, journal events, telemetry
+// endpoints) through log/slog so the stream is grep-able as text or
+// machine-readable as JSON, selected by one flag.
 package logx
 
 import (

@@ -186,7 +186,7 @@ func (s DesignSpec) Validate() error {
 		return derr("pwc_entries", "negative capacity")
 	}
 	// Resolve the declared ISA up front; the typed *isa.UnknownISAError
-	// carries the valid names for CLI/daemon reporting.
+	// carries the valid names for CLI reporting.
 	desc, err := isa.Lookup(s.ISA)
 	if err != nil {
 		return err

@@ -34,7 +34,7 @@ func Serve(addr string, reg *Registry, tracer *Tracer) (bound string, shutdown f
 		w.Header().Set("Content-Type", "application/json")
 		tracer.WriteChromeTrace(w)
 	})
-	mux.Handle("/debug/tail", TailHandler(tracer))
+	mux.Handle("/debug/tail", tailHandler(tracer))
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -49,10 +49,10 @@ func Serve(addr string, reg *Registry, tracer *Tracer) (bound string, shutdown f
 	return ln.Addr().String(), func() { srv.Close() }, nil
 }
 
-// TailHandler serves tracer's tail records as JSON at /debug/tail. The
+// tailHandler serves tracer's tail records as JSON at /debug/tail. The
 // optional ?n= caps the list: default 100, 0 = all, and a malformed or
 // negative n falls back to the default.
-func TailHandler(tracer *Tracer) http.HandlerFunc {
+func tailHandler(tracer *Tracer) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		limit := 100
 		if n, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && n >= 0 {

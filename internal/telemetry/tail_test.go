@@ -91,7 +91,7 @@ func TestTailHandlerLimit(t *testing.T) {
 	for i := 0; i < 101; i++ {
 		tr.Instant(TailCategory, "slow_translation", 1, uint64(i))
 	}
-	h := TailHandler(tr)
+	h := tailHandler(tr)
 	for _, tc := range []struct {
 		n    string
 		want int

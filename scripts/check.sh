@@ -36,7 +36,6 @@ go test ./internal/addr/ -fuzz 'FuzzSpaceArithmetic' -fuzztime 10s -run '^$'
 go test ./internal/pagetable/ -fuzz 'FuzzPTE' -fuzztime 10s -run '^$'
 go test ./internal/journal/ -fuzz 'FuzzJournalDecode' -fuzztime 10s -run '^$'
 go test ./internal/tlb/ -fuzz 'FuzzVictimBundle' -fuzztime 10s -run '^$'
-go test ./cmd/mixtlbd/ -fuzz 'FuzzDecodeJob' -fuzztime 10s -run '^$'
 
 # Parallel determinism: the same experiment at -jobs 1 and -jobs 4 must
 # produce byte-identical tables (cell seeds derive from cell identity,
@@ -207,22 +206,19 @@ go test ./internal/mmu/ -run 'TestTranslateZeroAlloc$' -count=1 > /dev/null
     -bench-out "$tmpdir/absent.json" > /dev/null
 bench_gate victim-absent 40 "$tmpdir/nojournal.json" "$tmpdir/absent.json"
 
-# Telemetry smoke: a quick instrumented run must emit a parseable
-# Prometheus dump with the core metric families, a well-formed Chrome
-# trace, and a well-formed JSONL stream — and its result table must be
-# byte-identical to an uninstrumented run (telemetry never feeds back
-# into the simulation).
+# Telemetry smoke: a quick instrumented run must write all three
+# exporter files, and its result table must be byte-identical to an
+# uninstrumented run (telemetry never feeds back into the simulation).
+# That each format parses back and carries the core metric families is
+# checked by runTelemetry in the experiments package tests above.
 echo "== telemetry exporters"
-go build -o "$tmpdir/telemetrycheck" ./cmd/telemetrycheck
 "$tmpdir/mixtlb" -exp fig15r -quick -csv -jobs 4 \
     -metrics-out "$tmpdir/metrics.prom" \
     -trace-events "$tmpdir/trace.json" \
     -events-out "$tmpdir/events.jsonl" > "$tmpdir/tel-on.csv"
-"$tmpdir/telemetrycheck" \
-    -metrics "$tmpdir/metrics.prom" \
-    -require mmu_accesses_total,mmu_walks_total,mmu_walk_depth,tlb_coalesce_members,tlb_set_occupancy \
-    -trace "$tmpdir/trace.json" \
-    -events "$tmpdir/events.jsonl" > /dev/null
+for f in metrics.prom trace.json events.jsonl; do
+    test -s "$tmpdir/$f" || { echo "FAIL: telemetry export $f is empty" >&2; exit 1; }
+done
 "$tmpdir/mixtlb" -exp fig15r -quick -csv -jobs 4 > "$tmpdir/tel-off.csv"
 if ! cmp -s "$tmpdir/tel-on.csv" "$tmpdir/tel-off.csv"; then
     echo "FAIL: result table differs with telemetry on vs off" >&2
