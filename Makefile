@@ -1,12 +1,16 @@
 GO ?= go
 JOBS ?= 0
 
-.PHONY: check build vet test race bench bench-experiments benchdiff fuzz golden chaos loc
+.PHONY: check fmt build vet test race bench bench-experiments benchdiff fuzz golden chaos loc
 
-# The full tier-1 gate: build, vet, and the test suite under the race
-# detector. Test failures print the reproducing seed — rerun the named
+# The full tier-1 gate: gofmt, build, vet, and the test suite under the
+# race detector. Test failures print the reproducing seed — rerun the named
 # test with that seed to replay the exact fault sequence.
-check: build vet race
+check: fmt build vet race
+
+# Fail when gofmt would reformat any file (it lists them).
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

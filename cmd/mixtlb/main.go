@@ -24,26 +24,24 @@
 // Long sweeps survive process death: -journal FILE checkpoints each
 // completed cell to a checksummed JSONL log, and -resume replays those
 // cells on restart, simulating only the remainder — the final table is
-// byte-identical to an uninterrupted run. -max-retries re-runs cells
-// that fail transiently (capped, seeded exponential backoff),
-// -cell-deadline arms a per-cell watchdog that cancels and requeues
-// stuck cells, and -fail-soft turns cells that exhaust their retries
-// into explicit FAILED(...) table markers instead of aborting the run.
+// byte-identical to an uninterrupted run. Each cell runs once: its rows
+// are a pure function of its seed, so rerunning a failed cell would only
+// fail it again. The first failing cell stops the experiment and names
+// the -cell line that replays it.
 //
-// Exit codes: 0 all cells succeeded; 1 hard failure (error, panic, I/O);
-// 2 usage or configuration error (including a journal whose fingerprint
-// does not match the run); 3 the run completed but a table contains
-// FAILED cells; 4 an experiment was truncated by -timeout. When several
-// apply, the most severe wins (1 > 4 > 3).
+// Exit codes: 0 all cells succeeded; 1 hard failure (a cell error, a
+// panic, I/O); 2 usage or configuration error (including a journal whose
+// fingerprint does not match the run); 4 an experiment was truncated by
+// -timeout. When several apply, the most severe wins (1 > 4).
 //
 // Telemetry is off by default and costs nothing when off. Any of
 // -metrics-out (Prometheus text dump), -trace-events (Chrome trace_event
 // JSON for chrome://tracing or Perfetto), -events-out (JSONL event
 // stream), or -pprof-addr (HTTP listener with /metrics, /trace,
-// /debug/vars, /debug/pprof/) switches it on; -progress prints live
-// done/total/ETA lines to stderr as cells finish. Telemetry never feeds
-// back into the simulation: result tables are byte-identical with it on
-// or off.
+// /debug/tail, /debug/vars, /debug/pprof/) switches it on; -progress
+// prints live done/total/ETA lines to stderr as cells finish. Telemetry
+// never feeds back into the simulation: result tables are byte-identical
+// with it on or off.
 package main
 
 import (
@@ -98,15 +96,13 @@ func main() {
 		metricsOut = flag.String("metrics-out", "", "write a Prometheus text metrics dump to this file at exit")
 		traceOut   = flag.String("trace-events", "", "write a Chrome trace_event JSON file (chrome://tracing, Perfetto)")
 		eventsOut  = flag.String("events-out", "", "write the raw telemetry event stream as JSONL to this file")
-		pprofAddr  = flag.String("pprof-addr", "", "serve /metrics, /trace, /debug/vars and /debug/pprof/ on this address (e.g. localhost:6060)")
+		pprofAddr  = flag.String("pprof-addr", "", "serve /metrics, /trace, /debug/tail, /debug/vars and /debug/pprof/ on this address (e.g. localhost:6060)")
 		progress   = flag.Bool("progress", false, "print live per-cell progress (done/total, ETA) to stderr")
 		designFile = flag.String("design-file", "", "JSON file of extra TLB design specs to register (see examples/designs.json)")
 
-		journalPath  = flag.String("journal", "", "checkpoint each completed cell to this JSONL file (crash-safe)")
-		resume       = flag.Bool("resume", false, "replay completed cells from the -journal file instead of truncating it")
-		retryBackoff = flag.Duration("retry-backoff", 0, "base backoff before the first cell retry (0 = built-in default)")
-		injectFail   = flag.String("inject-cell-failure", "", "fail every cell whose name contains this substring (fault-injection testing)")
-		killAfter    = flag.Int("kill-after-cells", 0, "exit(137) after this many cells complete (crash-testing the journal)")
+		journalPath = flag.String("journal", "", "checkpoint each completed cell to this JSONL file (crash-safe)")
+		resume      = flag.Bool("resume", false, "replay completed cells from the -journal file instead of truncating it")
+		killAfter   = flag.Int("kill-after-cells", 0, "exit(137) after this many cells complete (crash-testing the journal)")
 
 		logFormat = flag.String("log-format", "text", "stderr log format: text or json")
 		explain   = flag.Bool("explain", false, "replay one translation with full cost narration: mixtlb -explain vaddr=0x... design=...")
@@ -200,17 +196,6 @@ func main() {
 		lg.Error("invalid run settings", "err", err)
 		stopProfiles()
 		os.Exit(2)
-	}
-	scale.RetryBackoff = *retryBackoff
-	scale.Failures = &experiments.FailureLog{}
-	if *injectFail != "" {
-		pat := *injectFail
-		scale.CellFault = func(exp, cell string) error {
-			if strings.Contains(cell, pat) {
-				return fmt.Errorf("injected failure (-inject-cell-failure %q)", pat)
-			}
-			return nil
-		}
 	}
 
 	// Single-translation replay: narrate one address's cost and exit.
@@ -349,10 +334,10 @@ func main() {
 	ctx := context.Background()
 
 	// Exit-code severity lattice: 1 (hard failure) > 4 (timeout
-	// truncation) > 3 (FAILED cells in a completed table) > 0.
+	// truncation) > 0.
 	exitCode := 0
 	setExit := func(code int) {
-		rank := map[int]int{0: 0, 3: 1, 4: 2, 1: 3}
+		rank := map[int]int{0: 0, 4: 1, 1: 2}
 		if rank[code] > rank[exitCode] {
 			exitCode = code
 		}
@@ -390,10 +375,6 @@ func main() {
 		printTable(tbl, *csv)
 		lg.Info("experiment completed", "experiment", e.Name,
 			"elapsed", time.Since(start).Round(time.Millisecond).String())
-	}
-	if n := scale.Failures.Count(); n > 0 {
-		lg.Warn("cells failed after exhausting retries — see FAILED(...) markers above", "cells", n)
-		setExit(3)
 	}
 	if err := jnl.Close(); err != nil {
 		lg.Error("closing journal", "err", err)

@@ -135,12 +135,24 @@ func RunGrid(ctx context.Context, s Scale, experiment string, t *stats.Table, ce
 		results    = make([][]Row, len(cells))
 		errs       = make([]error, len(cells))
 		done       = make([]bool, len(cells))
-		soft       = make([]bool, len(cells)) // exhausted retries under FailSoft
-		completed  int                        // cells finished (success or failure), for progress
-		next       int64                      = -1
+		completed  int   // cells finished (success or failure), for progress
+		next       int64 = -1
 		wg         sync.WaitGroup
 		journalErr error // first checkpoint-append failure
 	)
+	// publish hands the done cells' rows, in canonical order, to
+	// Scale.Progress. Workers call it under mu so snapshots stay monotone.
+	publish := func() {
+		snap := &stats.Table{Title: t.Title, Columns: t.Columns}
+		for j := range results {
+			if done[j] {
+				for _, r := range results[j] {
+					snap.AddRow(r...)
+				}
+			}
+		}
+		s.Progress.Publish(snap)
+	}
 
 	// Replay: cells already checkpointed in the journal skip simulation
 	// entirely; only the remainder is scheduled. Replayed rows land in
@@ -165,15 +177,7 @@ func RunGrid(ctx context.Context, s Scale, experiment string, t *stats.Table, ce
 		}
 		work = remaining
 		if replayed > 0 {
-			snap := &stats.Table{Title: t.Title, Columns: t.Columns}
-			for j := range results {
-				if done[j] {
-					for _, r := range results[j] {
-						snap.AddRow(r...)
-					}
-				}
-			}
-			s.Progress.Publish(snap)
+			publish()
 			if s.Telemetry != nil {
 				s.Telemetry.With("exp", experiment).
 					Counter("engine_journal_replayed_total").Add(uint64(replayed))
@@ -215,83 +219,31 @@ func RunGrid(ctx context.Context, s Scale, experiment string, t *stats.Table, ce
 				cs.Seed = CellSeed(s.Seed, experiment, c.Name)
 				cs.Progress, cs.Bench = nil, nil
 				cs.Jobs, cs.Cell = 1, ""
-				cs.ProgressFn = nil
-				cs.Journal, cs.Failures = nil, nil
+				cs.ProgressFn, cs.Journal = nil, nil
 				// Scope the cell's telemetry: metrics gain deterministic
 				// exp/cell labels (so dumps merge identically at any -jobs
 				// value); the trace tid records which worker ran it.
 				cs.Telemetry = s.Telemetry.With("exp", experiment, "cell", c.Name).WithTID(worker)
 
-				// Retry loop: each attempt runs under the watchdog deadline;
-				// transient failures (anything not Permanent) are re-run up to
-				// MaxRetries times after a seeded, capped exponential backoff.
-				var (
-					rows    []Row
-					err     error
-					attempt = 1
-				)
-				for {
-					var span telemetry.Span
-					if cs.Telemetry != nil {
-						span = cs.Telemetry.Span("cell", experiment+"/"+c.Name)
-					}
-					start := time.Now()
-					rows, err = runCellAttempt(gridCtx, experiment, c, cs)
-					elapsed := time.Since(start)
-					if cs.Telemetry != nil {
-						outcome := "ok"
-						if err != nil {
-							outcome = "error"
-						}
-						span.End("outcome", outcome)
-					}
-					s.Bench.RecordCell(CellTime{
-						Experiment: experiment, Cell: c.Name,
-						Seed: cs.Seed, Seconds: elapsed.Seconds(),
-					})
-					if err != nil && s.Telemetry != nil {
-						var stuck *StuckCellError
-						if errors.As(err, &stuck) {
-							s.Telemetry.With("exp", experiment).
-								Counter("engine_watchdog_fires_total").Add(1)
-						}
-					}
-					if err == nil || gridCtx.Err() != nil ||
-						isPermanent(err) || attempt > s.MaxRetries {
-						break
-					}
-					if s.Telemetry != nil {
-						s.Telemetry.With("exp", experiment).
-							Counter("engine_cell_retries_total").Add(1)
-					}
-					timer := time.NewTimer(RetryDelay(cs.Seed, attempt, s.RetryBackoff))
-					select {
-					case <-timer.C:
-					case <-gridCtx.Done():
-						timer.Stop()
-					}
-					if cerr := gridCtx.Err(); cerr != nil {
-						err = cerr
-						break
-					}
-					attempt++
+				var span telemetry.Span
+				if cs.Telemetry != nil {
+					span = cs.Telemetry.Span("cell", experiment+"/"+c.Name)
 				}
+				start := time.Now()
+				rows, err := runCell(gridCtx, experiment, c, cs)
+				elapsed := time.Since(start)
+				if cs.Telemetry != nil {
+					outcome := "ok"
+					if err != nil {
+						outcome = "error"
+					}
+					span.End("outcome", outcome)
+				}
+				s.Bench.RecordCell(CellTime{
+					Experiment: experiment, Cell: c.Name,
+					Seed: cs.Seed, Seconds: elapsed.Seconds(),
+				})
 
-				// Fail-soft: an exhausted real cell failure (not cancellation
-				// fallout) becomes a FailedCell record and a nil result slot —
-				// exactly the shape -cell filtering leaves, which every
-				// experiment's post-processing already tolerates.
-				var failedSoft bool
-				if err != nil && s.FailSoft {
-					var ce *CellError
-					if asCellError(err, &ce) {
-						s.Failures.Record(FailedCell{
-							Experiment: experiment, Cell: c.Name,
-							Seed: cs.Seed, Attempts: attempt, Err: err,
-						})
-						failedSoft = true
-					}
-				}
 				// Checkpoint before progress is reported: once ProgressFn has
 				// seen the cell complete, a kill must find its record durable.
 				if err == nil {
@@ -308,28 +260,13 @@ func RunGrid(ctx context.Context, s Scale, experiment string, t *stats.Table, ce
 					}
 				}
 				mu.Lock()
-				if failedSoft {
-					soft[i] = true
-					// results[i] and errs[i] stay nil: the grid continues.
-				} else {
-					results[i], errs[i] = rows, err
-				}
+				results[i], errs[i] = rows, err
 				completed++
-				if err != nil && !failedSoft {
+				if err != nil {
 					cancel() // fail fast at cell granularity
-				} else if err == nil {
+				} else {
 					done[i] = true
-					// Publish the completed cells' rows in canonical order,
-					// inside the lock so snapshots stay monotone.
-					snap := &stats.Table{Title: t.Title, Columns: t.Columns}
-					for j := range results {
-						if done[j] {
-							for _, r := range results[j] {
-								snap.AddRow(r...)
-							}
-						}
-					}
-					s.Progress.Publish(snap)
+					publish()
 				}
 				if s.ProgressFn != nil {
 					gridElapsed := time.Since(gridStart)
@@ -350,13 +287,11 @@ func RunGrid(ctx context.Context, s Scale, experiment string, t *stats.Table, ce
 	wg.Wait()
 	if s.Telemetry != nil {
 		ec := s.Telemetry.With("exp", experiment)
-		ok, failed, softN := 0, 0, 0
+		ok, failed := 0, 0
 		for _, i := range work {
 			switch {
 			case done[i]:
 				ok++
-			case soft[i]:
-				softN++
 			case errs[i] != nil:
 				failed++
 			}
@@ -364,9 +299,6 @@ func RunGrid(ctx context.Context, s Scale, experiment string, t *stats.Table, ce
 		ec.Counter("engine_cells_completed_total").Add(uint64(ok))
 		if failed > 0 {
 			ec.Counter("engine_cells_failed_total").Add(uint64(failed))
-		}
-		if softN > 0 {
-			ec.Counter("engine_cells_failed_soft_total").Add(uint64(softN))
 		}
 	}
 
@@ -379,7 +311,7 @@ func RunGrid(ctx context.Context, s Scale, experiment string, t *stats.Table, ce
 			continue
 		}
 		var ce *CellError
-		if asCellError(err, &ce) {
+		if errors.As(err, &ce) {
 			return results, err
 		}
 		if firstCancel == nil {
@@ -393,75 +325,6 @@ func RunGrid(ctx context.Context, s Scale, experiment string, t *stats.Table, ce
 		return results, firstCancel
 	}
 	return results, nil
-}
-
-// runCellAttempt executes one attempt of a cell: fault injection first
-// (Scale.CellFault), then the cell itself under the per-cell watchdog
-// deadline when one is armed. A deadline expiry yields a *CellError
-// wrapping *StuckCellError; if the cell ignores the cancellation, its
-// goroutine is abandoned (it exits at its next stream checkpoint — the
-// buffered channel lets it deliver into the void) so the worker can
-// requeue the cell instead of hanging with it.
-func runCellAttempt(ctx context.Context, experiment string, c Cell, cs Scale) ([]Row, error) {
-	if cs.CellFault != nil {
-		if ferr := cs.CellFault(experiment, c.Name); ferr != nil {
-			return nil, &CellError{Experiment: experiment, Cell: c.Name, Seed: cs.Seed, Err: ferr}
-		}
-	}
-	if cs.CellDeadline <= 0 {
-		return runCell(ctx, experiment, c, cs)
-	}
-	actx, cancel := context.WithTimeout(ctx, cs.CellDeadline)
-	defer cancel()
-	type attemptResult struct {
-		rows []Row
-		err  error
-	}
-	ch := make(chan attemptResult, 1)
-	go func() {
-		rows, err := runCell(actx, experiment, c, cs)
-		ch <- attemptResult{rows, err}
-	}()
-	stuck := func() error {
-		return &CellError{Experiment: experiment, Cell: c.Name, Seed: cs.Seed,
-			Err: &StuckCellError{Experiment: experiment, Cell: c.Name,
-				Seed: cs.Seed, Deadline: cs.CellDeadline}}
-	}
-	select {
-	case a := <-ch:
-		if a.err != nil && actx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
-			// The watchdog fired and the cell exited on the cancellation:
-			// report the watchdog's verdict, not the raw context error.
-			return nil, stuck()
-		}
-		return a.rows, a.err
-	case <-actx.Done():
-		if ctx.Err() != nil {
-			// Grid-level cancellation, not the watchdog: wait for the cell
-			// to stop at its next checkpoint so shutdown stays leak-free.
-			a := <-ch
-			return a.rows, a.err
-		}
-		return nil, stuck()
-	}
-}
-
-// asCellError reports whether err is a *CellError (avoiding an errors.As
-// import cycle on the hot path is not a concern; this keeps the intent
-// explicit).
-func asCellError(err error, target **CellError) bool {
-	for err != nil {
-		if ce, ok := err.(*CellError); ok {
-			*target = ce
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // runCell executes one cell with panic recovery, wrapping any failure in a

@@ -143,7 +143,7 @@ func TestRunGridPanicBecomesCellError(t *testing.T) {
 
 func TestRunGridFailFastCancelsRemaining(t *testing.T) {
 	t.Parallel()
-	var ran int32
+	var ran, failing int32
 	cells := make([]Cell, 6)
 	for i := range cells {
 		i := i
@@ -151,6 +151,7 @@ func TestRunGridFailFastCancelsRemaining(t *testing.T) {
 			Name: fmt.Sprintf("cell%02d", i),
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
 				if i == 0 {
+					atomic.AddInt32(&failing, 1)
 					return nil, errors.New("boom")
 				}
 				atomic.AddInt32(&ran, 1)
@@ -167,6 +168,9 @@ func TestRunGridFailFastCancelsRemaining(t *testing.T) {
 	}
 	if n := atomic.LoadInt32(&ran); n != 0 {
 		t.Errorf("%d cells ran after the serial failure", n)
+	}
+	if n := atomic.LoadInt32(&failing); n != 1 {
+		t.Errorf("failing cell ran %d times, want exactly once", n)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"mixtlb/internal/addr"
 	"mixtlb/internal/cachesim"
@@ -97,30 +96,6 @@ type Scale struct {
 	// their exact values and seeds are pure functions of cell identity.
 	// Nil disables checkpointing at zero cost.
 	Journal *journal.Journal
-	// MaxRetries is how many times the engine re-runs a cell that fails
-	// with a transient error (0 = fail on first error). Each retry waits
-	// a capped, seeded exponential backoff — see RetryDelay.
-	MaxRetries int
-	// RetryBackoff is the base backoff before the first retry
-	// (0 = defaultRetryBackoff). Tests set it to ~1ms.
-	RetryBackoff time.Duration
-	// CellDeadline, when positive, arms a per-cell watchdog: a cell
-	// exceeding it is canceled (abandoned if it ignores cancellation),
-	// reported as a *StuckCellError, and requeued under the retry policy.
-	CellDeadline time.Duration
-	// FailSoft, when true, turns cells that exhaust their retries into
-	// FailedCell records (and FAILED table markers) instead of aborting
-	// the grid. The failed cell's result slot stays nil, exactly like a
-	// cell excluded by -cell filtering.
-	FailSoft bool
-	// Failures, when set, collects the run's FailedCell records (the
-	// CLI's exit code and the table's FAILED markers read it). Nil-safe.
-	Failures *FailureLog
-	// CellFault, when set, is consulted before each cell attempt; a
-	// non-nil return fails the attempt with that error. It exists for
-	// fault injection (tests, -inject-cell-failure) and observes only the
-	// cell's identity, never simulation state.
-	CellFault func(experiment, cell string) error
 	// LedgerAudit, when true, attaches a cycle-attribution ledger to
 	// every MMU driven through runStream and fails the cell unless the
 	// closed translations' cycles sum exactly to the MMU's total

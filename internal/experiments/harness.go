@@ -138,16 +138,15 @@ func RunSafe(ctx context.Context, e Experiment, s Scale, timeout time.Duration) 
 	select {
 	case out := <-done:
 		if out.err != nil {
-			return withFailureRows(pub.Snapshot(), s.Failures, e.Name), out.err
+			return pub.Snapshot(), out.err
 		}
-		return withFailureRows(out.tbl, s.Failures, e.Name), nil
+		return out.tbl, nil
 	case <-deadline:
 		drain()
-		return withFailureRows(pub.Snapshot(), s.Failures, e.Name),
-			&TimeoutError{Experiment: e.Name, Seed: s.Seed, Timeout: timeout}
+		return pub.Snapshot(), &TimeoutError{Experiment: e.Name, Seed: s.Seed, Timeout: timeout}
 	case <-ctx.Done():
 		drain()
-		return withFailureRows(pub.Snapshot(), s.Failures, e.Name), ctx.Err()
+		return pub.Snapshot(), ctx.Err()
 	}
 }
 

@@ -1,177 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"sync"
-	"time"
-
-	"mixtlb/internal/journal"
-	"mixtlb/internal/simrand"
-	"mixtlb/internal/stats"
-)
-
-// This file is the engine's failure-handling vocabulary: the typed record
-// of a cell that exhausted its retries (FailedCell / FailureLog), the
-// watchdog's verdict on a cell that stopped making progress
-// (StuckCellError), the opt-out wrapper for errors that must never be
-// retried (PermanentError), and the deterministic retry schedule
-// (RetryDelay). The engine's failure taxonomy is two-valued: every cell
-// error is presumed transient (worth retrying — OOM pressure, injected
-// chaos, a stuck simulation) unless wrapped in Permanent; whatever is
-// still failing after MaxRetries attempts is recorded as a FailedCell and
-// — under FailSoft — rendered as an explicit FAILED marker row instead of
-// aborting the grid.
-
-// FailedCell records one grid cell that exhausted its retry budget.
-type FailedCell struct {
-	Experiment string
-	Cell       string
-	Seed       uint64 // the cell's derived seed, for one-cell reproduction
-	Attempts   int    // total attempts made (1 + retries)
-	Err        error  // the final attempt's error
-}
-
-// String renders the table marker for a failed cell. It contains no commas
-// or quotes, so it survives CSV output as a single well-formed field.
-func (f FailedCell) String() string {
-	return fmt.Sprintf("FAILED(cell=%s seed=%d attempts=%d)", f.Cell, f.Seed, f.Attempts)
-}
-
-// FailureLog accumulates FailedCell records across a run. All methods are
-// nil-safe and safe for concurrent use (the disabled state is a nil log,
-// mirroring BenchLog).
-type FailureLog struct {
-	mu    sync.Mutex
-	cells []FailedCell
-}
-
-// Record appends one failed cell.
-func (l *FailureLog) Record(fc FailedCell) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.cells = append(l.cells, fc)
-	l.mu.Unlock()
-}
-
-// Count reports how many cells have failed so far.
-func (l *FailureLog) Count() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.cells)
-}
-
-// All returns every failure sorted by (experiment, cell) — canonical
-// order, independent of which worker recorded first.
-func (l *FailureLog) All() []FailedCell {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	out := append([]FailedCell(nil), l.cells...)
-	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Experiment != out[j].Experiment {
-			return out[i].Experiment < out[j].Experiment
-		}
-		return out[i].Cell < out[j].Cell
-	})
-	return out
-}
-
-// ForExperiment returns one experiment's failures sorted by cell name.
-func (l *FailureLog) ForExperiment(experiment string) []FailedCell {
-	var out []FailedCell
-	for _, fc := range l.All() {
-		if fc.Experiment == experiment {
-			out = append(out, fc)
-		}
-	}
-	return out
-}
-
-// StuckCellError is the watchdog's verdict: the cell exceeded its
-// progress deadline and was canceled (and, if it ignored the
-// cancellation, abandoned). It is transient — a stuck cell is requeued
-// like any other retryable failure.
-type StuckCellError struct {
-	Experiment string
-	Cell       string
-	Seed       uint64
-	Deadline   time.Duration
-}
-
-func (e *StuckCellError) Error() string {
-	return fmt.Sprintf("cell %q made no progress within %v (watchdog canceled it; cell seed %d)",
-		e.Cell, e.Deadline, e.Seed)
-}
-
-// PermanentError marks an error as not worth retrying: the same inputs
-// will fail the same way (validation failures, impossible configurations).
-// The engine fails such a cell on its first attempt.
-type PermanentError struct{ Err error }
-
-func (e *PermanentError) Error() string { return e.Err.Error() }
-func (e *PermanentError) Unwrap() error { return e.Err }
-
-// Permanent wraps err so the engine will not retry it. A nil err stays nil.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &PermanentError{Err: err}
-}
-
-// isPermanent walks the Unwrap chain looking for a *PermanentError.
-func isPermanent(err error) bool {
-	for err != nil {
-		if _, ok := err.(*PermanentError); ok {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
-// Default retry schedule bounds (overridable per run via Scale).
-const (
-	defaultRetryBackoff = 250 * time.Millisecond
-	maxRetryBackoff     = 10 * time.Second
-)
-
-// RetryDelay computes the backoff before retry `attempt` (1-based) of a
-// cell: capped exponential doubling of base, scaled by a jitter factor in
-// [0.5, 1.0) drawn from a stream split off the cell's seed and the
-// attempt number. The schedule is a pure function of (cellSeed, attempt,
-// base) — deterministic under test, decorrelated across cells in a grid
-// so requeued cells do not retry in lockstep.
-func RetryDelay(cellSeed uint64, attempt int, base time.Duration) time.Duration {
-	if attempt < 1 {
-		attempt = 1
-	}
-	if base <= 0 {
-		base = defaultRetryBackoff
-	}
-	d := base
-	for i := 1; i < attempt && d < maxRetryBackoff; i++ {
-		d *= 2
-	}
-	if d > maxRetryBackoff {
-		d = maxRetryBackoff
-	}
-	rng := simrand.New(simrand.SplitSeed(cellSeed, "retry", strconv.Itoa(attempt)))
-	return time.Duration(float64(d) * (0.5 + 0.5*rng.Float64()))
-}
+import "mixtlb/internal/journal"
 
 // recordRows converts a cell's rows to the journal's wire shape.
 func recordRows(rows []Row) [][]interface{} {
@@ -189,17 +18,4 @@ func rowsFromRecord(rec journal.Record) []Row {
 		rows[i] = Row(r)
 	}
 	return rows
-}
-
-// withFailureRows appends one FAILED marker row per failed cell of the
-// experiment to the table (sorted by cell name), so a fail-soft run's
-// output names exactly which cells are missing and how to reproduce them.
-func withFailureRows(t *stats.Table, log *FailureLog, experiment string) *stats.Table {
-	if t == nil || log == nil {
-		return t
-	}
-	for _, fc := range log.ForExperiment(experiment) {
-		t.AddRow(fc.String())
-	}
-	return t
 }

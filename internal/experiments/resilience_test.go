@@ -5,19 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mixtlb/internal/journal"
-	"mixtlb/internal/stats"
 )
 
 // countingGrid is syntheticGrid plus a per-cell invocation counter, so
-// tests can assert exactly which cells were simulated vs. replayed or
-// retried.
+// tests can assert exactly which cells were simulated vs. replayed.
 func countingGrid(n int, calls *sync.Map) []Cell {
 	cells := syntheticGrid(n)
 	for i := range cells {
@@ -158,282 +154,78 @@ func TestJournalFingerprintGuardsReplay(t *testing.T) {
 	}
 }
 
-func TestRetryDelayDeterministicAndBounded(t *testing.T) {
-	t.Parallel()
-	const seed = 0xabcdef
-	base := 100 * time.Millisecond
-	prevCeil := time.Duration(0)
-	for attempt := 1; attempt <= 10; attempt++ {
-		d1 := RetryDelay(seed, attempt, base)
-		d2 := RetryDelay(seed, attempt, base)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: delay not deterministic (%v vs %v)", attempt, d1, d2)
-		}
-		ceil := base << (attempt - 1)
-		if ceil > maxRetryBackoff || ceil <= 0 {
-			ceil = maxRetryBackoff
-		}
-		if d1 < ceil/2 || d1 >= ceil {
-			t.Errorf("attempt %d: delay %v outside [%v, %v)", attempt, d1, ceil/2, ceil)
-		}
-		if ceil < prevCeil {
-			t.Errorf("attempt %d: backoff ceiling shrank", attempt)
-		}
-		prevCeil = ceil
-	}
-	if RetryDelay(seed, 1, base) == RetryDelay(seed+1, 1, base) {
-		t.Error("different cells retry in lockstep")
-	}
-	if RetryDelay(seed, 30, base) > maxRetryBackoff {
-		t.Error("backoff exceeded cap")
-	}
-}
-
-// flakyCell fails with a transient error until `failures` attempts have
-// happened, then succeeds.
-func flakyCell(name string, failures int, attempts *atomic.Int64) Cell {
-	return Cell{
-		Name: name,
-		Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-			if attempts.Add(1) <= int64(failures) {
-				return nil, fmt.Errorf("transient fault")
-			}
-			return []Row{{name, cs.Seed}}, nil
-		},
-	}
-}
-
-func TestRetryRecoversTransientFailures(t *testing.T) {
-	t.Parallel()
-	s := QuickScale()
-	s.Jobs = 2
-	s.MaxRetries = 3
-	s.RetryBackoff = time.Millisecond
-	var a0, a1 atomic.Int64
-	cells := []Cell{flakyCell("flaky0", 2, &a0), flakyCell("ok1", 0, &a1)}
-	tbl := &stats.Table{Title: "grid", Columns: []string{"cell", "seed"}}
-	results, err := RunGrid(context.Background(), s, "retry", tbl, cells)
-	if err != nil {
-		t.Fatalf("grid failed despite retry budget: %v", err)
-	}
-	if a0.Load() != 3 || a1.Load() != 1 {
-		t.Errorf("attempts = %d, %d; want 3, 1", a0.Load(), a1.Load())
-	}
-	if results[0] == nil || results[1] == nil {
-		t.Error("missing results after recovery")
-	}
-}
-
-func TestRetryExhaustionFailsGrid(t *testing.T) {
-	t.Parallel()
-	s := QuickScale()
-	s.Jobs = 1
-	s.MaxRetries = 2
-	s.RetryBackoff = time.Millisecond
-	var a atomic.Int64
-	cells := []Cell{flakyCell("doomed", 99, &a)}
-	_, err := RunGrid(context.Background(), s, "retry", gridTable(), cells)
-	var ce *CellError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *CellError", err)
-	}
-	if a.Load() != 3 { // 1 + MaxRetries
-		t.Errorf("attempts = %d, want 3", a.Load())
-	}
-}
-
-func TestPermanentErrorSkipsRetry(t *testing.T) {
-	t.Parallel()
-	s := QuickScale()
-	s.Jobs = 1
-	s.MaxRetries = 5
-	s.RetryBackoff = time.Millisecond
-	var a atomic.Int64
-	cells := []Cell{{
-		Name: "invalid",
-		Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-			a.Add(1)
-			return nil, Permanent(fmt.Errorf("bad configuration"))
-		},
-	}}
-	_, err := RunGrid(context.Background(), s, "retry", gridTable(), cells)
-	if err == nil {
-		t.Fatal("permanent failure succeeded")
-	}
-	if a.Load() != 1 {
-		t.Errorf("attempts = %d, want 1 (permanent errors must not retry)", a.Load())
-	}
-}
-
-func TestFailSoftRendersMarkers(t *testing.T) {
-	t.Parallel()
-	s := QuickScale()
-	s.Jobs = 4
-	s.MaxRetries = 1
-	s.RetryBackoff = time.Millisecond
-	s.FailSoft = true
-	s.Failures = &FailureLog{}
-	s.CellFault = func(exp, cell string) error {
-		if strings.Contains(cell, "cell03") || strings.Contains(cell, "cell07") {
-			return fmt.Errorf("injected fault")
-		}
-		return nil
-	}
-	tbl := gridTable()
-	results, err := RunGrid(context.Background(), s, "synthetic", tbl, syntheticGrid(10))
-	if err != nil {
-		t.Fatalf("fail-soft grid aborted: %v", err)
-	}
-	if results[3] != nil || results[7] != nil {
-		t.Error("failed cells left non-nil result slots")
-	}
-	for i := range results {
-		if i != 3 && i != 7 && results[i] == nil {
-			t.Errorf("healthy cell %d missing its result", i)
-		}
-	}
-	if got := s.Failures.Count(); got != 2 {
-		t.Fatalf("failure log has %d cells, want 2", got)
-	}
-	fcs := s.Failures.ForExperiment("synthetic")
-	if fcs[0].Cell != "cell03" || fcs[1].Cell != "cell07" {
-		t.Errorf("failures not in canonical order: %v", fcs)
-	}
-	if fcs[0].Attempts != 2 {
-		t.Errorf("attempts = %d, want 2 (1 + MaxRetries)", fcs[0].Attempts)
-	}
-	AppendRows(tbl, results)
-	withFailureRows(tbl, s.Failures, "synthetic")
-	csv := tbl.CSV()
-	want := fmt.Sprintf("FAILED(cell=cell03 seed=%d attempts=2)",
-		CellSeed(s.Seed, "synthetic", "cell03"))
-	if !strings.Contains(csv, want) {
-		t.Errorf("table missing marker %q:\n%s", want, csv)
-	}
-	if strings.Count(csv, "FAILED(") != 2 {
-		t.Errorf("want exactly 2 FAILED markers:\n%s", csv)
-	}
-}
-
-// TestWatchdogRequeuesStuckCell: a cell that ignores work on its first
-// attempt beyond the deadline is canceled by the watchdog and succeeds on
-// the requeue.
-func TestWatchdogRequeuesStuckCell(t *testing.T) {
-	t.Parallel()
-	s := QuickScale()
-	s.Jobs = 1
-	s.MaxRetries = 1
-	s.RetryBackoff = time.Millisecond
-	s.CellDeadline = 30 * time.Millisecond
-	var attempts atomic.Int64
-	cells := []Cell{{
-		Name: "sleepy",
-		Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-			if attempts.Add(1) == 1 {
-				<-ctx.Done() // cooperative stall: wakes when the watchdog fires
-				return nil, ctx.Err()
-			}
-			return []Row{{"sleepy", cs.Seed}}, nil
-		},
-	}}
-	results, err := RunGrid(context.Background(), s, "watchdog", gridTable(), cells)
-	if err != nil {
-		t.Fatalf("grid failed: %v", err)
-	}
-	if attempts.Load() != 2 || results[0] == nil {
-		t.Errorf("attempts = %d, results[0] = %v; want a retried success", attempts.Load(), results[0])
-	}
-}
-
-func TestWatchdogAbandonsUncooperativeCell(t *testing.T) {
-	t.Parallel()
-	s := QuickScale()
-	s.Jobs = 1
-	s.MaxRetries = 0
-	s.CellDeadline = 30 * time.Millisecond
-	release := make(chan struct{})
-	cells := []Cell{{
-		Name: "hung",
-		Run: func(ctx context.Context, cs Scale) ([]Row, error) {
-			<-release // ignores ctx entirely
-			return []Row{{"hung", cs.Seed}}, nil
-		},
-	}}
-	start := time.Now()
-	_, err := RunGrid(context.Background(), s, "watchdog", gridTable(), cells)
-	elapsed := time.Since(start)
-	close(release)
-	var sce *StuckCellError
-	if !errors.As(err, &sce) {
-		t.Fatalf("err = %v, want *StuckCellError", err)
-	}
-	if sce.Cell != "hung" || sce.Deadline != s.CellDeadline {
-		t.Errorf("stuck error = %+v", sce)
-	}
-	if elapsed > 5*time.Second {
-		t.Errorf("watchdog took %v to abandon the cell", elapsed)
-	}
-}
-
-// TestFailSoftSkipsJournal: failed cells must not be checkpointed — a
-// resume should re-attempt them.
+// TestFailSoftSkipsJournal: a failed cell must not be checkpointed, so a
+// resume simulates exactly the cells that have no record (the failed one
+// included) and the healed table is byte-identical to an uninterrupted
+// run.
 func TestFailSoftSkipsJournal(t *testing.T) {
 	t.Parallel()
+	const n = 4
 	s := QuickScale()
 	s.Jobs = 2
-	s.FailSoft = true
-	s.Failures = &FailureLog{}
-	s.RetryBackoff = time.Millisecond
+	want := gridCSV(t, s, syntheticGrid(n))
+
+	// cell01 errors on its first call only, like a cause that clears
+	// between runs.
+	var failed atomic.Bool
+	grid := func(calls *sync.Map) []Cell {
+		cells := countingGrid(n, calls)
+		run := cells[1].Run
+		cells[1].Run = func(ctx context.Context, cs Scale) ([]Row, error) {
+			if failed.CompareAndSwap(false, true) {
+				return nil, errors.New("first call fails")
+			}
+			return run(ctx, cs)
+		}
+		return cells
+	}
+
 	path := filepath.Join(t.TempDir(), "grid.journal")
 	j, err := journal.Create(path, s.Fingerprint())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Journal = j
-	s.CellFault = func(exp, cell string) error {
-		if cell == "cell01" {
-			return fmt.Errorf("injected")
-		}
-		return nil
-	}
-	if _, err := RunGrid(context.Background(), s, "synthetic", gridTable(), syntheticGrid(4)); err != nil {
-		t.Fatal(err)
+	s1 := s
+	s1.Journal = j
+	var calls1 sync.Map
+	_, err = RunGrid(context.Background(), s1, "synthetic", gridTable(), grid(&calls1))
+	var ce *CellError
+	if !errors.As(err, &ce) || ce.Cell != "cell01" {
+		t.Fatalf("err = %v, want *CellError for cell01", err)
 	}
 	if _, ok := j.Lookup("synthetic", "cell01"); ok {
 		t.Error("failed cell was checkpointed")
 	}
-	if j.Stats().Appended != 3 {
-		t.Errorf("appended %d records, want 3", j.Stats().Appended)
+	succeeded := 0
+	calls1.Range(func(_, _ interface{}) bool { succeeded++; return true })
+	if got := j.Stats().Appended; got != succeeded {
+		t.Errorf("appended %d records for %d completed cells", got, succeeded)
 	}
 	j.Close()
 
-	// Resume with the fault cleared: only cell01 runs, and the grid heals.
+	// Resume: only the cells without a record simulate, and the grid heals.
 	j2, err := journal.Open(path, s.Fingerprint())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
+	recorded := map[string]bool{}
+	for _, c := range syntheticGrid(n) {
+		_, recorded[c.Name] = j2.Lookup("synthetic", c.Name)
+	}
 	s2 := s
 	s2.Journal = j2
-	s2.CellFault = nil
-	s2.Failures = &FailureLog{}
-	var calls sync.Map
-	results, err := RunGrid(context.Background(), s2, "synthetic", gridTable(), countingGrid(4, &calls))
-	if err != nil {
-		t.Fatal(err)
+	var calls2 sync.Map
+	if got := gridCSV(t, s2, grid(&calls2)); got != want {
+		t.Errorf("resumed table differs from uninterrupted run:\n%s\nvs\n%s", got, want)
 	}
-	if results[1] == nil {
-		t.Error("healed cell still missing")
-	}
-	n := 0
-	calls.Range(func(name, _ interface{}) bool {
-		n++
-		if name != "cell01" {
-			t.Errorf("cell %v re-simulated despite checkpoint", name)
+	for name, rec := range recorded {
+		c, ran := calls2.Load(name)
+		switch {
+		case rec && ran:
+			t.Errorf("cell %s re-simulated despite checkpoint", name)
+		case !rec && (!ran || c.(*atomic.Int64).Load() != 1):
+			t.Errorf("unrecorded cell %s not simulated exactly once on resume", name)
 		}
-		return true
-	})
-	if n != 1 || s2.Failures.Count() != 0 {
-		t.Errorf("healed resume ran %d cells (failures %d), want 1 (0)", n, s2.Failures.Count())
 	}
 }

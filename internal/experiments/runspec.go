@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"mixtlb/internal/chaos"
 	"mixtlb/internal/isa"
@@ -18,22 +17,19 @@ import (
 // Zero values keep the scale preset's setting; Scale turns a spec into the
 // engine's Scale.
 type RunSpec struct {
-	Quick        bool
-	MemGB        uint64
-	FootprintGB  uint64
-	Refs         uint64 // measured refs per cell; warm-up is half
-	Seed         uint64
-	Workloads    []string
-	Designs      []string
-	ISA          string
-	FaultScale   float64
-	Jobs         int
-	Cell         string
-	MaxRetries   int
-	CellDeadline time.Duration
-	FailSoft     bool
-	LedgerAudit  bool
-	TailK        int
+	Quick       bool
+	MemGB       uint64
+	FootprintGB uint64
+	Refs        uint64 // measured refs per cell; warm-up is half
+	Seed        uint64
+	Workloads   []string
+	Designs     []string
+	ISA         string
+	FaultScale  float64
+	Jobs        int
+	Cell        string
+	LedgerAudit bool
+	TailK       int
 }
 
 // MaxMemoryGB caps -mem-gb and -footprint-gb at 3.2x the paper's 80 GB
@@ -80,9 +76,6 @@ func (r *RunSpec) RegisterFlags(fs *flag.FlagSet) {
 	fs.Float64Var(&r.FaultScale, "fault-scale", r.FaultScale, "multiply the default chaos fault rates")
 	fs.IntVar(&r.Jobs, "jobs", r.Jobs, "worker-pool size for experiment cells (0 = GOMAXPROCS)")
 	fs.StringVar(&r.Cell, "cell", r.Cell, "run only grid cells whose name contains this substring")
-	fs.IntVar(&r.MaxRetries, "max-retries", r.MaxRetries, "re-run a transiently failing cell up to this many times (seeded backoff)")
-	fs.DurationVar(&r.CellDeadline, "cell-deadline", r.CellDeadline, "per-cell watchdog: cancel and requeue cells exceeding this wall time (0 disables)")
-	fs.BoolVar(&r.FailSoft, "fail-soft", r.FailSoft, "record cells that exhaust retries as FAILED table markers instead of aborting")
 	fs.BoolVar(&r.LedgerAudit, "ledger-audit", r.LedgerAudit, "attach the cycle-attribution ledger to every cell and fail cells whose books do not balance")
 	fs.IntVar(&r.TailK, "tail", r.TailK, "record the K slowest translations per cell in the tail flight recorder (0 disables)")
 }
@@ -125,8 +118,7 @@ func (r RunSpec) Scale(reg *mmu.Registry) (Scale, error) {
 		s.Chaos = chaos.DefaultRates().Scaled(r.FaultScale)
 	}
 	s.ISA, s.Registry = r.ISA, reg
-	s.Jobs, s.Cell, s.MaxRetries, s.CellDeadline = r.Jobs, r.Cell, r.MaxRetries, r.CellDeadline
-	s.FailSoft, s.LedgerAudit, s.TailK = r.FailSoft, r.LedgerAudit, r.TailK
+	s.Jobs, s.Cell, s.LedgerAudit, s.TailK = r.Jobs, r.Cell, r.LedgerAudit, r.TailK
 
 	var valid []string
 	for _, spec := range workload.Catalog() {

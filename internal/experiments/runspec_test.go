@@ -5,7 +5,6 @@ import (
 	"flag"
 	"reflect"
 	"testing"
-	"time"
 
 	"mixtlb/internal/chaos"
 	"mixtlb/internal/isa"
@@ -50,10 +49,10 @@ func TestRunSpecScale(t *testing.T) {
 		}},
 		{name: "overrides", spec: quick(func(r *RunSpec) {
 			r.MemGB, r.FootprintGB, r.Refs, r.Seed = 2, 1, 1000, 7
-			r.CellDeadline, r.FaultScale, r.Jobs, r.TailK = 2*time.Minute, 0, 3, 4
+			r.FaultScale, r.Jobs, r.TailK = 0, 3, 4
 		}), check: func(t *testing.T, s Scale) {
 			if s.MemoryBytes != 2<<30 || s.FootprintBytes != 1<<30 || s.MeasureRefs != 1000 ||
-				s.WarmupRefs != 500 || s.Seed != 7 || s.CellDeadline != 2*time.Minute ||
+				s.WarmupRefs != 500 || s.Seed != 7 ||
 				s.Chaos != chaos.DefaultRates().Scaled(0) || s.Jobs != 3 || s.TailK != 4 {
 				t.Errorf("overrides not applied: %+v", s)
 			}
@@ -139,11 +138,10 @@ func TestRunSpecFlags(t *testing.T) {
 	}
 	got := parse("-quick", "-mem-gb", "2", "-footprint-gb", "1", "-refs", "9", "-seed", "7",
 		"-workloads", "gups,mcf", "-designs", "split", "-isa", "sv39", "-fault-scale", "0.5",
-		"-jobs", "3", "-cell", "hog", "-max-retries", "2", "-cell-deadline", "5ms",
-		"-fail-soft", "-ledger-audit", "-tail", "8")
+		"-jobs", "3", "-cell", "hog", "-ledger-audit", "-tail", "8")
 	want := RunSpec{Quick: true, MemGB: 2, FootprintGB: 1, Refs: 9, Seed: 7,
 		Workloads: []string{"gups", "mcf"}, Designs: []string{"split"}, ISA: "sv39", FaultScale: 0.5,
-		Jobs: 3, Cell: "hog", MaxRetries: 2, CellDeadline: 5 * time.Millisecond, FailSoft: true, LedgerAudit: true, TailK: 8}
+		Jobs: 3, Cell: "hog", LedgerAudit: true, TailK: 8}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flags parsed to %+v\nwant %+v", got, want)
 	}

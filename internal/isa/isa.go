@@ -132,16 +132,10 @@ func (d *Descriptor) LevelShift(level int) uint {
 // IndexBits returns the index width of a level (1-based from the leaf).
 func (d *Descriptor) IndexBits(level int) uint { return d.LevelBits[level-1] }
 
-// EntriesAt returns the number of entries in a table at the given level.
-func (d *Descriptor) EntriesAt(level int) int { return 1 << d.LevelBits[level-1] }
-
 // LadderShift returns the VA shift of page-size class c (0 = base pages,
 // 1 and 2 the superpage sizes): the shift at which leaves of radix level
 // c+1 map pages. For every shipped descriptor this is 12/21/30.
 func (d *Descriptor) LadderShift(c int) uint { return d.LevelShift(c + 1) }
-
-// LadderBytes returns the byte size of page-size class c.
-func (d *Descriptor) LadderBytes(c int) uint64 { return 1 << d.LadderShift(c) }
 
 // VAMask returns the mask of architecturally meaningful VA bits.
 func (d *Descriptor) VAMask() uint64 {

@@ -32,7 +32,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -474,28 +473,4 @@ func validMetricName(s string) bool {
 		}
 	}
 	return true
-}
-
-// quantileFromBuckets estimates a quantile from cumulative bucket counts
-// (used by the /metrics summary endpoint; the registry itself only stores
-// the exact bucket counts).
-func quantileFromBuckets(bounds []uint64, counts []uint64, total uint64, q float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	need := uint64(math.Ceil(q * float64(total)))
-	if need == 0 {
-		need = 1
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum >= need {
-			if i < len(bounds) {
-				return float64(bounds[i])
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
 }

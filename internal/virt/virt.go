@@ -58,14 +58,8 @@ func NewMachine(hostBytes uint64, rng *simrand.Source) *Machine {
 	}
 }
 
-// HostPhys exposes the host allocator (for fragmentation experiments).
-func (m *Machine) HostPhys() *physmem.Buddy { return m.hostPhys }
-
 // HostHog exposes the host-level fragmenter/compactor.
 func (m *Machine) HostHog() *physmem.Memhog { return m.hostHog }
-
-// VMs lists the consolidated guests.
-func (m *Machine) VMs() []*VM { return m.vms }
 
 // VM is one guest: a guest-physical address space backed on demand by the
 // host, a nested page table (EPT/NPT), and a guest OS instance.

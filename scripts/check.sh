@@ -1,8 +1,8 @@
 #!/bin/sh
-# Tier-1 gate: build, vet, race-enabled tests, fuzz-corpus smoke, and a
-# parallel-determinism check. Mirrors `make check` for environments
-# without make. Any failing chaos/differential test prints the
-# reproducing seed in its failure message — replay with
+# Tier-1 gate: gofmt, build, vet, race-enabled tests, fuzz-corpus
+# smoke, and a parallel-determinism check. Mirrors `make check` for
+# environments without make. Any failing chaos/differential test prints
+# the reproducing seed in its failure message — replay with
 #   go test -run <TestName> ./internal/...
 # after plugging that seed into the test, or
 #   go run ./cmd/mixtlb -exp chaos -seed <seed>
@@ -12,6 +12,13 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "FAIL: gofmt -l lists unformatted files:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 echo "== go build ./..."
 go build ./...
 echo "== go vet ./..."
@@ -80,30 +87,6 @@ if ! cmp -s "$tmpdir/jobs1.csv" "$tmpdir/resume8.csv"; then
     diff "$tmpdir/jobs1.csv" "$tmpdir/resume8.csv" >&2 || true
     exit 1
 fi
-
-# Fail-soft: a persistently failing cell must exhaust its retries,
-# surface as a FAILED(...) marker row instead of aborting the grid, set
-# exit code 3, and show up in the retry/fail-soft telemetry counters.
-echo "== fail-soft FAILED markers"
-rc=0
-"$tmpdir/mixtlb" -exp fig12 -quick -csv -jobs 2 -fail-soft \
-    -max-retries 1 -retry-backoff 10ms -inject-cell-failure hog2 \
-    -metrics-out "$tmpdir/failsoft.prom" > "$tmpdir/failsoft.csv" 2> /dev/null || rc=$?
-if [ "$rc" -ne 3 ]; then
-    echo "FAIL: fail-soft run exited $rc, want 3" >&2
-    exit 1
-fi
-if ! grep -q 'FAILED(cell=hog2' "$tmpdir/failsoft.csv"; then
-    echo "FAIL: fail-soft table missing FAILED(cell=hog2 marker" >&2
-    cat "$tmpdir/failsoft.csv" >&2
-    exit 1
-fi
-for metric in engine_cell_retries_total engine_cells_failed_soft_total; do
-    if ! grep -q "$metric" "$tmpdir/failsoft.prom"; then
-        echo "FAIL: metrics dump missing $metric" >&2
-        exit 1
-    fi
-done
 
 # Design registry: every registered design (builtin and the shipped
 # example file, including the victim-level specs) must validate and
