@@ -77,7 +77,11 @@ var groups = map[string][]string{
 // groupOrder keeps -list output stable.
 var groupOrder = []string{"perf", "charact", "energy", "ablations"}
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command; it returns the process exit code, so its
+// deferred cleanup (profiles) runs on every path.
+func run() (code int) {
 	var expName string
 	flag.StringVar(&expName, "exp", "", "experiment or group to run (see -list), or 'all'")
 	flag.StringVar(&expName, "experiment", "", "alias for -exp")
@@ -112,16 +116,22 @@ func main() {
 	lg, err := logx.New(os.Stderr, *logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 
-	// Profiles must be finalized before the explicit os.Exit below, which
-	// skips deferred calls; stopProfiles is invoked on every exit path.
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		lg.Error("starting profiles", "err", err)
-		os.Exit(2)
+		return 2
 	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			lg.Error("stopping profiles", "err", err)
+			if code != 2 { // a usage error keeps its code
+				code = 1
+			}
+		}
+	}()
 
 	// Design registry: the builtins, extended by any -design-file specs.
 	// A malformed file, invalid spec, or duplicate name is rejected up
@@ -131,8 +141,7 @@ func main() {
 		f, err := os.Open(*designFile)
 		if err != nil {
 			lg.Error("opening design file", "err", err)
-			stopProfiles()
-			os.Exit(2)
+			return 2
 		}
 		specs, err := mmu.ParseSpecs(f)
 		f.Close()
@@ -145,8 +154,7 @@ func main() {
 		}
 		if err != nil {
 			lg.Error("loading design file", "file", *designFile, "err", err)
-			stopProfiles()
-			os.Exit(2)
+			return 2
 		}
 	}
 
@@ -176,8 +184,7 @@ func main() {
 			}
 			fmt.Printf("  %-15s %d-level radix, %d-bit VAs%s\n", n, d.Depth(), d.VABits, contig)
 		}
-		stopProfiles()
-		return
+		return 0
 	}
 	if *chaosRun && expName == "" {
 		expName = "chaos"
@@ -185,8 +192,7 @@ func main() {
 	if expName == "" && !*explain {
 		fmt.Fprintln(os.Stderr, "usage: mixtlb -exp <name>|<group>|all [-jobs N] [-quick] [-csv] [-chaos]; see -list")
 		fmt.Fprintln(os.Stderr, "       mixtlb -explain vaddr=0x... design=<name>")
-		stopProfiles()
-		os.Exit(2)
+		return 2
 	}
 
 	// Reject bad settings up front (a typo'd workload would otherwise run
@@ -194,8 +200,7 @@ func main() {
 	scale, err := spec.Scale(registry)
 	if err != nil {
 		lg.Error("invalid run settings", "err", err)
-		stopProfiles()
-		os.Exit(2)
+		return 2
 	}
 
 	// Single-translation replay: narrate one address's cost and exit.
@@ -203,16 +208,13 @@ func main() {
 		design, va, err := parseExplainArgs(flag.Args())
 		if err != nil {
 			lg.Error("bad -explain arguments", "err", err)
-			stopProfiles()
-			os.Exit(2)
+			return 2
 		}
 		if err := experiments.Explain(os.Stdout, scale, design, va); err != nil {
 			lg.Error("explain failed", "err", err)
-			stopProfiles()
-			os.Exit(1)
+			return 1
 		}
-		stopProfiles()
-		return
+		return 0
 	}
 
 	// Checkpoint journal. Without -resume the file starts fresh; with it,
@@ -222,8 +224,7 @@ func main() {
 	// rows would not correspond to this run's cells.
 	if *resume && *journalPath == "" {
 		lg.Error("-resume requires -journal FILE")
-		stopProfiles()
-		os.Exit(2)
+		return 2
 	}
 	var jnl *journal.Journal
 	if *journalPath != "" {
@@ -240,8 +241,7 @@ func main() {
 			if errors.As(jerr, &ce) && ce.Reason == journal.ReasonFingerprint {
 				lg.Error("refusing to resume: the journal was written under a different configuration (rerun with matching flags, or without -resume to start over)")
 			}
-			stopProfiles()
-			os.Exit(2)
+			return 2
 		}
 		if st := jnl.Stats(); *resume {
 			lg.Info("journal resumed", "journal", *journalPath,
@@ -267,8 +267,7 @@ func main() {
 		bound, shutdown, err := telemetry.Serve(*pprofAddr, reg, tracer)
 		if err != nil {
 			lg.Error("starting telemetry server", "err", err)
-			stopProfiles()
-			os.Exit(2)
+			return 2
 		}
 		lg.Info("telemetry serving", "addr", bound,
 			"endpoints", "/metrics /trace /debug/tail /debug/vars /debug/pprof/")
@@ -313,8 +312,7 @@ func main() {
 			e, err := experiments.ByName(name)
 			if err != nil {
 				lg.Error("unknown experiment", "err", err)
-				stopProfiles()
-				os.Exit(2)
+				return 2
 			}
 			toRun = append(toRun, e)
 		}
@@ -323,8 +321,7 @@ func main() {
 		if err != nil {
 			lg.Error("unknown experiment", "err", err,
 				"groups", strings.Join(groupOrder, ", ")+", all")
-			stopProfiles()
-			os.Exit(2)
+			return 2
 		}
 		toRun = []experiments.Experiment{e}
 	}
@@ -399,11 +396,7 @@ func main() {
 			setExit(1)
 		}
 	}
-	if err := stopProfiles(); err != nil {
-		lg.Error("stopping profiles", "err", err)
-		setExit(1)
-	}
-	os.Exit(exitCode)
+	return exitCode
 }
 
 // parseExplainArgs reads -explain's k=v operands: vaddr (required hex or
@@ -465,9 +458,8 @@ func writeTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer, metricsPa
 }
 
 // startProfiles begins CPU profiling and arranges heap profiling according
-// to the -cpuprofile/-memprofile flags. The returned stop function is
-// idempotent-enough for this command's linear exit paths: it stops the CPU
-// profile and writes the heap profile, and must run before os.Exit.
+// to the -cpuprofile/-memprofile flags. The returned stop function stops
+// the CPU profile and writes the heap profile; run defers it once.
 func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {

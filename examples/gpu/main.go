@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,11 +42,11 @@ func main() {
 			log.Fatal(err)
 		}
 		streams := kernel.Streams(cores, base, footprint, 0)
-		if err := sys.Run(streams, 200_000); err != nil {
+		if err := sys.Run(context.Background(), streams, 200_000); err != nil {
 			log.Fatal(err)
 		}
 		sys.ResetStats()
-		if err := sys.Run(streams, 400_000); err != nil {
+		if err := sys.Run(context.Background(), streams, 400_000); err != nil {
 			log.Fatal(err)
 		}
 		st := sys.Aggregate()

@@ -74,7 +74,6 @@ func AblationIndexBits(ctx context.Context, s Scale) (*stats.Table, error) {
 	}
 	var cells []Cell
 	for _, p := range ablationPatterns() {
-		p := p
 		cells = append(cells, Cell{
 			Name: p.name,
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -103,7 +102,7 @@ func AblationIndexBits(ctx context.Context, s Scale) (*stats.Table, error) {
 			},
 		})
 	}
-	results, err := RunGrid(ctx, s, "ablation-index", t, cells)
+	results, err := RunGrid(ctx, s, "ablation-index", cells)
 	AppendRows(t, results)
 	return t, err
 }
@@ -121,7 +120,6 @@ func ScalingStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 	var cells []Cell
 	for _, spec := range s.workloads() {
 		for _, sets := range []int{64, 128, 512} {
-			spec, sets := spec, sets
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("%s/%dsets", spec.Name, sets),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -147,7 +145,7 @@ func ScalingStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 			})
 		}
 	}
-	results, err := RunGrid(ctx, s, "scaling", t, cells)
+	results, err := RunGrid(ctx, s, "scaling", cells)
 	AppendRows(t, results)
 	return t, err
 }
@@ -205,7 +203,7 @@ func DuplicateStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 			})
 		}
 	}
-	results, err := RunGrid(ctx, s, "duplicates", t, cells)
+	results, err := RunGrid(ctx, s, "duplicates", cells)
 	AppendRows(t, results)
 	return t, err
 }
@@ -224,7 +222,6 @@ func CoalesceCapStudy(ctx context.Context, s Scale, caps []int) (*stats.Table, e
 	var cells []Cell
 	for _, spec := range s.workloads() {
 		for _, k := range caps {
-			spec, k := spec, k
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("%s/K%d", spec.Name, k),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -245,7 +242,7 @@ func CoalesceCapStudy(ctx context.Context, s Scale, caps []int) (*stats.Table, e
 			})
 		}
 	}
-	results, err := RunGrid(ctx, s, "coalesce-cap", t, cells)
+	results, err := RunGrid(ctx, s, "coalesce-cap", cells)
 	AppendRows(t, results)
 	return t, err
 }
@@ -298,7 +295,7 @@ func EncodingStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 			})
 		}
 	}
-	results, err := RunGrid(ctx, s, "encoding", t, cells)
+	results, err := RunGrid(ctx, s, "encoding", cells)
 	AppendRows(t, results)
 	return t, err
 }

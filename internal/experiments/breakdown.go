@@ -59,7 +59,6 @@ func Breakdown(ctx context.Context, s Scale) (*stats.Table, error) {
 	chaosSpec, haveChaosRow := s.registry().Lookup(mmu.DesignMix)
 	var cells []Cell
 	for _, spec := range s.workloads() {
-		spec := spec
 		cells = append(cells, Cell{
 			Name: spec.Name,
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -89,7 +88,7 @@ func Breakdown(ctx context.Context, s Scale) (*stats.Table, error) {
 			},
 		})
 	}
-	results, err := RunGrid(ctx, s, "breakdown", t, cells)
+	results, err := RunGrid(ctx, s, "breakdown", cells)
 	AppendRows(t, results)
 	return t, err
 }

@@ -75,7 +75,7 @@ func ChaosStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 				for i := range streams {
 					streams[i] = workload.NewZipf(env.base, env.fp, simrand.New(cs.Seed+uint64(i)), 0.9, 0.1, uint64(i))
 				}
-				if err := sys.Run(streams, cs.WarmupRefs); err != nil {
+				if err := sys.Run(ctx, streams, cs.WarmupRefs); err != nil {
 					return nil, fmt.Errorf("chaos %s warmup (seed %d): %w", d, cs.Seed, err)
 				}
 				sys.ResetStats()
@@ -83,10 +83,7 @@ func ChaosStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 				rng := simrand.New(cs.Seed ^ 0xc4a05)
 				chunk := cs.MeasureRefs / 10
 				for round := 0; round < 10; round++ {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					if err := sys.Run(streams, chunk); err != nil {
+					if err := sys.Run(ctx, streams, chunk); err != nil {
 						return nil, fmt.Errorf("chaos %s round %d (seed %d): %w", d, round, cs.Seed, err)
 					}
 					// Mapping churn: unmap a random 4MB region (shootdown storm
@@ -113,7 +110,7 @@ func ChaosStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 			},
 		})
 	}
-	results, err := RunGrid(ctx, s, "chaos", t, cells)
+	results, err := RunGrid(ctx, s, "chaos", cells)
 	AppendRows(t, results)
 	return t, err
 }

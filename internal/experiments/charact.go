@@ -40,7 +40,6 @@ func Figure9(ctx context.Context, s Scale) (*stats.Table, error) {
 	var cells []Cell
 	for _, hogPct := range hogs {
 		for _, cl := range classes {
-			hogPct, cl := hogPct, cl
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("hog%d/%s", hogPct, cl.name),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -58,8 +57,9 @@ func Figure9(ctx context.Context, s Scale) (*stats.Table, error) {
 			})
 		}
 	}
-	results, err := RunGrid(ctx, s, "fig9", t, cells)
+	results, err := RunGrid(ctx, s, "fig9", cells)
 	if err != nil {
+		AppendRows(t, results)
 		return t, err
 	}
 	for hi, hogPct := range hogs {
@@ -98,7 +98,6 @@ func Figure10(ctx context.Context, s Scale) (*stats.Table, error) {
 	var cells []Cell
 	for _, vms := range []int{1, 2, 4, 8} {
 		for _, hogPct := range []int{0, 20, 40, 60} {
-			vms, hogPct := vms, hogPct
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("%dvm/hog%d", vms, hogPct),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -111,7 +110,7 @@ func Figure10(ctx context.Context, s Scale) (*stats.Table, error) {
 			})
 		}
 	}
-	results, err := RunGrid(ctx, s, "fig10", t, cells)
+	results, err := RunGrid(ctx, s, "fig10", cells)
 	AppendRows(t, results)
 	return t, err
 }
@@ -172,7 +171,6 @@ func Figure11(ctx context.Context, s Scale) (*stats.Table, error) {
 	var cells []Cell
 	for inst := 0; inst < instances; inst++ {
 		for _, hogPct := range []int{20, 40, 60} {
-			inst, hogPct := inst, hogPct
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("inst%d/hog%d", inst, hogPct),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -194,7 +192,7 @@ func Figure11(ctx context.Context, s Scale) (*stats.Table, error) {
 			})
 		}
 	}
-	results, err := RunGrid(ctx, s, "fig11", t, cells)
+	results, err := RunGrid(ctx, s, "fig11", cells)
 	AppendRows(t, results)
 	return t, err
 }
@@ -209,7 +207,6 @@ func Figure12(ctx context.Context, s Scale) (*stats.Table, error) {
 	}
 	var cells []Cell
 	for _, hogPct := range []int{20, 40, 60} {
-		hogPct := hogPct
 		cells = append(cells, Cell{
 			Name: fmt.Sprintf("hog%d", hogPct),
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -228,7 +225,7 @@ func Figure12(ctx context.Context, s Scale) (*stats.Table, error) {
 			},
 		})
 	}
-	results, err := RunGrid(ctx, s, "fig12", t, cells)
+	results, err := RunGrid(ctx, s, "fig12", cells)
 	AppendRows(t, results)
 	return t, err
 }
@@ -243,7 +240,6 @@ func Figure13(ctx context.Context, s Scale) (*stats.Table, error) {
 	}
 	var cells []Cell
 	for _, hogPct := range []int{20, 40} {
-		hogPct := hogPct
 		cells = append(cells, Cell{
 			Name: fmt.Sprintf("virt-2vm/hog%d", hogPct),
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -261,7 +257,6 @@ func Figure13(ctx context.Context, s Scale) (*stats.Table, error) {
 		})
 	}
 	for _, hogPct := range []int{20, 40} {
-		hogPct := hogPct
 		cells = append(cells, Cell{
 			Name: fmt.Sprintf("gpu/hog%d", hogPct),
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -280,7 +275,7 @@ func Figure13(ctx context.Context, s Scale) (*stats.Table, error) {
 			},
 		})
 	}
-	results, err := RunGrid(ctx, s, "fig13", t, cells)
+	results, err := RunGrid(ctx, s, "fig13", cells)
 	AppendRows(t, results)
 	return t, err
 }

@@ -77,7 +77,6 @@ func Figure16(ctx context.Context, s Scale) (*stats.Table, error) {
 	}
 	var cells []Cell
 	for _, spec := range s.workloads() {
-		spec := spec
 		cells = append(cells, Cell{
 			Name: "native/" + spec.Name,
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -91,7 +90,6 @@ func Figure16(ctx context.Context, s Scale) (*stats.Table, error) {
 	}
 	// Virtualized points.
 	for _, spec := range s.workloads() {
-		spec := spec
 		cells = append(cells, Cell{
 			Name: "virt/" + spec.Name,
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -103,7 +101,7 @@ func Figure16(ctx context.Context, s Scale) (*stats.Table, error) {
 			},
 		})
 	}
-	results, err := RunGrid(ctx, s, "fig16", t, cells)
+	results, err := RunGrid(ctx, s, "fig16", cells)
 	AppendRows(t, results)
 	return t, err
 }
@@ -124,7 +122,6 @@ func Figure17(ctx context.Context, s Scale) (*stats.Table, error) {
 	}
 	var cells []Cell
 	for _, k := range kernels {
-		k := k
 		cells = append(cells, Cell{
 			Name: k.Name,
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -164,7 +161,7 @@ func Figure17(ctx context.Context, s Scale) (*stats.Table, error) {
 			},
 		})
 	}
-	results, err := RunGrid(ctx, s, "fig17", t, cells)
+	results, err := RunGrid(ctx, s, "fig17", cells)
 	AppendRows(t, results)
 	return t, err
 }
@@ -212,7 +209,6 @@ func Figure18(ctx context.Context, s Scale) (*stats.Table, error) {
 	for _, hogPct := range []int{20, 60} {
 		g := group{system: "native", hogPct: hogPct, start: len(cells)}
 		for _, spec := range s.workloads() {
-			hogPct, spec := hogPct, spec
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("native/hog%d/%s", hogPct, spec.Name),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -231,7 +227,6 @@ func Figure18(ctx context.Context, s Scale) (*stats.Table, error) {
 	{
 		g := group{system: "virtual-2vm", hogPct: 20, start: len(cells)}
 		for _, spec := range s.workloads() {
-			spec := spec
 			cells = append(cells, Cell{
 				Name: "virt-2vm/" + spec.Name,
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -246,8 +241,9 @@ func Figure18(ctx context.Context, s Scale) (*stats.Table, error) {
 		g.end = len(cells)
 		groups = append(groups, g)
 	}
-	results, err := RunGrid(ctx, s, "fig18", t, cells)
+	results, err := RunGrid(ctx, s, "fig18", cells)
 	if err != nil {
+		AppendRows(t, results)
 		return t, err
 	}
 	for _, g := range groups {

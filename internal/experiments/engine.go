@@ -34,8 +34,8 @@ import (
 //   - Per-cell harness semantics: a panic inside one cell becomes a
 //     *CellError carrying the cell name and derived seed (wrapping a
 //     *PanicError with the stack), and the rows of every completed cell
-//     are still published to Scale.Progress — RunSafe's partial-table
-//     guarantee now holds at cell, not experiment, granularity.
+//     are still returned — RunSafe's partial-table guarantee holds at
+//     cell, not experiment, granularity.
 
 // Row is one unformatted table row produced by a cell; values are
 // formatted by stats.Table.AddRow during the canonical merge.
@@ -100,9 +100,10 @@ type ProgressEvent struct {
 // cell from a shared counter. Scale.Cell filters the grid to matching
 // cells (substring match) for single-cell reproduction. The first real
 // cell failure cancels the remaining cells and is returned (smallest cell
-// index wins, so the reported error does not depend on scheduling);
-// completed cells keep publishing to Scale.Progress throughout.
-func RunGrid(ctx context.Context, s Scale, experiment string, t *stats.Table, cells []Cell) ([][]Row, error) {
+// index wins, so the reported error does not depend on scheduling). Only
+// cells that succeeded (or replayed from the journal) have rows in the
+// result, so on an error it holds exactly the completed work.
+func RunGrid(ctx context.Context, s Scale, experiment string, cells []Cell) ([][]Row, error) {
 	// work holds the original indices of the cells to run. Results stay
 	// aligned to the full declared grid even under -cell filtering, so
 	// experiments that post-process by position (Figure 9's per-row
@@ -140,19 +141,6 @@ func RunGrid(ctx context.Context, s Scale, experiment string, t *stats.Table, ce
 		wg         sync.WaitGroup
 		journalErr error // first checkpoint-append failure
 	)
-	// publish hands the done cells' rows, in canonical order, to
-	// Scale.Progress. Workers call it under mu so snapshots stay monotone.
-	publish := func() {
-		snap := &stats.Table{Title: t.Title, Columns: t.Columns}
-		for j := range results {
-			if done[j] {
-				for _, r := range results[j] {
-					snap.AddRow(r...)
-				}
-			}
-		}
-		s.Progress.Publish(snap)
-	}
 
 	// Replay: cells already checkpointed in the journal skip simulation
 	// entirely; only the remainder is scheduled. Replayed rows land in
@@ -176,12 +164,9 @@ func RunGrid(ctx context.Context, s Scale, experiment string, t *stats.Table, ce
 			remaining = append(remaining, i)
 		}
 		work = remaining
-		if replayed > 0 {
-			publish()
-			if s.Telemetry != nil {
-				s.Telemetry.With("exp", experiment).
-					Counter("engine_journal_replayed_total").Add(uint64(replayed))
-			}
+		if replayed > 0 && s.Telemetry != nil {
+			s.Telemetry.With("exp", experiment).
+				Counter("engine_journal_replayed_total").Add(uint64(replayed))
 		}
 	}
 
@@ -217,7 +202,7 @@ func RunGrid(ctx context.Context, s Scale, experiment string, t *stats.Table, ce
 				c := cells[i]
 				cs := s
 				cs.Seed = CellSeed(s.Seed, experiment, c.Name)
-				cs.Progress, cs.Bench = nil, nil
+				cs.Bench = nil
 				cs.Jobs, cs.Cell = 1, ""
 				cs.ProgressFn, cs.Journal = nil, nil
 				// Scope the cell's telemetry: metrics gain deterministic
@@ -260,13 +245,12 @@ func RunGrid(ctx context.Context, s Scale, experiment string, t *stats.Table, ce
 					}
 				}
 				mu.Lock()
-				results[i], errs[i] = rows, err
+				errs[i] = err
 				completed++
 				if err != nil {
 					cancel() // fail fast at cell granularity
 				} else {
-					done[i] = true
-					publish()
+					results[i], done[i] = rows, true
 				}
 				if s.ProgressFn != nil {
 					gridElapsed := time.Since(gridStart)

@@ -42,7 +42,7 @@ func runSynthetic(t *testing.T, jobs int) string {
 	s := QuickScale()
 	s.Jobs = jobs
 	tbl := gridTable()
-	results, err := RunGrid(context.Background(), s, "synthetic", tbl, syntheticGrid(12))
+	results, err := RunGrid(context.Background(), s, "synthetic", syntheticGrid(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRunGridCanonicalOrder(t *testing.T) {
 	s := QuickScale()
 	s.Jobs = 8
 	tbl := gridTable()
-	results, err := RunGrid(context.Background(), s, "synthetic", tbl, syntheticGrid(16))
+	results, err := RunGrid(context.Background(), s, "synthetic", syntheticGrid(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +106,7 @@ func TestRunGridPanicBecomesCellError(t *testing.T) {
 	}
 	s := QuickScale()
 	s.Jobs = 1
-	pub := &TablePublisher{}
-	s.Progress = pub
-	tbl := gridTable()
-	results, err := RunGrid(context.Background(), s, "synthetic", tbl, cells)
+	results, err := RunGrid(context.Background(), s, "synthetic", cells)
 
 	var ce *CellError
 	if !errors.As(err, &ce) {
@@ -131,13 +128,18 @@ func TestRunGridPanicBecomesCellError(t *testing.T) {
 	if !strings.Contains(ce.Error(), `-cell "cell02"`) {
 		t.Errorf("error lacks reproduce hint: %v", ce)
 	}
-	// Cells before the failure completed and were published.
+	// Cells before the failure completed and keep their rows; the failed
+	// cell and the one it canceled have none.
 	if results[0] == nil || results[1] == nil {
 		t.Error("completed cells lost on failure")
 	}
-	snap := pub.Snapshot()
-	if snap == nil || len(snap.Rows) == 0 {
-		t.Error("no partial progress published before the failure")
+	if results[2] != nil || results[3] != nil {
+		t.Errorf("failed or canceled cells kept rows: %v, %v", results[2], results[3])
+	}
+	tbl := gridTable()
+	AppendRows(tbl, results)
+	if len(tbl.Rows) != 2 {
+		t.Errorf("partial table has %d rows, want the 2 completed cells'", len(tbl.Rows))
 	}
 }
 
@@ -161,7 +163,7 @@ func TestRunGridFailFastCancelsRemaining(t *testing.T) {
 	}
 	s := QuickScale()
 	s.Jobs = 1 // serial: the index-0 failure must stop the rest
-	_, err := RunGrid(context.Background(), s, "synthetic", gridTable(), cells)
+	_, err := RunGrid(context.Background(), s, "synthetic", cells)
 	var ce *CellError
 	if !errors.As(err, &ce) || ce.Cell != "cell00" {
 		t.Fatalf("err = %v, want CellError for cell00", err)
@@ -189,7 +191,7 @@ func TestRunGridReportsLowestIndexedFailure(t *testing.T) {
 	s := QuickScale()
 	s.Jobs = 4
 	for trial := 0; trial < 10; trial++ {
-		_, err := RunGrid(context.Background(), s, "synthetic", gridTable(), cells)
+		_, err := RunGrid(context.Background(), s, "synthetic", cells)
 		var ce *CellError
 		if !errors.As(err, &ce) {
 			t.Fatalf("err = %v, want *CellError", err)
@@ -214,7 +216,7 @@ func TestRunGridCellFilter(t *testing.T) {
 	s.Jobs = 2
 	s.Cell = "cell01"
 	tbl := gridTable()
-	results, err := RunGrid(context.Background(), s, "synthetic", tbl, syntheticGrid(6))
+	results, err := RunGrid(context.Background(), s, "synthetic", syntheticGrid(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +236,7 @@ func TestRunGridCellFilter(t *testing.T) {
 	}
 
 	s.Cell = "nope"
-	if _, err := RunGrid(context.Background(), s, "synthetic", gridTable(), syntheticGrid(3)); err == nil ||
+	if _, err := RunGrid(context.Background(), s, "synthetic", syntheticGrid(3)); err == nil ||
 		!strings.Contains(err.Error(), "cell00") {
 		t.Errorf("no-match filter error should list cells, got: %v", err)
 	}
@@ -260,7 +262,7 @@ func TestRunGridHonorsCancellation(t *testing.T) {
 	s.Jobs = 1
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunGrid(ctx, s, "synthetic", gridTable(), cells)
+		_, err := RunGrid(ctx, s, "synthetic", cells)
 		done <- err
 	}()
 	<-started
@@ -320,7 +322,7 @@ func TestRunGridRecordsBenchTimings(t *testing.T) {
 	s := QuickScale()
 	s.Jobs = 2
 	s.Bench = NewBenchLog(2)
-	if _, err := RunGrid(context.Background(), s, "synthetic", gridTable(), syntheticGrid(5)); err != nil {
+	if _, err := RunGrid(context.Background(), s, "synthetic", syntheticGrid(5)); err != nil {
 		t.Fatal(err)
 	}
 	data, err := s.Bench.JSON()

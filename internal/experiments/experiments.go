@@ -68,9 +68,6 @@ type Scale struct {
 	// Chaos configures fault injection for the chaos experiment (zero
 	// rates disable injection entirely).
 	Chaos chaos.Rates
-	// Progress, when set (by RunSafe), receives partial tables as rows
-	// complete, so timeouts and panics still report finished work.
-	Progress *TablePublisher
 	// Jobs bounds the worker pool each experiment's cell grid runs on
 	// (0 = GOMAXPROCS). Results are byte-identical at any value.
 	Jobs int
@@ -116,7 +113,7 @@ type Scale struct {
 // pinned to this string: resuming under a different memory size, seed,
 // workload set, or chaos configuration is refused instead of silently
 // mixing incompatible cells. Scheduling-only knobs (Jobs, Cell) and
-// observers (Telemetry, Progress, Bench, ...) are deliberately excluded —
+// observers (Telemetry, Bench, ProgressFn, ...) are deliberately excluded —
 // they never change results.
 func (s Scale) Fingerprint() string {
 	isaName := s.ISA

@@ -25,15 +25,12 @@ func TestRunSafeRecoversPanic(t *testing.T) {
 	e := Experiment{
 		Name: "boom",
 		Run: func(ctx context.Context, s Scale) (*stats.Table, error) {
-			tbl := &stats.Table{Title: "partial", Columns: []string{"a"}}
-			tbl.AddRow("row1")
-			s.Progress.Publish(tbl)
 			panic("kaboom")
 		},
 	}
 	s := chaosTestScale()
 	s.Seed = 1234
-	partial, err := RunSafe(context.Background(), e, s, time.Minute)
+	_, err := RunSafe(context.Background(), e, s, time.Minute)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -47,31 +44,48 @@ func TestRunSafeRecoversPanic(t *testing.T) {
 	if pe.Stack == "" {
 		t.Error("no stack captured")
 	}
-	if partial == nil || len(partial.Rows) != 1 {
-		t.Errorf("partial results lost: %+v", partial)
-	}
+}
+
+// slowExperiment returns one finished row and then waits for its context
+// to end, as an experiment whose remaining cells outlast the deadline does.
+var slowExperiment = Experiment{
+	Name: "slow",
+	Run: func(ctx context.Context, s Scale) (*stats.Table, error) {
+		tbl := &stats.Table{Columns: []string{"a"}}
+		tbl.AddRow("done-before-deadline")
+		<-ctx.Done()
+		return tbl, ctx.Err()
+	},
 }
 
 func TestRunSafeTimeout(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
-	e := Experiment{
-		Name: "slow",
-		Run: func(ctx context.Context, s Scale) (*stats.Table, error) {
-			tbl := &stats.Table{Columns: []string{"a"}}
-			tbl.AddRow("done-before-deadline")
-			s.Progress.Publish(tbl)
-			<-block
-			return tbl, nil
-		},
+	start := time.Now()
+	partial, err := RunSafe(context.Background(), slowExperiment, chaosTestScale(), 50*time.Millisecond)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("RunSafe returned %v after a 50ms deadline", elapsed)
 	}
-	partial, err := RunSafe(context.Background(), e, chaosTestScale(), 50*time.Millisecond)
 	var te *TimeoutError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want *TimeoutError", err)
 	}
 	if partial == nil || len(partial.Rows) != 1 {
 		t.Errorf("partial results lost on timeout: %+v", partial)
+	}
+}
+
+// TestRunSafeParentDeadlineIsNotTimeout checks that only RunSafe's own
+// deadline becomes a *TimeoutError: a parent context that ends first
+// returns its own error, with the partial table.
+func TestRunSafeParentDeadlineIsNotTimeout(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	partial, err := RunSafe(ctx, slowExperiment, chaosTestScale(), time.Minute)
+	var te *TimeoutError
+	if errors.As(err, &te) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the parent's context.DeadlineExceeded", err)
+	}
+	if partial == nil || len(partial.Rows) != 1 {
+		t.Errorf("partial results lost on cancellation: %+v", partial)
 	}
 }
 
@@ -87,14 +101,6 @@ func TestRunSafePassesThroughSuccess(t *testing.T) {
 	tbl, err := RunSafe(context.Background(), e, chaosTestScale(), 0) // zero timeout = no deadline
 	if err != nil || tbl == nil || len(tbl.Rows) != 1 {
 		t.Fatalf("tbl=%+v err=%v", tbl, err)
-	}
-}
-
-func TestTablePublisherNilSafe(t *testing.T) {
-	var p *TablePublisher
-	p.Publish(&stats.Table{})
-	if p.Snapshot() != nil {
-		t.Error("nil publisher returned a snapshot")
 	}
 }
 

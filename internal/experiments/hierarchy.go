@@ -52,7 +52,6 @@ func HierarchyStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 	}
 	var cells []Cell
 	for _, spec := range s.workloads() {
-		spec := spec
 		cells = append(cells, Cell{
 			Name: spec.Name,
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -90,7 +89,7 @@ func HierarchyStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 			},
 		})
 	}
-	results, err := RunGrid(ctx, s, "hierarchy", t, cells)
+	results, err := RunGrid(ctx, s, "hierarchy", cells)
 	AppendRows(t, results)
 	return t, err
 }

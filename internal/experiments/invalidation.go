@@ -42,7 +42,6 @@ func InvalidationStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 	const cores = 2
 	var cells []Cell
 	for _, p := range points {
-		p := p
 		specs, err := s.specs(p.design)
 		if err != nil {
 			return nil, err
@@ -75,7 +74,7 @@ func InvalidationStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 				for i := range streams {
 					streams[i] = workload.NewZipf(base, fp, simrand.New(cs.Seed+uint64(i)), 0.9, 0.1, uint64(p.name[0]))
 				}
-				if err := sys.Run(streams, cs.WarmupRefs); err != nil {
+				if err := sys.Run(ctx, streams, cs.WarmupRefs); err != nil {
 					return nil, err
 				}
 				sys.ResetStats()
@@ -83,10 +82,7 @@ func InvalidationStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 				var total uint64
 				chunk := cs.MeasureRefs / 10
 				for round := 0; round < 10; round++ {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					if err := sys.Run(streams, chunk); err != nil {
+					if err := sys.Run(ctx, streams, chunk); err != nil {
 						return nil, err
 					}
 					total += chunk
@@ -104,7 +100,7 @@ func InvalidationStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 			},
 		})
 	}
-	results, err := RunGrid(ctx, s, "invalidation", t, cells)
+	results, err := RunGrid(ctx, s, "invalidation", cells)
 	AppendRows(t, results)
 	return t, err
 }

@@ -38,7 +38,6 @@ func Figure1(ctx context.Context, s Scale) (*stats.Table, error) {
 	var cells []Cell
 	for _, name := range figure1Workloads {
 		for _, policy := range figure1Policies {
-			name, policy := name, policy
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("%s/%s", name, policy),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -63,7 +62,7 @@ func Figure1(ctx context.Context, s Scale) (*stats.Table, error) {
 			})
 		}
 	}
-	results, err := RunGrid(ctx, s, "fig1", t, cells)
+	results, err := RunGrid(ctx, s, "fig1", cells)
 	AppendRows(t, results)
 	return t, err
 }
@@ -72,20 +71,17 @@ func Figure1(ctx context.Context, s Scale) (*stats.Table, error) {
 // environment, one stream per core: warmup, reset, measure. It returns
 // the measured stats and the cache hierarchy they charged.
 func runGPU(ctx context.Context, cs Scale, env *nativeEnv, k gpu.KernelSpec, d string) (mmu.Stats, *cachesim.Hierarchy, error) {
-	if err := ctx.Err(); err != nil {
-		return mmu.Stats{}, nil, err
-	}
 	caches := cachesim.DefaultHierarchy()
 	sys, err := gpu.New(cs.GPUCores, d, env.as, caches)
 	if err != nil {
 		return mmu.Stats{}, nil, err
 	}
 	streams := k.Streams(len(sys.Cores()), env.base, env.fp, cs.Seed)
-	if err := sys.Run(streams, cs.WarmupRefs); err != nil {
+	if err := sys.Run(ctx, streams, cs.WarmupRefs); err != nil {
 		return mmu.Stats{}, nil, err
 	}
 	sys.ResetStats()
-	if err := sys.Run(streams, cs.MeasureRefs); err != nil {
+	if err := sys.Run(ctx, streams, cs.MeasureRefs); err != nil {
 		return mmu.Stats{}, nil, err
 	}
 	return sys.Aggregate(), caches, nil
@@ -155,7 +151,6 @@ func Figure14(ctx context.Context, s Scale) (*stats.Table, error) {
 	var cells []Cell
 	for _, cfg := range nativeConfigs {
 		for _, spec := range s.workloads() {
-			cfg, spec := cfg, spec
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("native/%s/%s", cfg.label, spec.Name),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -175,7 +170,6 @@ func Figure14(ctx context.Context, s Scale) (*stats.Table, error) {
 	// Virtualized configs: 1 VM and a consolidated 4-VM host.
 	for _, vms := range []int{1, 4} {
 		for _, spec := range s.workloads() {
-			vms, spec := vms, spec
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("virt/%dVM/%s", vms, spec.Name),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -194,7 +188,6 @@ func Figure14(ctx context.Context, s Scale) (*stats.Table, error) {
 	}
 	// GPU kernels.
 	for _, k := range gpu.Kernels() {
-		k := k
 		cells = append(cells, Cell{
 			Name: "gpu/" + k.Name,
 			Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -206,7 +199,7 @@ func Figure14(ctx context.Context, s Scale) (*stats.Table, error) {
 			},
 		})
 	}
-	results, err := RunGrid(ctx, s, "fig14", t, cells)
+	results, err := RunGrid(ctx, s, "fig14", cells)
 	AppendRows(t, results)
 	return t, err
 }
@@ -248,7 +241,6 @@ func Figure15Left(ctx context.Context, s Scale) (*stats.Table, error) {
 	for _, hogPct := range []int{20, 80} {
 		g := group{start: len(cells)}
 		for _, spec := range s.workloads() {
-			hogPct, spec := hogPct, spec
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("cpu/hog%d/%s", hogPct, spec.Name),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -270,7 +262,6 @@ func Figure15Left(ctx context.Context, s Scale) (*stats.Table, error) {
 	for _, hogPct := range []int{20, 60} {
 		g := group{start: len(cells)}
 		for _, k := range gpu.Kernels() {
-			hogPct, k := hogPct, k
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("gpu/hog%d/%s", hogPct, k.Name),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -285,7 +276,7 @@ func Figure15Left(ctx context.Context, s Scale) (*stats.Table, error) {
 		g.end = len(cells)
 		groups = append(groups, g)
 	}
-	results, err := RunGrid(ctx, s, "fig15l", t, cells)
+	results, err := RunGrid(ctx, s, "fig15l", cells)
 	if err != nil {
 		AppendRows(t, results)
 		return t, err
@@ -322,7 +313,6 @@ func Figure15Right(ctx context.Context, s Scale) (*stats.Table, error) {
 	for _, ds := range designs {
 		g := group{start: len(cells)}
 		for _, spec := range s.workloads() {
-			ds, spec := ds, spec
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("%s/%s", ds.Name, spec.Name),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -341,7 +331,7 @@ func Figure15Right(ctx context.Context, s Scale) (*stats.Table, error) {
 		g.end = len(cells)
 		groups = append(groups, g)
 	}
-	results, err := RunGrid(ctx, s, "fig15r", t, cells)
+	results, err := RunGrid(ctx, s, "fig15r", cells)
 	if err != nil {
 		AppendRows(t, results)
 		return t, err

@@ -57,7 +57,6 @@ func ReachStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 	var cells []Cell
 	for _, spec := range s.workloads() {
 		for _, frac := range reachMemhogFracs {
-			spec, frac := spec, frac
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("%s/hog%02.0f", spec.Name, 100*frac),
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -98,7 +97,7 @@ func ReachStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 			})
 		}
 	}
-	results, err := RunGrid(ctx, s, "reach", t, cells)
+	results, err := RunGrid(ctx, s, "reach", cells)
 	AppendRows(t, results)
 	return t, err
 }

@@ -30,7 +30,7 @@ func countingGrid(n int, calls *sync.Map) []Cell {
 func gridCSV(t *testing.T, s Scale, cells []Cell) string {
 	t.Helper()
 	tbl := gridTable()
-	results, err := RunGrid(context.Background(), s, "synthetic", tbl, cells)
+	results, err := RunGrid(context.Background(), s, "synthetic", cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestResumeByteIdentical(t *testing.T) {
 					cancel()
 				}
 			}
-			_, err = RunGrid(ctx, s1, "synthetic", gridTable(), syntheticGrid(n))
+			_, err = RunGrid(ctx, s1, "synthetic", syntheticGrid(n))
 			j1.Close()
 			if err == nil {
 				t.Fatal("interrupted run reported success")
@@ -188,7 +188,7 @@ func TestFailSoftSkipsJournal(t *testing.T) {
 	s1 := s
 	s1.Journal = j
 	var calls1 sync.Map
-	_, err = RunGrid(context.Background(), s1, "synthetic", gridTable(), grid(&calls1))
+	_, err = RunGrid(context.Background(), s1, "synthetic", grid(&calls1))
 	var ce *CellError
 	if !errors.As(err, &ce) || ce.Cell != "cell01" {
 		t.Fatalf("err = %v, want *CellError for cell01", err)

@@ -52,7 +52,6 @@ func CrossISAStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 	var cells []Cell
 	for _, isaName := range xisaISAs {
 		for _, spec := range s.workloads() {
-			isaName, spec := isaName, spec
 			cells = append(cells, Cell{
 				Name: isaName + "/" + spec.Name,
 				Run: func(ctx context.Context, cs Scale) ([]Row, error) {
@@ -96,7 +95,7 @@ func CrossISAStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 			})
 		}
 	}
-	results, err := RunGrid(ctx, s, "xisa", t, cells)
+	results, err := RunGrid(ctx, s, "xisa", cells)
 	AppendRows(t, results)
 	return t, err
 }

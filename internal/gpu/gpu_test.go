@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"testing"
 
 	"mixtlb/internal/addr"
@@ -48,7 +49,7 @@ func TestRunAllKernelsBothDesigns(t *testing.T) {
 	for _, design := range []string{mmu.DesignSplit, mmu.DesignMix} {
 		for _, k := range Kernels() {
 			sys, base, fp := newGPUEnv(t, osmm.THS, design, 4)
-			if err := sys.Run(k.Streams(4, base, fp, 0), 20000); err != nil {
+			if err := sys.Run(context.Background(), k.Streams(4, base, fp, 0), 20000); err != nil {
 				t.Fatalf("%s/%s: %v", design, k.Name, err)
 			}
 			st := sys.Aggregate()
@@ -73,11 +74,11 @@ func TestMixBeatsSplitOnSuperpageGPU(t *testing.T) {
 		streams := coreStreams(sys, func(id int) workload.Stream {
 			return workload.NewZipf(base, fp/2, simrand.New(uint64(100+id)), 0.99, 0.05, 42)
 		})
-		if err := sys.Run(streams, 30000); err != nil {
+		if err := sys.Run(context.Background(), streams, 30000); err != nil {
 			t.Fatal(err)
 		}
 		sys.ResetStats()
-		if err := sys.Run(streams, 30000); err != nil {
+		if err := sys.Run(context.Background(), streams, 30000); err != nil {
 			t.Fatal(err)
 		}
 		return sys.Aggregate().CyclesPerAccess()
@@ -96,7 +97,7 @@ func TestCoresShareL2(t *testing.T) {
 	sameStream := func(id int) workload.Stream {
 		return workload.NewSequential(base, fp/64, 4096, false, 1)
 	}
-	if err := sys.Run(coreStreams(sys, sameStream), 4000); err != nil {
+	if err := sys.Run(context.Background(), coreStreams(sys, sameStream), 4000); err != nil {
 		t.Fatal(err)
 	}
 	var l2hits uint64
@@ -113,7 +114,7 @@ func TestStatsAggregation(t *testing.T) {
 	streams := coreStreams(sys, func(id int) workload.Stream {
 		return workload.NewUniform(base, fp, simrand.New(uint64(id)), 0.5, 7)
 	})
-	if err := sys.Run(streams, 9999); err != nil {
+	if err := sys.Run(context.Background(), streams, 9999); err != nil {
 		t.Fatal(err)
 	}
 	st := sys.Aggregate()
@@ -134,7 +135,7 @@ func TestStatsAggregation(t *testing.T) {
 
 func TestRunWithoutStreamsFails(t *testing.T) {
 	sys, _, _ := newGPUEnv(t, osmm.BasePages, mmu.DesignSplit, 2)
-	if err := sys.Run(nil, 10); err == nil {
+	if err := sys.Run(context.Background(), nil, 10); err == nil {
 		t.Error("Run without streams succeeded")
 	}
 }
@@ -157,7 +158,7 @@ func TestAllDesignsSupported(t *testing.T) {
 		streams := coreStreams(sys, func(id int) workload.Stream {
 			return workload.NewSequential(base, fp, 64, false, 3)
 		})
-		if err := sys.Run(streams, 1000); err != nil {
+		if err := sys.Run(context.Background(), streams, 1000); err != nil {
 			t.Errorf("%s: %v", d, err)
 		}
 	}

@@ -157,7 +157,7 @@ func TestScrubCorrupt(t *testing.T) {
 	va := addr.V(0x400000)
 	m.Translate(tlb.Request{VA: va}) // walk + fill
 	r := m.Translate(tlb.Request{VA: va})
-	if !r.L1Hit {
+	if r.HitLevel != 0 {
 		t.Fatalf("expected L1 hit, got %+v", r)
 	}
 	m.scrubCorrupt(va, addr.Page2M)
@@ -165,7 +165,7 @@ func TestScrubCorrupt(t *testing.T) {
 		t.Error("scrub removed nothing")
 	}
 	r = m.Translate(tlb.Request{VA: va})
-	if r.L1Hit || r.L2Hit || !r.Walked {
+	if r.HitLevel == 0 || r.HitLevel == 1 || !r.Walked {
 		t.Errorf("post-scrub access should walk: %+v", r)
 	}
 	if r.PA != want[va] {

@@ -432,8 +432,6 @@ type Result struct {
 	// level), or -1 when the access walked or faulted.
 	HitLevel int8
 	Cycles   uint64
-	L1Hit    bool // HitLevel == 0
-	L2Hit    bool // HitLevel == 1
 	Walked   bool
 	Faulted  bool // unmapped and the fault handler refused
 }
@@ -560,9 +558,8 @@ func (m *MMU) replayMemo(req tlb.Request) (Result, bool) {
 	m.levels[0].hits++
 	m.levels[0].lookup.Add(m.memo.cost)
 	res := Result{
-		PA:    m.memo.paBase + addr.P(uint64(req.VA)&((1<<addr.Shift4K)-1)),
-		Size:  m.memo.size,
-		L1Hit: true,
+		PA:   m.memo.paBase + addr.P(uint64(req.VA)&((1<<addr.Shift4K)-1)),
+		Size: m.memo.size,
 	}
 	if m.led != nil {
 		m.led.Begin()
@@ -635,8 +632,6 @@ func (m *MMU) translateOnce(req tlb.Request) Result {
 		}
 		lv.hits++
 		res.HitLevel = int8(li)
-		res.L1Hit = li == 0
-		res.L2Hit = li == 1
 		res.PA = r.T.Translate(req.VA)
 		res.Size = r.T.Size
 		if li > 0 {

@@ -59,7 +59,7 @@ func TestTranslateHitMissWalk(t *testing.T) {
 
 	// First access: L1 and L2 miss, walk.
 	r := m.Translate(tlb.Request{VA: 0x200000 + 0x123})
-	if !r.Walked || r.L1Hit || r.L2Hit {
+	if !r.Walked || r.HitLevel == 0 || r.HitLevel == 1 {
 		t.Fatalf("first access: %+v", r)
 	}
 	if r.PA != pa+0x123 {
@@ -71,7 +71,7 @@ func TestTranslateHitMissWalk(t *testing.T) {
 
 	// Second access: L1 hit, cheap.
 	r = m.Translate(tlb.Request{VA: 0x200000 + 0x5000})
-	if !r.L1Hit {
+	if r.HitLevel != 0 {
 		t.Fatalf("second access: %+v", r)
 	}
 	if r.Cycles != DefaultLatencies().L1Hit {
@@ -102,12 +102,12 @@ func TestL2HitPromotesToL1(t *testing.T) {
 	}
 	m.ResetStats()
 	r := m.Translate(tlb.Request{VA: 0x1000})
-	if !r.L2Hit || r.L1Hit {
+	if r.HitLevel != 1 {
 		t.Fatalf("expected L2 hit: %+v", r)
 	}
 	// Promotion: next access hits L1.
 	r = m.Translate(tlb.Request{VA: 0x1000})
-	if !r.L1Hit {
+	if r.HitLevel != 0 {
 		t.Fatalf("no promotion to L1: %+v", r)
 	}
 }
@@ -196,7 +196,7 @@ func TestIdealDesignNeverWalksTwice(t *testing.T) {
 	e.mapPage(t, 0x200000, addr.Page2M)
 	m := mustBuild(DefaultRegistry().Build(DesignIdeal, e.pt, e.pt, e.caches, nil))
 	r := m.Translate(tlb.Request{VA: 0x234567})
-	if !r.L1Hit || r.Cycles != DefaultLatencies().L1Hit {
+	if r.HitLevel != 0 || r.Cycles != DefaultLatencies().L1Hit {
 		t.Fatalf("ideal access: %+v", r)
 	}
 	if m.Stats().WalkRefs != 0 {

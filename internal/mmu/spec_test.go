@@ -279,7 +279,7 @@ func TestSpecHitLatencyOverride(t *testing.T) {
 	}
 	m.Translate(tlb.Request{VA: 0x1000})
 	r := m.Translate(tlb.Request{VA: 0x1000})
-	if !r.L1Hit || r.Cycles != 9 {
+	if r.HitLevel != 0 || r.Cycles != 9 {
 		t.Errorf("overridden L1 hit: %+v, want 9 cycles", r)
 	}
 }

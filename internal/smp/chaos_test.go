@@ -70,7 +70,7 @@ func TestLostIPIsForcedThrough(t *testing.T) {
 	}
 	for c := 0; c < cores; c++ {
 		r := s.Translate(c, tlb.Request{VA: base})
-		if r.L1Hit || r.L2Hit {
+		if r.HitLevel == 0 || r.HitLevel == 1 {
 			t.Errorf("core %d served a stale translation after forced shootdown", c)
 		}
 	}

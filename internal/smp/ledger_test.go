@@ -1,6 +1,7 @@
 package smp
 
 import (
+	"context"
 	"testing"
 
 	"mixtlb/internal/addr"
@@ -32,7 +33,7 @@ func TestLedgerConservationUnderShootdowns(t *testing.T) {
 	}
 	rng := simrand.New(0x5d0)
 	for round := 0; round < 12; round++ {
-		if err := sys.Run(streams, 6000); err != nil {
+		if err := sys.Run(context.Background(), streams, 6000); err != nil {
 			t.Fatal(err)
 		}
 		off := addr.AlignedDown(rng.Uint64n(fp-(2<<20)), addr.Size2M)

@@ -15,6 +15,7 @@
 package smp
 
 import (
+	"context"
 	"fmt"
 
 	"mixtlb/internal/addr"
@@ -104,12 +105,23 @@ func (s *System) Translate(core int, req tlb.Request) mmu.Result {
 	return s.cores[core].Translate(req)
 }
 
-// Run interleaves per-core streams round-robin for n total references.
-func (s *System) Run(streams []workload.Stream, n uint64) error {
+// ctxCheckStride is how many references Run simulates between
+// cancellation checks, the same stride as the experiments' stream loop.
+const ctxCheckStride = 8192
+
+// Run interleaves per-core streams round-robin for n total references. It
+// checks ctx every ctxCheckStride references (starting with the first), so
+// a canceled run stops within milliseconds with ctx's error.
+func (s *System) Run(ctx context.Context, streams []workload.Stream, n uint64) error {
 	if len(streams) != len(s.cores) {
 		return fmt.Errorf("smp: %d streams for %d cores", len(streams), len(s.cores))
 	}
 	for i := uint64(0); i < n; i++ {
+		if i%ctxCheckStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 		c := int(i) % len(s.cores)
 		ref := streams[c].Next()
 		if r := s.cores[c].Translate(tlb.Request{VA: ref.VA, Write: ref.Write, PC: ref.PC}); r.Faulted {

@@ -1,6 +1,8 @@
 package smp
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -52,7 +54,7 @@ func TestRunInterleavesCores(t *testing.T) {
 	for i := range streams {
 		streams[i] = workload.NewSequential(base+addr.V(uint64(i)*fp/4), fp/4, 4096, false, uint64(i))
 	}
-	if err := s.Run(streams, 40000); err != nil {
+	if err := s.Run(context.Background(), streams, 40000); err != nil {
 		t.Fatal(err)
 	}
 	agg := s.Aggregate()
@@ -71,8 +73,41 @@ func TestRunInterleavesCores(t *testing.T) {
 
 func TestRunStreamMismatch(t *testing.T) {
 	s, _, _, _ := newSMP(t, mmu.DesignSplit, 2)
-	if err := s.Run(nil, 10); err == nil {
+	if err := s.Run(context.Background(), nil, 10); err == nil {
 		t.Error("mismatched streams accepted")
+	}
+}
+
+// cancelAfter is a stream that cancels its context once it has produced
+// n references.
+type cancelAfter struct {
+	workload.Stream
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Next() workload.Ref {
+	if c.n--; c.n == 0 {
+		c.cancel()
+	}
+	return c.Stream.Next()
+}
+
+// TestRunHonoursCancellation checks that Run stops at the first stride
+// boundary after its context is canceled, with the context's error.
+func TestRunHonoursCancellation(t *testing.T) {
+	s, _, base, fp := newSMP(t, mmu.DesignSplit, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stream := &cancelAfter{Stream: workload.NewSequential(base, fp, 4096, false, 0),
+		n: ctxCheckStride + 5, cancel: cancel}
+	err := s.Run(ctx, []workload.Stream{stream}, 100*ctxCheckStride)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := s.Aggregate().Accesses; got != 2*ctxCheckStride {
+		t.Errorf("ran %d references after cancel at %d, want to stop at %d",
+			got, ctxCheckStride+5, 2*ctxCheckStride)
 	}
 }
 
@@ -87,7 +122,7 @@ func TestMunmapShootsDownAllCores(t *testing.T) {
 	s.ResetStats()
 	// Re-touch: all hits.
 	for c := 0; c < 3; c++ {
-		if r := s.Translate(c, tlb.Request{VA: base}); !r.L1Hit && !r.L2Hit {
+		if r := s.Translate(c, tlb.Request{VA: base}); r.HitLevel != 0 && r.HitLevel != 1 {
 			t.Fatalf("core %d not warm", c)
 		}
 	}
@@ -106,7 +141,7 @@ func TestMunmapShootsDownAllCores(t *testing.T) {
 	}
 	for c := 0; c < 3; c++ {
 		r := s.Translate(c, tlb.Request{VA: base + addr.V(6<<20)})
-		if !r.L1Hit && !r.L2Hit {
+		if r.HitLevel != 0 && r.HitLevel != 1 {
 			t.Errorf("core %d lost an unrelated translation", c)
 		}
 	}
@@ -157,7 +192,7 @@ func TestBitmapInvalidationKeepsNeighbours(t *testing.T) {
 	s.ResetStats()
 	s.Munmap(base+addr.V(2<<20), 2<<20)        // kill the second superpage
 	r := s.Translate(0, tlb.Request{VA: base}) // neighbour
-	if !r.L1Hit {
+	if r.HitLevel != 0 {
 		t.Errorf("neighbour of invalidated member missed: %+v", r)
 	}
 }

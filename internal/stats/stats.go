@@ -1,42 +1,13 @@
 // Package stats provides the measurement plumbing for the simulator:
-// counters, histograms, and the run-length / contiguity statistics that
-// Figures 9-13 of the paper are built from.
+// histograms, the run-length / contiguity statistics that Figures 9-13 of
+// the paper are built from, and the result tables experiments print.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
-
-// Counter is a simple named event counter.
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
-// Ratio returns a/b as a float, or 0 when b is zero.
-func Ratio(a, b uint64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
-
-// Percent returns 100*a/b, or 0 when b is zero.
-func Percent(a, b uint64) float64 { return 100 * Ratio(a, b) }
 
 // Histogram counts occurrences of integer-valued observations. It is used
 // for run-length distributions where the domain is small and dense enough
@@ -44,8 +15,6 @@ func Percent(a, b uint64) float64 { return 100 * Ratio(a, b) }
 type Histogram struct {
 	counts map[uint64]uint64
 	total  uint64
-	sum    float64
-	// weighted accumulates Σ value*count for weighted means.
 }
 
 // NewHistogram returns an empty histogram.
@@ -60,7 +29,6 @@ func (h *Histogram) Observe(v uint64) { h.ObserveN(v, 1) }
 func (h *Histogram) ObserveN(v, n uint64) {
 	h.counts[v] += n
 	h.total += n
-	h.sum += float64(v) * float64(n)
 }
 
 // Count returns the total number of observations.
@@ -72,56 +40,6 @@ func (h *Histogram) Each(fn func(v, n uint64)) {
 	for _, v := range h.sortedValues() {
 		fn(v, h.counts[v])
 	}
-}
-
-// CountOf returns the number of observations equal to v.
-func (h *Histogram) CountOf(v uint64) uint64 { return h.counts[v] }
-
-// Mean returns the arithmetic mean of the observations (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Max returns the largest observed value (0 when empty).
-func (h *Histogram) Max() uint64 {
-	var m uint64
-	for v := range h.counts {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Quantile returns the smallest observed value v such that at least
-// fraction q of the observations are <= v. q is clamped to [0, 1] and an
-// empty histogram reports 0, so exporter and summary call sites never
-// have to pre-validate.
-func (h *Histogram) Quantile(q float64) uint64 {
-	if q < 0 || math.IsNaN(q) {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	if h.total == 0 {
-		return 0
-	}
-	values := h.sortedValues()
-	need := uint64(math.Ceil(q * float64(h.total)))
-	if need == 0 {
-		need = 1
-	}
-	var cum uint64
-	for _, v := range values {
-		cum += h.counts[v]
-		if cum >= need {
-			return v
-		}
-	}
-	return values[len(values)-1]
 }
 
 func (h *Histogram) sortedValues() []uint64 {
@@ -153,20 +71,6 @@ func (h *Histogram) CDF() []CDFPoint {
 		points = append(points, CDFPoint{Value: v, Frac: float64(cum) / float64(h.total)})
 	}
 	return points
-}
-
-// CDFAt evaluates the empirical CDF at value x.
-func (h *Histogram) CDFAt(x uint64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var cum uint64
-	for v, c := range h.counts {
-		if v <= x {
-			cum += c
-		}
-	}
-	return float64(cum) / float64(h.total)
 }
 
 // RunLengths computes the paper's average-contiguity metric (Sec 7.1) from
@@ -201,69 +105,6 @@ func (h *Histogram) TranslationWeightedCDF() []CDFPoint {
 		w.ObserveN(l, l*runs)
 	}
 	return w.CDF()
-}
-
-// Summary renders a short human-readable digest of the distribution.
-func (h *Histogram) Summary() string {
-	if h.total == 0 {
-		return "empty"
-	}
-	return fmt.Sprintf("n=%d mean=%.2f p50=%d p90=%d max=%d",
-		h.total, h.Mean(), h.Quantile(0.5), h.Quantile(0.9), h.Max())
-}
-
-// Mean returns the arithmetic mean of xs (0 when empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of the positive values in xs (0 when
-// none are positive). Speedup aggregation across workloads conventionally
-// uses this; non-positive entries — a zeroed cell from a failed run, say —
-// are skipped rather than poisoning the whole aggregate, since log(x) is
-// undefined for them.
-func GeoMean(xs []float64) float64 {
-	var s float64
-	n := 0
-	for _, x := range xs {
-		if x <= 0 || math.IsNaN(x) {
-			continue
-		}
-		s += math.Log(x)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(s / float64(n))
-}
-
-// Percentile returns the value at fraction q of the sorted sample set
-// using nearest-rank on a copy of xs. q is clamped to [0, 1]; an empty
-// slice reports 0 and a single sample reports that sample for every q.
-func Percentile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if q < 0 || math.IsNaN(q) {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(q * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
 }
 
 // Table is a simple printable result table used by the experiment harness.

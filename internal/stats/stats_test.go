@@ -1,106 +1,28 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(9)
-	if c.Value() != 10 {
-		t.Errorf("Value = %d, want 10", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Errorf("Value after Reset = %d", c.Value())
-	}
-}
-
-func TestRatioAndPercent(t *testing.T) {
-	if Ratio(1, 0) != 0 || Percent(1, 0) != 0 {
-		t.Error("division by zero should yield 0")
-	}
-	if got := Ratio(1, 4); got != 0.25 {
-		t.Errorf("Ratio = %v", got)
-	}
-	if got := Percent(1, 4); got != 25 {
-		t.Errorf("Percent = %v", got)
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram()
-	if h.Summary() != "empty" {
-		t.Errorf("empty summary = %q", h.Summary())
+	if h.Count() != 0 || h.CDF() != nil {
+		t.Errorf("empty histogram: Count = %d, CDF = %v", h.Count(), h.CDF())
 	}
-	h.Observe(1)
-	h.Observe(1)
 	h.ObserveN(4, 3)
+	h.Observe(1)
+	h.Observe(1)
 	if h.Count() != 5 {
 		t.Errorf("Count = %d", h.Count())
 	}
-	if h.CountOf(4) != 3 {
-		t.Errorf("CountOf(4) = %d", h.CountOf(4))
-	}
-	if got, want := h.Mean(), (1.0+1+4+4+4)/5; got != want {
-		t.Errorf("Mean = %v, want %v", got, want)
-	}
-	if h.Max() != 4 {
-		t.Errorf("Max = %d", h.Max())
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	h := NewHistogram()
-	for i := uint64(1); i <= 100; i++ {
-		h.Observe(i)
-	}
-	if got := h.Quantile(0.5); got != 50 {
-		t.Errorf("p50 = %d", got)
-	}
-	if got := h.Quantile(0.9); got != 90 {
-		t.Errorf("p90 = %d", got)
-	}
-	if got := h.Quantile(0); got != 1 {
-		t.Errorf("p0 = %d", got)
-	}
-	if got := h.Quantile(1); got != 100 {
-		t.Errorf("p100 = %d", got)
-	}
-}
-
-func TestQuantileEdgeCases(t *testing.T) {
-	single := NewHistogram()
-	single.Observe(7)
-	hundred := NewHistogram()
-	for i := uint64(1); i <= 100; i++ {
-		hundred.Observe(i)
-	}
-	cases := []struct {
-		name string
-		h    *Histogram
-		q    float64
-		want uint64
-	}{
-		{"empty any q", NewHistogram(), 0.5, 0},
-		{"empty q over 1", NewHistogram(), 2, 0},
-		{"single p0", single, 0, 7},
-		{"single p50", single, 0.5, 7},
-		{"single p100", single, 1, 7},
-		{"clamp above 1", hundred, 1.5, 100},
-		{"clamp below 0", hundred, -0.5, 1},
-		{"clamp NaN", hundred, math.NaN(), 1},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got := c.h.Quantile(c.q); got != c.want {
-				t.Errorf("Quantile(%v) = %d, want %d", c.q, got, c.want)
-			}
-		})
+	var got [][2]uint64
+	h.Each(func(v, n uint64) { got = append(got, [2]uint64{v, n}) })
+	if want := [][2]uint64{{1, 2}, {4, 3}}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Each = %v, want %v in ascending value order", got, want)
 	}
 }
 
@@ -122,21 +44,6 @@ func TestCDFMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	h := NewHistogram()
-	h.ObserveN(1, 2)
-	h.ObserveN(10, 2)
-	if got := h.CDFAt(5); got != 0.5 {
-		t.Errorf("CDFAt(5) = %v", got)
-	}
-	if got := h.CDFAt(10); got != 1 {
-		t.Errorf("CDFAt(10) = %v", got)
-	}
-	if got := h.CDFAt(0); got != 0 {
-		t.Errorf("CDFAt(0) = %v", got)
 	}
 }
 
@@ -181,72 +88,6 @@ func TestTranslationWeightedCDF(t *testing.T) {
 	}
 }
 
-func TestMeanAndGeoMean(t *testing.T) {
-	if Mean(nil) != 0 || GeoMean(nil) != 0 {
-		t.Error("empty means should be 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean = %v", got)
-	}
-}
-
-func TestGeoMeanSkipsNonPositive(t *testing.T) {
-	cases := []struct {
-		name string
-		xs   []float64
-		want float64
-	}{
-		{"zero skipped", []float64{1, 0, 4}, 2},
-		{"negative skipped", []float64{-3, 1, 4}, 2},
-		{"NaN skipped", []float64{math.NaN(), 1, 4}, 2},
-		{"all non-positive", []float64{0, -1}, 0},
-		{"single", []float64{9}, 9},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got := GeoMean(c.xs); math.Abs(got-c.want) > 1e-12 {
-				t.Errorf("GeoMean(%v) = %v, want %v", c.xs, got, c.want)
-			}
-		})
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	cases := []struct {
-		name string
-		xs   []float64
-		q    float64
-		want float64
-	}{
-		{"empty", nil, 0.5, 0},
-		{"single p0", []float64{3}, 0, 3},
-		{"single p100", []float64{3}, 1, 3},
-		{"median of odd", []float64{3, 1, 2}, 0.5, 2},
-		{"p100 unsorted input", []float64{5, 9, 1}, 1, 9},
-		{"clamp above 1", []float64{1, 2}, 7, 2},
-		{"clamp below 0", []float64{1, 2}, -7, 1},
-		{"clamp NaN", []float64{1, 2}, math.NaN(), 1},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got := Percentile(c.xs, c.q); got != c.want {
-				t.Errorf("Percentile(%v, %v) = %v, want %v", c.xs, c.q, got, c.want)
-			}
-		})
-	}
-}
-
-func TestPercentileDoesNotMutateInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Percentile(xs, 0.5)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("input mutated: %v", xs)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := &Table{Title: "demo", Columns: []string{"name", "value"}}
 	tb.AddRow("alpha", 1.234)
@@ -263,14 +104,5 @@ func TestTableRendering(t *testing.T) {
 	}
 	if !strings.Contains(csv, "alpha,1.23") {
 		t.Errorf("csv missing row: %q", csv)
-	}
-}
-
-func TestHistogramSummary(t *testing.T) {
-	h := NewHistogram()
-	h.ObserveN(2, 10)
-	s := h.Summary()
-	if !strings.Contains(s, "n=10") || !strings.Contains(s, "max=2") {
-		t.Errorf("summary = %q", s)
 	}
 }

@@ -2,9 +2,10 @@
 // methodology backbone of the paper's CPU studies (Sec 6.2): the authors
 // collect Pin traces of native executions and feed them to the functional
 // simulator. Here, traces are captured from the synthetic workload
-// streams (or any Stream) into a compact binary format, and replayed as
-// streams — so experiments can run from frozen trace files, be shared,
-// and be re-run bit-identically without regenerating the workload.
+// streams (or any Stream) into a compact binary format and read back
+// reference by reference (Reader.Next, ReadAll) — so a simulation can run
+// from a frozen trace file, be shared, and be re-run bit-identically
+// without regenerating the workload.
 //
 // Format (little-endian, after an 8-byte magic/version header):
 //
@@ -220,56 +221,4 @@ func unexpectedEOF(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-// Replay adapts a Reader to workload.Stream, looping back to the start of
-// the decoded records when the trace ends (simulations often need more
-// references than the trace holds). It buffers the decoded records in
-// memory on the first pass.
-type Replay struct {
-	refs []workload.Ref
-	r    *Reader
-	pos  int
-	err  error
-}
-
-// NewReplay wraps a validated Reader.
-func NewReplay(r *Reader) *Replay { return &Replay{r: r} }
-
-// Err reports the *DecodeError encountered during streaming, if any.
-// workload.Stream has no error channel, so a decode failure mid-run cannot
-// stop the simulation — Next falls back to recycling the records decoded
-// before the failure — but the error is never swallowed: every harness
-// that replays a trace must check Err after the run and treat a non-nil
-// result as a failed experiment, not a short trace.
-func (p *Replay) Err() error { return p.err }
-
-// Len returns the number of records decoded so far.
-func (p *Replay) Len() int { return len(p.refs) }
-
-// Drained reports whether the underlying trace has been fully decoded
-// (subsequent Next calls recycle the buffered records).
-func (p *Replay) Drained() bool { return p.r == nil }
-
-// Next implements workload.Stream.
-func (p *Replay) Next() workload.Ref {
-	if p.r != nil {
-		ref, err := p.r.Next()
-		switch {
-		case err == nil:
-			p.refs = append(p.refs, ref)
-			return ref
-		case errors.Is(err, io.EOF):
-			p.r = nil // wrap around to the buffered records
-		default:
-			p.err = err
-			p.r = nil
-		}
-	}
-	if len(p.refs) == 0 {
-		return workload.Ref{}
-	}
-	ref := p.refs[p.pos]
-	p.pos = (p.pos + 1) % len(p.refs)
-	return ref
 }

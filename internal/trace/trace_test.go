@@ -166,37 +166,18 @@ func TestRecordAndReplayDrivesSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay := NewReplay(r)
-	fresh := spec.Build(0x10000000000, fp, simrand.New(5))
-	for i := 0; i < n; i++ {
-		if got, want := replay.Next(), fresh.Next(); got != want {
-			t.Fatalf("ref %d: %+v != %+v", i, got, want)
-		}
-	}
-	if replay.Err() != nil {
-		t.Fatal(replay.Err())
-	}
-	if replay.Len() != n {
-		t.Errorf("Len = %d", replay.Len())
-	}
-	// Wrap-around: the next n refs repeat the trace.
-	first := replay.Next()
-	fresh2 := spec.Build(0x10000000000, fp, simrand.New(5))
-	if want := fresh2.Next(); first != want {
-		t.Errorf("wrap-around ref = %+v, want %+v", first, want)
-	}
-}
-
-func TestReplayEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	NewWriter(&buf).Flush()
-	r, err := NewReader(&buf)
+	replayed, err := ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewReplay(r)
-	if ref := p.Next(); ref != (workload.Ref{}) {
-		t.Errorf("empty replay returned %+v", ref)
+	if len(replayed) != n {
+		t.Fatalf("replayed %d refs, want %d", len(replayed), n)
+	}
+	fresh := spec.Build(0x10000000000, fp, simrand.New(5))
+	for i, got := range replayed {
+		if want := fresh.Next(); got != want {
+			t.Fatalf("ref %d: %+v != %+v", i, got, want)
+		}
 	}
 }
 
@@ -285,51 +266,5 @@ func TestReadAllTruncated(t *testing.T) {
 	}
 	if len(refs) != 4 {
 		t.Errorf("ReadAll kept %d valid records before the failure, want 4", len(refs))
-	}
-}
-
-func TestReplaySurfacesTruncation(t *testing.T) {
-	// A truncated trace must not masquerade as a short-but-clean one: the
-	// replay keeps streaming the valid prefix (Stream has no error
-	// channel), but Err reports the typed decode failure.
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for i := 0; i < 4; i++ {
-		w.Append(workload.Ref{VA: addr.V(0x1000 * (i + 1)), PC: 7})
-	}
-	w.Flush()
-	full := buf.Bytes()
-	r, err := NewReader(bytes.NewReader(full[:len(full)-1]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewReplay(r)
-	for i := 0; i < 8; i++ { // stream past the failure point, with wrap
-		p.Next()
-	}
-	var de *DecodeError
-	if !errors.As(p.Err(), &de) {
-		t.Fatalf("Replay.Err = %v, want *DecodeError", p.Err())
-	}
-	if de.Record != 3 {
-		t.Errorf("failed record = %d, want 3", de.Record)
-	}
-	if p.Len() != 3 {
-		t.Errorf("buffered %d valid records, want 3", p.Len())
-	}
-	if !p.Drained() {
-		t.Error("Drained should report true after the reader is abandoned")
-	}
-	// A clean trace reports no error after wrap-around.
-	r2, err := NewReader(bytes.NewReader(full))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2 := NewReplay(r2)
-	for i := 0; i < 10; i++ {
-		p2.Next()
-	}
-	if p2.Err() != nil {
-		t.Errorf("clean trace Err = %v", p2.Err())
 	}
 }

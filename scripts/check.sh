@@ -88,6 +88,29 @@ if ! cmp -s "$tmpdir/jobs1.csv" "$tmpdir/resume8.csv"; then
     exit 1
 fi
 
+# Harness timeout: every simulation loop checks its context, so an
+# experiment past its -timeout returns at once with exit 4 (timeout
+# truncation) instead of simulating on. fig17's GPU cells would run for
+# minutes at -refs 20000000; `timeout 3` stops the run with status 124
+# if it is still going after 3s. The chaos sweep must also print the
+# rows of the cells that beat its deadline.
+echo "== harness timeout"
+rc=0
+timeout 3 "$tmpdir/mixtlb" -exp fig17 -quick -refs 20000000 -timeout 300ms \
+    > /dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 4 ]; then
+    echo "FAIL: fig17 -timeout 300ms exited $rc, want 4 within 3s (124 = still running)" >&2
+    exit 1
+fi
+rc=0
+"$tmpdir/mixtlb" -chaos -quick -refs 200000 -timeout 700ms \
+    > "$tmpdir/chaos-partial.txt" 2>&1 || rc=$?
+if [ "$rc" -ne 4 ] || ! grep -q 'msg="partial results"' "$tmpdir/chaos-partial.txt"; then
+    echo "FAIL: chaos -timeout 700ms exited $rc, want 4 with partial rows:" >&2
+    cat "$tmpdir/chaos-partial.txt" >&2
+    exit 1
+fi
+
 # Design registry: every registered design (builtin and the shipped
 # example file, including the victim-level specs) must validate and
 # construct, and the hierarchy comparison over file-loaded designs must
