@@ -27,7 +27,8 @@ race:
 bench: bench-experiments
 	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/core \
 		./internal/cachesim ./internal/pwc ./internal/tlb ./internal/lru \
-		./internal/workload ./internal/simrand
+		./internal/workload ./internal/simrand ./internal/pagetable \
+		./internal/gpu
 
 # Wall-clock timings for the parallel experiment engine: runs the perf
 # group at quick scale and writes per-cell and per-experiment timings to

@@ -81,13 +81,14 @@ func AblationIndexBits(ctx context.Context, s Scale) (*stats.Table, error) {
 				if err != nil {
 					return nil, err
 				}
+				built := p.build(env, cs.Seed)
 				var miss [2]float64
 				for i, ds := range specs {
 					m, _, err := env.build(ds)
 					if err != nil {
 						return nil, err
 					}
-					st, err := env.run(ctx, cs, m, p.build(env, cs.Seed), "workload", p.name)
+					st, err := env.run(ctx, cs, m, p.name, built)
 					if err != nil {
 						return nil, err
 					}
@@ -130,7 +131,7 @@ func ScalingStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 					// The L2's bundle capacity defaults to min(sets, 64):
 					// the bitmap cap, beyond which windows would need ranges.
 					name := fmt.Sprintf("mix-L2-%dsets", sets)
-					_, est, _, err := env.measure(ctx, cs, spec, mmu.DesignSpec{
+					_, est, _, err := env.measure(ctx, cs, spec, env.stream(cs, spec), mmu.DesignSpec{
 						Name: name,
 						Levels: []mmu.LevelSpec{
 							{Kind: mmu.KindMix, Name: "mix-L1", Sets: 16, Ways: 6},
@@ -191,8 +192,7 @@ func DuplicateStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 					if err != nil {
 						return nil, err
 					}
-					st, err := env.run(ctx, cs, m, spec.Build(env.base, env.fp, simrand.New(cs.Seed)),
-						"workload", spec.Name)
+					st, err := env.run(ctx, cs, m, spec.Name, env.stream(cs, spec))
 					if err != nil {
 						return nil, err
 					}
@@ -230,7 +230,7 @@ func CoalesceCapStudy(ctx context.Context, s Scale, caps []int) (*stats.Table, e
 						return nil, err
 					}
 					name := fmt.Sprintf("mix-L1-K%d", k)
-					st, _, _, err := env.measure(ctx, cs, spec, mmu.DesignSpec{
+					st, _, _, err := env.measure(ctx, cs, spec, env.stream(cs, spec), mmu.DesignSpec{
 						Name:   name,
 						Levels: []mmu.LevelSpec{{Kind: mmu.KindMix, Name: name, Sets: 16, Ways: 6, Coalesce: k}},
 					})
@@ -286,7 +286,7 @@ func EncodingStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 					if err != nil {
 						return nil, err
 					}
-					st, err := env.run(ctx, cs, m, stream, "workload", a)
+					st, err := env.run(ctx, cs, m, a, stream)
 					if err != nil {
 						return nil, err
 					}

@@ -8,7 +8,6 @@ import (
 	"mixtlb/internal/mmu"
 	"mixtlb/internal/osmm"
 	"mixtlb/internal/perfmodel"
-	"mixtlb/internal/simrand"
 	"mixtlb/internal/stats"
 	"mixtlb/internal/workload"
 )
@@ -66,9 +65,10 @@ func Breakdown(ctx context.Context, s Scale) (*stats.Table, error) {
 				if err != nil {
 					return nil, err
 				}
+				built := env.stream(cs, spec)
 				var rows []Row
 				for _, ds := range specs {
-					row, err := breakdownRow(ctx, cs, env, spec, ds, ds.Name, nil, nil)
+					row, err := breakdownRow(ctx, cs, env, spec.Name, built, ds, ds.Name, nil, nil)
 					if err != nil {
 						return nil, err
 					}
@@ -77,7 +77,7 @@ func Breakdown(ctx context.Context, s Scale) (*stats.Table, error) {
 				if haveChaosRow && cs.Chaos != (chaos.Rates{}) {
 					in := chaos.NewInjector(cs.Seed, cs.Chaos)
 					or := chaos.NewOracle(env.as.PageTable())
-					row, err := breakdownRow(ctx, cs, env, spec, chaosSpec,
+					row, err := breakdownRow(ctx, cs, env, spec.Name, built, chaosSpec,
 						chaosSpec.Name+"+chaos", in, or)
 					if err != nil {
 						return nil, err
@@ -94,8 +94,9 @@ func Breakdown(ctx context.Context, s Scale) (*stats.Table, error) {
 }
 
 // breakdownRow measures one design over the environment with a ledger
-// attached and renders its cycle book's shares.
-func breakdownRow(ctx context.Context, cs Scale, env *nativeEnv, spec workload.Spec,
+// attached, on a cursor over built (the cell's stream of the named
+// workload), and renders its cycle book's shares.
+func breakdownRow(ctx context.Context, cs Scale, env *nativeEnv, name string, built workload.Stream,
 	ds mmu.DesignSpec, label string, in *chaos.Injector, or *chaos.Oracle) (Row, error) {
 	m, _, err := env.build(ds)
 	if err != nil {
@@ -111,12 +112,12 @@ func breakdownRow(ctx context.Context, cs Scale, env *nativeEnv, spec workload.S
 	// is the attribution readout, so runStream's audit and tail flush run
 	// regardless of the scale's observer knobs.
 	m.AttachLedger(ledger.New(cs.TailK))
-	st, err := env.run(ctx, cs, m, spec.Build(env.base, env.fp, simrand.New(cs.Seed)), "workload", spec.Name)
+	st, err := env.run(ctx, cs, m, name, built)
 	if err != nil {
 		return nil, err
 	}
 	sh := perfmodel.AttributionShares(m.Attribution())
-	return Row{label, spec.Name, st.CyclesPerAccess(),
+	return Row{label, name, st.CyclesPerAccess(),
 		sh[ledger.L1Probe], sh[ledger.L2Probe], sh[ledger.DeepProbe],
 		sh[ledger.ExtraProbe], sh[ledger.VictimProbe], sh[ledger.WalkFull],
 		sh[ledger.WalkPWC], sh[ledger.DirtyAssist], sh[ledger.MemoReplay],

@@ -50,8 +50,9 @@ func Figure16(ctx context.Context, s Scale) (*stats.Table, error) {
 	// virtualized runs leave caches out of the energy model.
 	compare := func(ctx context.Context, cs Scale, env *runEnv, spec workload.Spec, system string, withCaches bool) ([]Row, error) {
 		model := energy.Default()
+		built := env.stream(cs, spec)
 		energyOf := func(ds mmu.DesignSpec) (perfmodel.Estimate, float64, error) {
-			st, est, caches, err := env.measure(ctx, cs, spec, ds)
+			st, est, caches, err := env.measure(ctx, cs, spec, built, ds)
 			if err != nil {
 				return est, 0, err
 			}
@@ -132,8 +133,9 @@ func Figure17(ctx context.Context, s Scale) (*stats.Table, error) {
 				if err != nil {
 					return nil, err
 				}
+				built := k.Streams(cs.GPUCores, env.base, env.fp, cs.Seed)
 				run := func(d string) (energy.Breakdown, error) {
-					st, caches, err := runGPU(ctx, cs, env, k, d)
+					st, caches, err := runGPU(ctx, cs, env, built, d)
 					if err != nil {
 						return energy.Breakdown{}, fmt.Errorf("fig17 %s %s: %w", k.Name, d, err)
 					}

@@ -221,17 +221,27 @@ func (e *runEnv) build(ds mmu.DesignSpec) (*mmu.MMU, *cachesim.Hierarchy, error)
 	return m, caches, nil
 }
 
-// run drives a stream through an MMU built over the environment: it
-// attaches telemetry under the caller's labels and then the
+// stream builds spec's reference stream over the environment. A cell
+// builds it once, before its first design, and never drives it: run
+// hands every design its own cursor (workload.Fork), so each design sees
+// the same references and the cell pays for one build. The stream lives
+// as long as the cell.
+func (e *runEnv) stream(cs Scale, spec workload.Spec) workload.Stream {
+	return spec.Build(e.base, e.fp, simrand.New(cs.Seed))
+}
+
+// run drives a cursor over built, the cell's stream of the named
+// workload, through an MMU built over the environment: it attaches
+// telemetry under the workload's labels, the caller's and then the
 // environment's, runs warmup and measurement (runStream), flushes the
 // MMU's and the environment's telemetry, and names the labelled run, the
 // design and the seed in any error.
-func (e *runEnv) run(ctx context.Context, cs Scale, m *mmu.MMU, stream workload.Stream, labels ...string) (mmu.Stats, error) {
-	labels = append(labels, e.labels...)
+func (e *runEnv) run(ctx context.Context, cs Scale, m *mmu.MMU, name string, built workload.Stream, labels ...string) (mmu.Stats, error) {
+	labels = append(append([]string{"workload", name}, labels...), e.labels...)
 	if cs.Telemetry != nil {
 		m.AttachTelemetry(cs.Telemetry.With(labels...))
 	}
-	st, err := runStream(ctx, cs, m, stream)
+	st, err := runStream(ctx, cs, m, workload.Fork(built))
 	if err != nil {
 		what := ""
 		for i := 1; i < len(labels); i += 2 {
@@ -248,18 +258,29 @@ func (e *runEnv) run(ctx context.Context, cs Scale, m *mmu.MMU, stream workload.
 	return st, nil
 }
 
-// measure runs one workload on one design in the environment, returning
-// functional stats, the runtime estimate and the caches the run charged.
-func (e *runEnv) measure(ctx context.Context, cs Scale, spec workload.Spec, ds mmu.DesignSpec) (mmu.Stats, perfmodel.Estimate, *cachesim.Hierarchy, error) {
+// measure runs one workload on one design in the environment, on a
+// cursor over built (the cell's stream of spec), under the caller's
+// labels, returning functional stats, the runtime estimate and the
+// caches the run charged.
+func (e *runEnv) measure(ctx context.Context, cs Scale, spec workload.Spec, built workload.Stream, ds mmu.DesignSpec, labels ...string) (mmu.Stats, perfmodel.Estimate, *cachesim.Hierarchy, error) {
 	m, caches, err := e.build(ds)
 	if err != nil {
 		return mmu.Stats{}, perfmodel.Estimate{}, nil, err
 	}
-	st, err := e.run(ctx, cs, m, spec.Build(e.base, e.fp, simrand.New(cs.Seed)), "workload", spec.Name)
+	st, err := e.run(ctx, cs, m, spec.Name, built, labels...)
 	if err != nil {
 		return mmu.Stats{}, perfmodel.Estimate{}, nil, err
 	}
 	return st, perfmodel.Default(spec.BaseCPI, spec.RefsPerInstr).Runtime(st), caches, nil
+}
+
+// per returns scale*num/den, or 0 when den is 0: the per-access and
+// per-walk rates of the study tables.
+func per(scale float64, num, den uint64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return scale * float64(num) / float64(den)
 }
 
 // nativeEnv is one native-CPU simulation environment: physical memory, an

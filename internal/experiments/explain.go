@@ -7,7 +7,6 @@ import (
 	"mixtlb/internal/addr"
 	"mixtlb/internal/ledger"
 	"mixtlb/internal/osmm"
-	"mixtlb/internal/simrand"
 	"mixtlb/internal/tlb"
 )
 
@@ -46,7 +45,7 @@ func Explain(w io.Writer, s Scale, design string, va uint64) error {
 
 	// Warm exactly as the experiments do, so the replayed translation
 	// sees a realistically populated hierarchy, not cold structures.
-	stream := wl.Build(env.base, env.fp, simrand.New(s.Seed))
+	stream := env.stream(s, wl) // the one run, so no cursor is needed
 	for i := uint64(0); i < s.WarmupRefs; i++ {
 		r := stream.Next()
 		m.Translate(tlb.Request{VA: r.VA, Write: r.Write, PC: r.PC})

@@ -59,30 +59,19 @@ func HierarchyStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 				if err != nil {
 					return nil, err
 				}
+				built := env.stream(cs, spec)
 				var rows []Row
 				for _, ds := range specs {
-					st, _, _, err := env.measure(ctx, cs, spec, ds)
+					st, _, _, err := env.measure(ctx, cs, spec, built, ds)
 					if err != nil {
 						return nil, err
 					}
-					acc := float64(st.Accesses)
-					if acc == 0 {
-						acc = 1
-					}
-					refsPerWalk := 0.0
-					if st.Walks > 0 {
-						refsPerWalk = float64(st.WalkRefs) / float64(st.Walks)
-					}
-					pwcSkip := 0.0
-					if tot := st.WalkRefs + st.PWCSkippedRefs; tot > 0 {
-						pwcSkip = 100 * float64(st.PWCSkippedRefs) / float64(tot)
-					}
 					rows = append(rows, Row{ds.Name, spec.Name,
-						100 * float64(st.L1Hits) / acc,
-						100 * float64(st.L2Hits) / acc,
-						1000 * float64(st.Walks) / acc,
-						refsPerWalk,
-						pwcSkip,
+						per(100, st.L1Hits, st.Accesses),
+						per(100, st.L2Hits, st.Accesses),
+						per(1000, st.Walks, st.Accesses),
+						per(1, st.WalkRefs, st.Walks),
+						per(100, st.PWCSkippedRefs, st.WalkRefs+st.PWCSkippedRefs),
 						st.CyclesPerAccess()})
 				}
 				return rows, nil

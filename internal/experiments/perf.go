@@ -49,11 +49,12 @@ func Figure1(ctx context.Context, s Scale) (*stats.Table, error) {
 					if err != nil {
 						return nil, fmt.Errorf("fig1 %s/%v: %w", name, policy, err)
 					}
-					_, splitEst, _, err := env.measure(ctx, cs, spec, specs[0])
+					built := env.stream(cs, spec)
+					_, splitEst, _, err := env.measure(ctx, cs, spec, built, specs[0])
 					if err != nil {
 						return nil, err
 					}
-					_, idealEst, _, err := env.measure(ctx, cs, spec, specs[1])
+					_, idealEst, _, err := env.measure(ctx, cs, spec, built, specs[1])
 					if err != nil {
 						return nil, err
 					}
@@ -68,15 +69,20 @@ func Figure1(ctx context.Context, s Scale) (*stats.Table, error) {
 }
 
 // runGPU runs a kernel on a fresh GPU of the given design over the
-// environment, one stream per core: warmup, reset, measure. It returns
-// the measured stats and the cache hierarchy they charged.
-func runGPU(ctx context.Context, cs Scale, env *nativeEnv, k gpu.KernelSpec, d string) (mmu.Stats, *cachesim.Hierarchy, error) {
+// environment, each core on a cursor over its stream in built: warmup,
+// reset, measure. A cell builds the kernel's streams once
+// (KernelSpec.Streams at the scale's core count) and never drives them.
+// It returns the measured stats and the cache hierarchy they charged.
+func runGPU(ctx context.Context, cs Scale, env *nativeEnv, built []workload.Stream, d string) (mmu.Stats, *cachesim.Hierarchy, error) {
 	caches := cachesim.DefaultHierarchy()
 	sys, err := gpu.New(cs.GPUCores, d, env.as, caches)
 	if err != nil {
 		return mmu.Stats{}, nil, err
 	}
-	streams := k.Streams(len(sys.Cores()), env.base, env.fp, cs.Seed)
+	streams := make([]workload.Stream, len(built))
+	for i, s := range built {
+		streams[i] = workload.Fork(s)
+	}
 	if err := sys.Run(ctx, streams, cs.WarmupRefs); err != nil {
 		return mmu.Stats{}, nil, err
 	}
@@ -96,11 +102,12 @@ func gpuImprovement(ctx context.Context, s Scale, hogFrac float64, k gpu.KernelS
 	// GPU throughput parameters: abundant memory parallelism hides some
 	// latency; a fixed parameterization suffices for relative comparisons.
 	model := perfmodel.Default(1.0, 0.5)
-	split, _, err := runGPU(ctx, s, env, k, mmu.DesignSplit)
+	built := k.Streams(s.GPUCores, env.base, env.fp, s.Seed)
+	split, _, err := runGPU(ctx, s, env, built, mmu.DesignSplit)
 	if err != nil {
 		return 0, fmt.Errorf("gpu %s split: %w", k.Name, err)
 	}
-	mix, _, err := runGPU(ctx, s, env, k, mmu.DesignMix)
+	mix, _, err := runGPU(ctx, s, env, built, mmu.DesignMix)
 	if err != nil {
 		return 0, fmt.Errorf("gpu %s mix: %w", k.Name, err)
 	}
@@ -111,13 +118,14 @@ func gpuImprovement(ctx context.Context, s Scale, hogFrac float64, k gpu.KernelS
 // design and then on each design, returning each design's runtime
 // improvement over the baseline.
 func (e *runEnv) improvements(ctx context.Context, cs Scale, spec workload.Spec, base mmu.DesignSpec, designs ...mmu.DesignSpec) ([]float64, error) {
-	_, baseEst, _, err := e.measure(ctx, cs, spec, base)
+	built := e.stream(cs, spec)
+	_, baseEst, _, err := e.measure(ctx, cs, spec, built, base)
 	if err != nil {
 		return nil, err
 	}
 	imps := make([]float64, len(designs))
 	for i, ds := range designs {
-		_, est, _, err := e.measure(ctx, cs, spec, ds)
+		_, est, _, err := e.measure(ctx, cs, spec, built, ds)
 		if err != nil {
 			return nil, err
 		}
@@ -320,7 +328,7 @@ func Figure15Right(ctx context.Context, s Scale) (*stats.Table, error) {
 					if err != nil {
 						return nil, err
 					}
-					_, est, _, err := env.measure(ctx, cs, spec, ds)
+					_, est, _, err := env.measure(ctx, cs, spec, env.stream(cs, spec), ds)
 					if err != nil {
 						return nil, err
 					}

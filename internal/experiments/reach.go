@@ -7,7 +7,6 @@ import (
 	"mixtlb/internal/mmu"
 	"mixtlb/internal/osmm"
 	"mixtlb/internal/perfmodel"
-	"mixtlb/internal/simrand"
 	"mixtlb/internal/stats"
 	"mixtlb/internal/tlb"
 )
@@ -64,30 +63,26 @@ func ReachStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 					if err != nil {
 						return nil, err
 					}
+					built := env.stream(cs, spec)
 					var rows []Row
 					for _, ds := range specs {
 						m, _, err := env.build(ds)
 						if err != nil {
 							return nil, err
 						}
-						st, err := env.run(ctx, cs, m, spec.Build(env.base, env.fp, simrand.New(cs.Seed)),
-							"workload", spec.Name)
+						st, err := env.run(ctx, cs, m, spec.Name, built)
 						if err != nil {
 							return nil, err
 						}
 						sramKB, deepKB := reachSnapshot(m)
-						acc := float64(st.Accesses)
-						if acc == 0 {
-							acc = 1
-						}
 						rows = append(rows, Row{ds.Name, spec.Name, frac,
-							100 * float64(st.L1Hits) / acc,
-							100 * float64(st.L2Hits) / acc,
-							100 * float64(st.DeepHits) / acc,
-							1000 * float64(st.Walks) / acc,
+							per(100, st.L1Hits, st.Accesses),
+							per(100, st.L2Hits, st.Accesses),
+							per(100, st.DeepHits, st.Accesses),
+							per(1000, st.Walks, st.Accesses),
 							sramKB,
 							deepKB,
-							1000 * float64(st.Demotions) / acc,
+							per(1000, st.Demotions, st.Accesses),
 							perfmodel.AvgVictimProbeCycles(st),
 							perfmodel.AvgWalkCycles(st),
 							st.CyclesPerAccess()})

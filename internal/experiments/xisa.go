@@ -5,7 +5,6 @@ import (
 
 	"mixtlb/internal/mmu"
 	"mixtlb/internal/osmm"
-	"mixtlb/internal/simrand"
 	"mixtlb/internal/stats"
 )
 
@@ -60,34 +59,18 @@ func CrossISAStudy(ctx context.Context, s Scale) (*stats.Table, error) {
 					if err != nil {
 						return nil, err
 					}
+					built := env.stream(cs, spec)
 					var rows []Row
 					for _, ds := range specs {
-						m, _, err := env.build(ds)
+						st, _, _, err := env.measure(ctx, cs, spec, built, ds, "isa", isaName)
 						if err != nil {
 							return nil, err
-						}
-						st, err := env.run(ctx, cs, m, spec.Build(env.base, env.fp, simrand.New(cs.Seed)),
-							"workload", spec.Name, "isa", isaName)
-						if err != nil {
-							return nil, err
-						}
-						acc := float64(st.Accesses)
-						if acc == 0 {
-							acc = 1
-						}
-						refsPerWalk := 0.0
-						if st.Walks > 0 {
-							refsPerWalk = float64(st.WalkRefs) / float64(st.Walks)
-						}
-						contigWalk := 0.0
-						if st.Walks > 0 {
-							contigWalk = 100 * float64(st.ContigWalks) / float64(st.Walks)
 						}
 						rows = append(rows, Row{isaName, ds.Name, spec.Name,
-							100 * float64(st.L1Hits) / acc,
-							1000 * float64(st.Walks) / acc,
-							refsPerWalk,
-							contigWalk,
+							per(100, st.L1Hits, st.Accesses),
+							per(1000, st.Walks, st.Accesses),
+							per(1, st.WalkRefs, st.Walks),
+							per(100, st.ContigWalks, st.Walks),
 							st.CyclesPerAccess()})
 					}
 					return rows, nil

@@ -144,9 +144,12 @@ type KernelSpec struct {
 }
 
 // Streams builds the kernel's per-core streams for a GPU of the given
-// core count over [base, base+footprint), seeding core i's generator
-// with seed+i.
+// core count (DefaultCores if cores <= 0, as in New) over
+// [base, base+footprint), seeding core i's generator with seed+i.
 func (k KernelSpec) Streams(cores int, base addr.V, footprint, seed uint64) []workload.Stream {
+	if cores <= 0 {
+		cores = DefaultCores
+	}
 	streams := make([]workload.Stream, cores)
 	for i := range streams {
 		streams[i] = k.Build(i, cores, base, footprint, simrand.New(seed+uint64(i)))

@@ -124,6 +124,14 @@ func (s *Source) Shuffle(p []uint32) {
 	}
 }
 
+// Clone returns a copy of s in its current state: it yields the sequence
+// s would yield from here on, and drawing from either leaves the other as
+// it was.
+func (s *Source) Clone() *Source {
+	c := *s
+	return &c
+}
+
 // Split derives an independent child source, so concurrent components can
 // consume randomness without perturbing each other's sequences.
 func (s *Source) Split() *Source {
@@ -230,6 +238,18 @@ func zeta(n uint64, theta float64) float64 {
 		sum += (math.Pow(float64(n), 1-theta) - math.Pow(float64(limit), 1-theta)) / (1 - theta)
 	}
 	return sum
+}
+
+// Source returns the source z draws from.
+func (z *Zipf) Source() *Source { return z.src }
+
+// WithSource returns a copy of z that draws from src. The copy shares no
+// state with z: its constants are copied by value, so it samples exactly
+// as z would over src.
+func (z *Zipf) WithSource(src *Source) *Zipf {
+	c := *z
+	c.src = src
+	return &c
 }
 
 // Next returns the next sample in [0, n), with 0 the most popular rank.

@@ -168,6 +168,35 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
+func TestCloneContinuesSequence(t *testing.T) {
+	s := New(41)
+	s.Uint64() // clone mid-sequence, not at the seed
+	c := s.Clone()
+	want := make([]uint64, 64)
+	for i := range want {
+		want[i] = s.Uint64()
+	}
+	for i, w := range want {
+		if got := c.Uint64(); got != w {
+			t.Fatalf("draw %d: clone %d, source %d", i, got, w)
+		}
+	}
+}
+
+func TestZipfWithSourceSamplesAsOriginal(t *testing.T) {
+	z := NewZipf(New(43), 1<<16, 0.99)
+	z.Next()
+	c := z.WithSource(z.Source().Clone())
+	if c.Source() == z.Source() {
+		t.Fatal("WithSource kept the original source")
+	}
+	for i := 0; i < 1000; i++ {
+		if a, b := z.Next(), c.Next(); a != b {
+			t.Fatalf("sample %d: copy %d, original %d", i, b, a)
+		}
+	}
+}
+
 func TestZipfBounds(t *testing.T) {
 	z := NewZipf(New(37), 1000, 0.99)
 	for i := 0; i < 100000; i++ {

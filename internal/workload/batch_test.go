@@ -95,20 +95,26 @@ type scalarOnly struct{ next Stream }
 func (s scalarOnly) Next() Ref { return s.next.Next() }
 
 // TestNextBatchZeroAlloc pins steady-state NextBatch at zero heap
-// allocations for every generator.
+// allocations for every generator, built and forked.
 func TestNextBatchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	for _, tc := range generatorCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			bs := tc.build().(BatchStream)
-			buf := make([]Ref, 512)
-			bs.NextBatch(buf) // warm up
-			if avg := testing.AllocsPerRun(20, func() { bs.NextBatch(buf) }); avg != 0 {
-				t.Errorf("NextBatch allocates %.2f times per 512 refs", avg)
+		for _, cursor := range []bool{false, true} {
+			name, s := tc.name, tc.build()
+			if cursor {
+				name, s = name+"/fork", Fork(s)
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				bs := s.(BatchStream)
+				buf := make([]Ref, 512)
+				bs.NextBatch(buf) // warm up
+				if avg := testing.AllocsPerRun(20, func() { bs.NextBatch(buf) }); avg != 0 {
+					t.Errorf("NextBatch allocates %.2f times per 512 refs", avg)
+				}
+			})
+		}
 	}
 }
 

@@ -23,6 +23,21 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkFork times forking a cursor from each catalog stream, built
+// once over benchFootprint: the per-design cost that replaces a build.
+func BenchmarkFork(b *testing.B) {
+	for _, spec := range Catalog() {
+		b.Run(spec.Name, func(b *testing.B) {
+			s := spec.Build(0x10000000000, benchFootprint, simrand.New(1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkStream = Fork(s)
+			}
+		})
+	}
+}
+
 // BenchmarkNextBatch times one 512-ref FillBatch from each catalog
 // stream, built once over benchFootprint.
 func BenchmarkNextBatch(b *testing.B) {

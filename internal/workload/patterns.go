@@ -8,6 +8,14 @@
 // composition of a small pattern library — sequential scans, strides,
 // uniform and Zipf-distributed random access, pointer chasing, hash-table
 // probing, and stencils — with footprints that dwarf TLB reach.
+//
+// A stream splits into what is built once and what a run consumes.
+// Building fixes the read-only part: a chase's node order, a Zipf
+// stream's page permutation and sampler constants, every region and
+// stride. A run consumes positions and random sources. Fork gives a
+// cursor that shares the built part and copies the run state, so several
+// designs can replay one stream without rebuilding it, each yielding
+// exactly the references a fresh build would.
 package workload
 
 import (

@@ -258,16 +258,24 @@ go test ./internal/pwc/ -run 'TestOpStreamDigest|TestCacheMatchesLastFreeReferen
 go test ./internal/tlb/ -run 'TestOpStreamDigest' -count=1 > /dev/null
 go test -run '^$' -bench . -benchtime 100x ./internal/cachesim ./internal/pwc ./internal/tlb ./internal/lru > /dev/null
 
-# Workload layer: the catalog digests pin every reference every workload
-# generates, bit for bit, at three footprints; the reference tests check
-# Uint64n and the block-drawing Shuffle against the forms they replaced,
-# values and generator state both; the chase pins hold its period and its
-# one array per stream; and the layer's micro-benchmarks must still run,
+# Workload layer: the catalog and GPU kernel digests pin every reference
+# every workload and kernel core generates, bit for bit; the reference
+# tests check Uint64n and the block-drawing Shuffle against the forms they
+# replaced, values and generator state both; the chase pins hold its
+# period and its one array per stream; the cursor pins check that every
+# Fork yields what a fresh build does and copies no chase order (under
+# 4 KiB per fork); and the layer's micro-benchmarks must still run,
 # 3 iterations each (a smoke run, not a timing gate).
 echo "== workload stream digests and micro-benchmarks"
-go test ./internal/workload/ -run 'TestCatalogStreamDigest|TestChaseVisitsFullCycle|TestChaseBuildBytes|TestNextBatchZeroAlloc' -count=1 > /dev/null
+go test ./internal/workload/ -run 'TestCatalogStreamDigest|TestChaseVisitsFullCycle|TestChaseBuildBytes|TestNextBatchZeroAlloc|TestForkMatchesFreshBuild|TestForkBytes' -count=1 > /dev/null
+go test ./internal/gpu/ -run 'TestKernelStreamDigest' -count=1 > /dev/null
 go test ./internal/simrand/ -run 'TestUint64nMatchesReference|TestShuffleMatchesReference' -count=1 > /dev/null
 go test -run '^$' -bench . -benchtime 3x ./internal/workload ./internal/simrand > /dev/null
+
+# Page-table walker: its per-descriptor micro-benchmark must still run,
+# 100 iterations each (a smoke run, not a timing gate).
+echo "== page-table walk micro-benchmarks"
+go test -run '^$' -bench . -benchtime 100x ./internal/pagetable > /dev/null
 
 # Cycle book and ledger: per-access results, Stats.Cycles and the MMU's
 # Attribution must be one number for every registry design and for nested
