@@ -87,11 +87,19 @@ func (d *digester) cost(c tlb.Cost) {
 	}
 }
 
+// lookupCost hashes a lookup's cost as the tlb.Cost it adds to, the
+// encoding the digests were recorded with.
+func (d *digester) lookupCost(l tlb.LookupCost) {
+	var c tlb.Cost
+	c.AddLookup(l)
+	d.cost(c)
+}
+
 func (d *digester) result(r tlb.Result) {
 	d.flag(r.Hit)
 	d.tr(r.T)
 	d.flag(r.Dirty)
-	d.cost(r.Cost)
+	d.lookupCost(r.Cost)
 }
 
 // opStreamUniverse is the page population the stream draws from: page

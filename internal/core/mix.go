@@ -255,7 +255,7 @@ var _ tlb.TLB = (*MixTLB)(nil)
 
 // New builds a MIX TLB from cfg.
 func New(cfg Config) (*MixTLB, error) {
-	if cfg.Sets <= 0 || !addr.IsPow2(uint64(cfg.Sets)) || cfg.Ways <= 0 {
+	if cfg.Sets <= 0 || !addr.IsPow2(uint64(cfg.Sets)) || cfg.Ways <= 0 || cfg.Ways > tlb.MaxLookupWays {
 		return nil, fmt.Errorf("core: invalid %s config: bad geometry %dx%d", cfg.Name, cfg.Sets, cfg.Ways)
 	}
 	maxK := 64
@@ -481,7 +481,7 @@ func (m *MixTLB) baseSVN(t uint64) uint64 {
 // the probed set are merged opportunistically (Sec 4.3, Fig 8 step 5).
 func (m *MixTLB) Lookup(req tlb.Request) tlb.Result {
 	m.clock++
-	res := tlb.Result{Cost: tlb.Cost{Probes: 1, WaysRead: m.cfg.Ways}}
+	res := tlb.Result{Cost: tlb.LookupCost{Probes: 1, WaysRead: uint32(m.cfg.Ways)}}
 	m.dedupSet(m.setIndex(req.VA))
 	i, slot := m.find(req.VA)
 	if i < 0 {

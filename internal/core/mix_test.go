@@ -495,6 +495,7 @@ func TestBadConfigErrors(t *testing.T) {
 		{Sets: 4, Ways: 4, Coalesce: 0},
 		{Sets: 4, Ways: 4, Coalesce: 128},
 		{Sets: 4, Ways: 4, Coalesce: 5},
+		{Sets: 1, Ways: tlb.MaxLookupWays + 1, Coalesce: 1}, // a lookup reads more ways than LookupCost counts
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("New(%+v) returned no error", cfg)

@@ -255,7 +255,7 @@ type memoEntry struct {
 	size   addr.PageSize
 	paBase addr.P // PA of the serving 4KB frame
 	cycles uint64
-	cost   tlb.Cost
+	cost   tlb.LookupCost
 }
 
 // New builds an MMU. caches may be shared with other MMUs (e.g. GPU
@@ -556,7 +556,7 @@ func (m *MMU) replayMemo(req tlb.Request) (Result, bool) {
 	}
 	m.stats.Accesses++
 	m.levels[0].hits++
-	m.levels[0].lookup.Add(m.memo.cost)
+	m.levels[0].lookup.AddLookup(m.memo.cost)
 	res := Result{
 		PA:   m.memo.paBase + addr.P(uint64(req.VA)&((1<<addr.Shift4K)-1)),
 		Size: m.memo.size,
@@ -609,7 +609,7 @@ func (m *MMU) translateOnce(req tlb.Request) Result {
 			// pays is modeled, not abstracted away).
 			m.chargeCacheProbes(lv, &res)
 		}
-		lv.lookup.Add(r.Cost)
+		lv.lookup.AddLookup(r.Cost)
 		if r.Cost.Probes > 1 && lv.cacheRes == nil {
 			m.charge(&res, ledger.ExtraProbe, -1, uint64(r.Cost.Probes-1)*m.cfg.Lat.ExtraProbe)
 		}

@@ -436,13 +436,19 @@ func (pt *PageTable) WalkInto(va addr.V, res *WalkResult) {
 			e.acc = true
 			res.Found = true
 			res.Translation = decode(e, va, level)
-			res.Line = appendLineTranslations(res.Line, t, i, va, level)
 			res.Leaf = LeafRef{e}
-			if pt.contigPages > 1 && level == 1 && pt.contigBlock(t, i) {
+			// A block wider than the cache line replaces the line, so
+			// check it first and skip the line decode. A kept line is
+			// decoded before contigBlock sets its members' A bits.
+			wide := pt.contigPages > addr.PTEsPerCacheLine
+			if wide && level == 1 && pt.contigBlock(t, i) {
 				res.ContigPages = pt.contigPages
-				if pt.contigPages > addr.PTEsPerCacheLine {
-					res.Line = appendBlockTranslations(res.Line[:0], t, i&^(pt.contigPages-1), pt.contigPages, va)
-				}
+				res.Line = appendBlockTranslations(res.Line, t, i&^(pt.contigPages-1), pt.contigPages, va)
+				return
+			}
+			res.Line = appendLineTranslations(res.Line, t, i, va, level)
+			if !wide && pt.contigPages > 1 && level == 1 && pt.contigBlock(t, i) {
+				res.ContigPages = pt.contigPages
 			}
 			return
 		}

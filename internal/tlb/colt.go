@@ -49,7 +49,7 @@ type coltData struct {
 // maximum pages per entry (a power of two, at most 32, and at most the
 // walker's 8-PTE line for single-fill coalescing to be exercised fully).
 func NewColt(name string, s addr.PageSize, sets, ways, window int) (*Colt, error) {
-	if sets <= 0 || !addr.IsPow2(uint64(sets)) || ways <= 0 {
+	if sets <= 0 || !addr.IsPow2(uint64(sets)) || ways <= 0 || ways > MaxLookupWays {
 		return nil, cfgErr(name, "bad geometry %dx%d", sets, ways)
 	}
 	if window <= 0 || window > 32 || !addr.IsPow2(uint64(window)) {
@@ -116,7 +116,7 @@ func (t *Colt) member(e *coltData, g uint64, i int) pagetable.Translation {
 
 // Lookup implements TLB.
 func (t *Colt) Lookup(req Request) Result {
-	res := Result{Cost: Cost{Probes: 1, WaysRead: t.ways}}
+	res := Result{Cost: LookupCost{Probes: 1, WaysRead: uint32(t.ways)}}
 	if i, g, slot := t.find(req.VA); i >= 0 {
 		t.groups.Touch(i)
 		res.Hit = true

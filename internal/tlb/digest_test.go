@@ -190,6 +190,14 @@ func (d *streamDigester) cost(c Cost) {
 	}
 }
 
+// lookupCost hashes a lookup's cost as the Cost it adds to, the encoding
+// the digests were recorded with.
+func (d *streamDigester) lookupCost(l LookupCost) {
+	var c Cost
+	c.AddLookup(l)
+	d.cost(c)
+}
+
 // opStreamDigest runs n seeded operations against tl and returns the hex
 // SHA-256 of everything it returned, evicted or probed.
 func opStreamDigest(tl TLB, seed uint64, n int) string {
@@ -228,7 +236,7 @@ func opStreamDigest(tl TLB, seed uint64, n int) string {
 			d.flag(r.Hit)
 			d.tr(r.T)
 			d.flag(r.Dirty)
-			d.cost(r.Cost)
+			d.lookupCost(r.Cost)
 			if cr, ok := tl.(CacheResident); ok {
 				for _, l := range cr.ProbedLines() {
 					d.u64(uint64(l))

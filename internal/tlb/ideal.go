@@ -31,7 +31,7 @@ func (t *Ideal) LookupReplayConsistent() bool { return true }
 // Lookup implements TLB: every mapped VA hits. Unmapped VAs still miss so
 // demand paging proceeds normally.
 func (t *Ideal) Lookup(req Request) Result {
-	res := Result{Cost: Cost{Probes: 1, WaysRead: 1}}
+	res := Result{Cost: LookupCost{Probes: 1, WaysRead: 1}}
 	tr, ok := t.pt.Lookup(req.VA)
 	if !ok {
 		return res

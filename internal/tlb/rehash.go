@@ -32,11 +32,11 @@ type HashRehash struct {
 
 // NewHashRehash builds a hash-rehash TLB probing the given sizes in order.
 func NewHashRehash(name string, sets, ways int, sizes ...addr.PageSize) (*HashRehash, error) {
-	if sets <= 0 || !addr.IsPow2(uint64(sets)) || ways <= 0 {
+	if sets <= 0 || !addr.IsPow2(uint64(sets)) || ways <= 0 || ways > MaxLookupWays/addr.NumPageSizes {
 		return nil, cfgErr(name, "bad geometry %dx%d", sets, ways)
 	}
-	if len(sizes) == 0 {
-		return nil, cfgErr(name, "hash-rehash needs at least one page size")
+	if len(sizes) == 0 || len(sizes) > addr.NumPageSizes {
+		return nil, cfgErr(name, "hash-rehash probes 1 to %d page sizes, not %d", addr.NumPageSizes, len(sizes))
 	}
 	for _, s := range sizes {
 		if !s.Valid() {
@@ -122,7 +122,7 @@ func (t *HashRehash) lookupOrdered(req Request, order []addr.PageSize) Result {
 			continue
 		}
 		res.Cost.Probes++
-		res.Cost.WaysRead += t.ways
+		res.Cost.WaysRead += uint32(t.ways)
 		if i := t.pages.Find(t.locate(req.VA, s)); i >= 0 {
 			t.pages.Touch(i)
 			res.Hit = true

@@ -28,7 +28,7 @@ type SetAssoc struct {
 // NewSetAssoc builds a TLB with the given geometry caching only pages of
 // size s. sets must be a power of two.
 func NewSetAssoc(name string, s addr.PageSize, sets, ways int) (*SetAssoc, error) {
-	if sets <= 0 || !addr.IsPow2(uint64(sets)) || ways <= 0 {
+	if sets <= 0 || !addr.IsPow2(uint64(sets)) || ways <= 0 || ways > MaxLookupWays {
 		return nil, cfgErr(name, "bad geometry %dx%d", sets, ways)
 	}
 	return &SetAssoc{
@@ -80,7 +80,7 @@ func (t *SetAssoc) locate(va addr.V) (int, uint64) {
 
 // Lookup implements TLB.
 func (t *SetAssoc) Lookup(req Request) Result {
-	res := Result{Cost: Cost{Probes: 1, WaysRead: t.ways}}
+	res := Result{Cost: LookupCost{Probes: 1, WaysRead: uint32(t.ways)}}
 	if i := t.vpns.Find(t.locate(req.VA)); i >= 0 {
 		t.vpns.Touch(i)
 		res.Hit = true

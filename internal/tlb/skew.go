@@ -34,6 +34,9 @@ func NewSkew(name string, sets int, waysPerSize map[addr.PageSize]int) (*Skew, e
 	}
 	t := &Skew{name: name, sets: sets}
 	for _, s := range addr.Sizes() {
+		if waysPerSize[s] > MaxLookupWays/addr.NumPageSizes {
+			return nil, cfgErr(name, "%d ways for %v pages", waysPerSize[s], s)
+		}
 		for i := 0; i < waysPerSize[s]; i++ {
 			t.waySize = append(t.waySize, s)
 		}
@@ -113,7 +116,7 @@ func (t *Skew) LookupReplayConsistent() bool { return true }
 func (t *Skew) Lookup(req Request) Result {
 	t.clock++
 	res, _ := t.lookupWays(req, t.all)
-	res.Cost = Cost{Probes: 1, WaysRead: len(t.waySize)}
+	res.Cost = LookupCost{Probes: 1, WaysRead: uint32(len(t.waySize))}
 	return res
 }
 
@@ -124,7 +127,7 @@ func (t *Skew) LookupPredicted(req Request, predicted addr.PageSize) Result {
 	t.clock++
 	first := t.waysForSize(predicted)
 	res, hit := t.lookupWays(req, first)
-	res.Cost = Cost{Probes: 1, WaysRead: len(first)}
+	res.Cost = LookupCost{Probes: 1, WaysRead: uint32(len(first))}
 	if hit {
 		return res
 	}
@@ -132,7 +135,7 @@ func (t *Skew) LookupPredicted(req Request, predicted addr.PageSize) Result {
 	res2, _ := t.lookupWays(req, rest)
 	res2.Cost = res.Cost
 	res2.Cost.Probes++
-	res2.Cost.WaysRead += len(rest)
+	res2.Cost.WaysRead += uint32(len(rest))
 	return res2
 }
 

@@ -18,22 +18,34 @@ import (
 // one hash-rehash structure next to a separate 1GB TLB (Sec 7.2), which is
 // expressed here as Split{HashRehash(4K,2M), SetAssoc(1G)}.
 type Split struct {
-	name  string
-	parts []TLB
+	name   string
+	parts  []TLB
+	leaves int // structures probed per lookup, nested splits expanded
 }
 
 // NewSplit combines the given component TLBs. Every page size must be
-// served by at least one component for fills to land somewhere.
+// served by at least one component for fills to land somewhere. A lookup
+// sums its components' costs, so at most maxSplitLeaves structures may be
+// probed in parallel (a nested split counts its own components).
 func NewSplit(name string, parts ...TLB) (*Split, error) {
 	if len(parts) == 0 {
 		return nil, cfgErr(name, "split with no components")
 	}
+	s := &Split{name: name, parts: parts}
 	for i, p := range parts {
 		if p == nil {
 			return nil, cfgErr(name, "nil component at index %d", i)
 		}
+		if sub, ok := p.(*Split); ok {
+			s.leaves += sub.leaves
+		} else {
+			s.leaves++
+		}
 	}
-	return &Split{name: name, parts: parts}, nil
+	if s.leaves > maxSplitLeaves {
+		return nil, cfgErr(name, "%d structures probed per lookup, more than %d", s.leaves, maxSplitLeaves)
+	}
+	return s, nil
 }
 
 // newSplitParts propagates the first component constructor error, keeping
@@ -115,16 +127,15 @@ func (s *Split) ReachBytes() uint64 {
 
 // Lookup implements TLB: all components probe in parallel, so the latency
 // is the slowest component's probe count while energy sums every
-// component's reads.
+// component's reads and predictor accesses.
 func (s *Split) Lookup(req Request) Result {
 	var out Result
 	for _, p := range s.parts {
 		r := p.Lookup(req)
 		out.Cost.WaysRead += r.Cost.WaysRead
 		out.Cost.PredictorReads += r.Cost.PredictorReads
-		if r.Cost.Probes > out.Cost.Probes {
-			out.Cost.Probes = r.Cost.Probes
-		}
+		out.Cost.PredictorWrites += r.Cost.PredictorWrites
+		out.Cost.Probes = max(out.Cost.Probes, r.Cost.Probes)
 		if r.Hit && !out.Hit {
 			out.Hit = true
 			out.T = r.T

@@ -10,6 +10,8 @@
 package tlb
 
 import (
+	"math"
+
 	"mixtlb/internal/addr"
 	"mixtlb/internal/pagetable"
 )
@@ -23,8 +25,9 @@ type Request struct {
 	PC uint64
 }
 
-// Cost tallies the micro-architectural events of a lookup or fill. The
-// energy model prices these; the latency model uses Probes.
+// Cost tallies the micro-architectural events of lookups and fills. The
+// energy model prices these; the latency model uses Probes. It is the
+// accumulator the MMU keeps per level, so its fields are plain ints.
 type Cost struct {
 	// Probes counts sequential probe rounds. A conventional lookup is 1;
 	// hash-rehash lookups take one round per page size tried.
@@ -52,18 +55,52 @@ func (c *Cost) Add(d Cost) {
 	c.PredictorWrites += d.PredictorWrites
 }
 
-// Result is the outcome of a lookup.
+// AddLookup accumulates one lookup's cost into c.
+func (c *Cost) AddLookup(d LookupCost) {
+	c.Probes += int(d.Probes)
+	c.WaysRead += int(d.WaysRead)
+	c.PredictorReads += int(d.PredictorReads)
+	c.PredictorWrites += int(d.PredictorWrites)
+}
+
+// LookupCost is the cost of one lookup: the fields of Cost a lookup sets,
+// each only as wide as one lookup needs. Every component probe of a Split
+// returns one by value inside a Result, so it is kept narrow; Cost, which
+// sums millions of them, is not. The constructors keep every lookup within
+// these widths: a structure reads at most MaxLookupWays ways in at most
+// addr.NumPageSizes rounds, and a Split probes at most maxSplitLeaves
+// structures, each with at most one predictor read and write.
+type LookupCost struct {
+	Probes          uint16
+	WaysRead        uint32
+	PredictorReads  uint8
+	PredictorWrites uint8
+}
+
+// MaxLookupWays caps the ways one structure reads on one lookup, summed
+// over its probe rounds. Constructors refuse larger geometries.
+const MaxLookupWays = 1 << 24
+
+// maxSplitLeaves caps the structures one Split probes in parallel, so
+// that its summed WaysRead stays below 2^32 and its predictor counts fit
+// a byte.
+const maxSplitLeaves = math.MaxUint8
+
+// Result is the outcome of a lookup. Every probe returns one by value (a
+// Split gets one from each component), so it stays a few words: its cost
+// is a LookupCost, and T leads so that the flags and the 12-byte cost
+// pack into 40 bytes.
 type Result struct {
-	Hit bool
 	// T is the matching translation (page-aligned), valid when Hit. For
 	// coalesced entries it describes the specific member page covering
 	// the request.
-	T pagetable.Translation
+	T   pagetable.Translation
+	Hit bool
 	// Dirty is the TLB entry's dirty bit. When false, a store through
 	// this translation must inject a PTE dirty-bit update micro-op
 	// (Sec 4.4).
 	Dirty bool
-	Cost  Cost
+	Cost  LookupCost
 }
 
 // TLB is the interface every design implements.

@@ -562,4 +562,9 @@ func TestCostAdd(t *testing.T) {
 	if a != want {
 		t.Errorf("Add = %+v", a)
 	}
+	a.AddLookup(LookupCost{Probes: 2, WaysRead: 70000, PredictorReads: 1, PredictorWrites: 1})
+	want = Cost{Probes: 4, WaysRead: 70004, SetsFilled: 6, EntriesWritten: 8, PredictorReads: 11, PredictorWrites: 13}
+	if a != want {
+		t.Errorf("AddLookup = %+v", a)
+	}
 }

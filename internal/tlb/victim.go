@@ -64,7 +64,7 @@ const VictimLineBase addr.P = 1 << 40
 // NewVictim builds a victim level with sets x ways bundles (each bundle
 // holds BundlePTEs PTEs). sets must be a power of two.
 func NewVictim(name string, sets, ways int) (*Victim, error) {
-	if sets <= 0 || !addr.IsPow2(uint64(sets)) || ways <= 0 {
+	if sets <= 0 || !addr.IsPow2(uint64(sets)) || ways <= 0 || ways > MaxLookupWays/len(victimSizes) {
 		return nil, cfgErr(name, "bad geometry %dx%d", sets, ways)
 	}
 	t := &Victim{
@@ -101,7 +101,7 @@ func (t *Victim) Lookup(req Request) Result {
 	for _, size := range victimSizes {
 		set, bvpn, key := t.locate(req.VA, size)
 		res.Cost.Probes++
-		res.Cost.WaysRead += t.ways
+		res.Cost.WaysRead += uint32(t.ways)
 		i := t.bundles.Find(set, key)
 		if i < 0 {
 			t.probed = append(t.probed, t.lineOf(set*t.ways))

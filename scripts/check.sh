@@ -93,7 +93,9 @@ fi
 # truncation) instead of simulating on. fig17's GPU cells would run for
 # minutes at -refs 20000000; `timeout 3` stops the run with status 124
 # if it is still going after 3s. The chaos sweep must also print the
-# rows of the cells that beat its deadline.
+# rows of the cells that beat its deadline; at -refs 600000 it needs
+# about 2s, well past its 700ms deadline (at 200000 a fast build could
+# finish inside it).
 echo "== harness timeout"
 rc=0
 timeout 3 "$tmpdir/mixtlb" -exp fig17 -quick -refs 20000000 -timeout 300ms \
@@ -103,7 +105,7 @@ if [ "$rc" -ne 4 ]; then
     exit 1
 fi
 rc=0
-"$tmpdir/mixtlb" -chaos -quick -refs 200000 -timeout 700ms \
+"$tmpdir/mixtlb" -chaos -quick -refs 600000 -timeout 700ms \
     > "$tmpdir/chaos-partial.txt" 2>&1 || rc=$?
 if [ "$rc" -ne 4 ] || ! grep -q 'msg="partial results"' "$tmpdir/chaos-partial.txt"; then
     echo "FAIL: chaos -timeout 700ms exited $rc, want 4 with partial rows:" >&2
@@ -249,13 +251,15 @@ go test ./internal/core/ -run '^$' -bench 'Mix' -benchtime 100x > /dev/null
 # Shared LRU storage: the op-stream digests pin every value the data
 # caches, paging-structure caches and non-MIX TLBs return, bit for bit,
 # whatever their storage layout; the reference tests check the shared
-# array against the last-free scans it replaced; and the storage layers'
+# array against the last-free scans it replaced; the size pin keeps a TLB
+# lookup result within 48 bytes, since every component probe of a split
+# TLB copies one; and the storage layers'
 # micro-benchmarks must still run, 100 iterations each (a smoke run, not
 # a timing gate).
 echo "== LRU storage digests and micro-benchmarks"
 go test ./internal/cachesim/ -run 'TestAccessStreamDigest|TestCacheMatchesLastFreeReference' -count=1 > /dev/null
 go test ./internal/pwc/ -run 'TestOpStreamDigest|TestCacheMatchesLastFreeReference' -count=1 > /dev/null
-go test ./internal/tlb/ -run 'TestOpStreamDigest' -count=1 > /dev/null
+go test ./internal/tlb/ -run 'TestOpStreamDigest|TestResultSize' -count=1 > /dev/null
 go test -run '^$' -bench . -benchtime 100x ./internal/cachesim ./internal/pwc ./internal/tlb ./internal/lru > /dev/null
 
 # Workload layer: the catalog and GPU kernel digests pin every reference
@@ -272,10 +276,18 @@ go test ./internal/gpu/ -run 'TestKernelStreamDigest' -count=1 > /dev/null
 go test ./internal/simrand/ -run 'TestUint64nMatchesReference|TestShuffleMatchesReference' -count=1 > /dev/null
 go test -run '^$' -bench . -benchtime 3x ./internal/workload ./internal/simrand > /dev/null
 
-# Page-table walker: its per-descriptor micro-benchmark must still run,
-# 100 iterations each (a smoke run, not a timing gate).
-echo "== page-table walk micro-benchmarks"
+# Page-table walker: the per-descriptor walk digests pin every value a
+# walk returns and the accessed bits it leaves, bit for bit; its
+# per-descriptor micro-benchmark must still run, 100 iterations each (a
+# smoke run, not a timing gate).
+echo "== page-table walk digests and micro-benchmarks"
+go test ./internal/pagetable/ -run 'TestWalkDigest' -count=1 > /dev/null
 go test -run '^$' -bench . -benchtime 100x ./internal/pagetable > /dev/null
+
+# Ledger tail recorder and journal appends: their micro-benchmarks must
+# still run, 100 iterations each (a smoke run, not a timing gate).
+echo "== ledger and journal micro-benchmarks"
+go test -run '^$' -bench . -benchtime 100x ./internal/ledger ./internal/journal > /dev/null
 
 # Cycle book and ledger: per-access results, Stats.Cycles and the MMU's
 # Attribution must be one number for every registry design and for nested
