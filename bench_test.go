@@ -307,23 +307,6 @@ func BenchmarkPageWalk(b *testing.B) {
 	}
 }
 
-// BenchmarkNestedWalk measures the two-dimensional walk. (It builds its
-// own small VM.)
-func BenchmarkBuddyAlloc(b *testing.B) {
-	buddy := physmem.NewBuddy(4 << 30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, ok := buddy.AllocOrder(0)
-		if !ok {
-			b.StopTimer()
-			buddy = physmem.NewBuddy(4 << 30)
-			b.StartTimer()
-			continue
-		}
-		_ = f
-	}
-}
-
 // BenchmarkInvalidation reports the Sec 4.4 shootdown refill traffic for
 // each design (bitmap vs range vs split).
 func BenchmarkInvalidation(b *testing.B) {

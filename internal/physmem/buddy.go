@@ -9,6 +9,7 @@ package physmem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mixtlb/internal/addr"
 	"mixtlb/internal/simrand"
@@ -31,7 +32,9 @@ const MaxOrder = 18
 // Invariant: a node that is neither fully free (encoding order+1) nor
 // empty (encoding 0) always has accurate children. Fully free and empty
 // nodes may have stale descendants, so traversals always descend from the
-// root and split fully free nodes on the way down.
+// root and split fully free nodes on the way down. An empty node claimed
+// by address (AllocBlockAt) is the exception: all of its descendants read
+// empty too, so each of its frames may later be freed on its own.
 type Buddy struct {
 	frames uint64  // usable frames
 	leaves uint64  // padded power-of-two leaf count
@@ -96,13 +99,10 @@ func merge(l, r uint8, parentOrder uint) uint8 {
 	return r
 }
 
-// nodeOrder returns the order of the block covered by tree node n.
+// nodeOrder returns the order of the block covered by tree node n, which
+// sits at depth floor(log2(n)) below the root.
 func (b *Buddy) nodeOrder(n uint64) uint {
-	depth := uint(0)
-	for m := n; m > 1; m >>= 1 {
-		depth++
-	}
-	return b.height - depth
+	return b.height - uint(bits.Len64(n)-1)
 }
 
 // TotalFrames returns the number of usable 4KB frames.
@@ -155,15 +155,17 @@ func (b *Buddy) AllocOrder(order uint) (frame uint64, ok bool) {
 	}
 	frame = (n - (b.leaves >> order)) << order
 	b.tree[n] = 0
-	b.propagate(n)
+	b.propagate(n, order)
 	b.free -= 1 << order
 	return frame, true
 }
 
-// propagate recomputes encodings from n's parent up to the root.
-func (b *Buddy) propagate(n uint64) {
+// propagate recomputes encodings from the parent of n, a node of the
+// given order, up to the root.
+func (b *Buddy) propagate(n uint64, order uint) {
 	for n >>= 1; n >= 1; n >>= 1 {
-		b.tree[n] = merge(b.tree[2*n], b.tree[2*n+1], b.nodeOrder(n))
+		order++
+		b.tree[n] = merge(b.tree[2*n], b.tree[2*n+1], order)
 	}
 }
 
@@ -201,8 +203,9 @@ func (b *Buddy) FreePageIn(sp addr.Space, pa addr.P, s addr.PageSize) {
 }
 
 // Free releases the block of 2^order frames starting at frame. The pair
-// must match a previous allocation exactly; freeing at a different
-// granularity than the allocation is a caller bug.
+// must match a previous allocation exactly, except that the frames of a
+// block claimed by AllocBlockAt may be freed one at a time; any other
+// freeing at a different granularity than the allocation is a caller bug.
 func (b *Buddy) Free(frame uint64, order uint) {
 	if order > b.height || frame%(1<<order) != 0 || frame+(1<<order) > b.frames {
 		panic(fmt.Sprintf("physmem: bad Free(frame=%d, order=%d)", frame, order))
@@ -212,7 +215,7 @@ func (b *Buddy) Free(frame uint64, order uint) {
 		panic(fmt.Sprintf("physmem: double free of frame %d order %d", frame, order))
 	}
 	b.tree[n] = uint8(order + 1)
-	b.propagate(n)
+	b.propagate(n, order)
 	b.free += 1 << order
 }
 
@@ -242,70 +245,37 @@ func (b *Buddy) FrameFree(frame uint64) bool {
 
 // AllocFrameAt allocates the specific single frame if it is free,
 // splitting covering blocks as needed. It reports whether the frame was
-// allocated. This is the primitive memhog uses to poke random holes.
-func (b *Buddy) AllocFrameAt(frame uint64) bool {
-	if frame >= b.frames {
-		return false
-	}
-	n := uint64(1)
-	no := b.height
-	for {
-		enc := b.tree[n]
-		if enc == 0 {
-			return false
-		}
-		if enc == uint8(no+1) {
-			break // fully free block covering the frame; split below
-		}
-		n = 2*n + (frame>>(no-1))&1
-		no--
-	}
-	// Split from (n, no) down to the leaf: consume the path node, freeing
-	// the sibling at each level (the classic buddy split).
-	b.tree[n] = 0
-	for no > 0 {
-		no--
-		left := 2 * n
-		if (frame>>no)&1 == 0 {
-			b.tree[left+1] = uint8(no + 1)
-			n = left
-		} else {
-			b.tree[left] = uint8(no + 1)
-			n = left + 1
-		}
-		b.tree[n] = 0
-	}
-	b.propagate(n)
-	b.free--
-	return true
-}
+// allocated. AllocRandomFrame probes with it, and compaction pins a
+// candidate region's free frames with it.
+func (b *Buddy) AllocFrameAt(frame uint64) bool { return b.AllocBlockAt(frame, 0) }
 
 // AllocBlockAt allocates the specific aligned block of 2^order frames
-// starting at frame, if it is entirely free. It reports success. This is
-// the primitive compaction uses after migrating movable pages out of a
-// candidate region.
+// starting at frame, if it is entirely free, splitting covering blocks as
+// needed. It reports success. Memhog claims its chunks and compaction its
+// assembled regions this way. Every frame of a block claimed here may
+// later be freed on its own.
 func (b *Buddy) AllocBlockAt(frame uint64, order uint) bool {
 	if order > b.height || frame%(1<<order) != 0 || frame+(1<<order) > b.frames {
 		return false
 	}
+	want := uint8(order + 1)
 	n := uint64(1)
-	no := b.height
-	for no > order {
-		enc := b.tree[n]
-		if enc == 0 {
-			return false
+	for no := b.height; no > order; no-- {
+		if b.tree[n] < want {
+			return false // no free block of this order below
 		}
-		if enc == uint8(no+1) {
-			b.splitIfFull(n, no)
-		}
+		b.splitIfFull(n, no)
 		n = 2*n + (frame>>(no-1))&1
-		no--
 	}
-	if b.tree[n] != uint8(order+1) {
+	if b.tree[n] != want {
 		return false // block not fully free
 	}
-	b.tree[n] = 0
-	b.propagate(n)
+	// Empty the whole subtree, not just n: level k below n is the
+	// contiguous run tree[n<<k : (n+1)<<k].
+	for k := uint(0); k <= order; k++ {
+		clear(b.tree[n<<k : (n+1)<<k])
+	}
+	b.propagate(n, order)
 	b.free -= 1 << order
 	return true
 }
@@ -344,7 +314,7 @@ func (b *Buddy) AllocRandomFrame(rng *simrand.Source) (uint64, bool) {
 	}
 	f := n - b.leaves
 	b.tree[n] = 0
-	b.propagate(n)
+	b.propagate(n, 0)
 	b.free--
 	return f, true
 }

@@ -208,52 +208,75 @@ func TestFreeBlocksOfOrder(t *testing.T) {
 }
 
 // TestBuddyInvariants drives a random mix of operations and cross-checks
-// the allocator against a naive reference bitmap.
+// the allocator against a naive reference bitmap: the free count, the
+// maximal aligned free blocks of every order and the largest of them
+// after every operation, and FrameFree of every frame at the end. Blocks
+// claimed by address (AllocBlockAt, AllocFrameAt) are also freed one
+// frame at a time. A padded size (500 frames in a 512-leaf tree) checks
+// that padding never reads free.
 func TestBuddyInvariants(t *testing.T) {
-	const frames = 512
-	type allocation struct {
-		frame uint64
-		order uint
+	for _, frames := range []uint64{512, 500} {
+		if err := quick.Check(buddyMatchesReference(t, frames), &quick.Config{MaxCount: 30}); err != nil {
+			t.Errorf("%d frames: %v", frames, err)
+		}
 	}
-	f := func(seed uint64, ops []uint16) bool {
+}
+
+// buddyMatchesReference returns the quick.Check property behind
+// TestBuddyInvariants for an allocator of the given size.
+func buddyMatchesReference(t *testing.T, frames uint64) func(seed uint64, ops []uint16) bool {
+	type allocation struct {
+		frame  uint64
+		order  uint
+		byAddr bool // claimed by AllocBlockAt or AllocFrameAt
+	}
+	return func(seed uint64, ops []uint16) bool {
 		b := NewBuddy(frames * addr.Size4K)
 		rng := simrand.New(seed)
 		ref := make([]bool, frames) // true = allocated
 		var live []allocation
-		refCount := func() uint64 {
-			var n uint64
-			for _, a := range ref {
-				if !a {
-					n++
+		blockFree := func(frame uint64, order uint) bool {
+			if frame+1<<order > frames {
+				return false
+			}
+			for i := frame; i < frame+1<<order; i++ {
+				if ref[i] {
+					return false
 				}
 			}
-			return n
+			return true
+		}
+		claim := func(frame uint64, order uint, byAddr bool) bool {
+			for i := frame; i < frame+1<<order; i++ {
+				if ref[i] {
+					t.Logf("overlap at frame %d", i)
+					return false
+				}
+				ref[i] = true
+			}
+			live = append(live, allocation{frame, order, byAddr})
+			return true
+		}
+		drop := func(i int) {
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
 		}
 		for _, op := range ops {
-			switch op % 3 {
+			switch op % 5 {
 			case 0: // allocate a block of random order
-				order := uint(op/3) % 6
-				frame, ok := b.AllocOrder(order)
-				if ok {
-					for i := uint64(0); i < 1<<order; i++ {
-						if ref[frame+i] {
-							t.Logf("overlap at frame %d", frame+i)
-							return false
-						}
-						ref[frame+i] = true
-					}
-					live = append(live, allocation{frame, order})
+				order := uint(op/5) % 6
+				if frame, ok := b.AllocOrder(order); ok && !claim(frame, order, false) {
+					return false
 				}
 			case 1: // free a random live block
 				if len(live) > 0 {
 					i := rng.Intn(len(live))
 					a := live[i]
 					b.Free(a.frame, a.order)
-					for j := uint64(0); j < 1<<a.order; j++ {
-						ref[a.frame+j] = false
+					for j := a.frame; j < a.frame+1<<a.order; j++ {
+						ref[j] = false
 					}
-					live[i] = live[len(live)-1]
-					live = live[:len(live)-1]
+					drop(i)
 				}
 			case 2: // pinpoint allocation
 				target := uint64(op) % frames
@@ -262,17 +285,48 @@ func TestBuddyInvariants(t *testing.T) {
 					t.Logf("AllocFrameAt(%d) = %v, ref says allocated=%v", target, got, ref[target])
 					return false
 				}
-				if got {
-					ref[target] = true
-					live = append(live, allocation{target, 0})
+				if got && !claim(target, 0, true) {
+					return false
+				}
+			case 3: // claim an aligned block by address
+				order := uint(op/5) % 6
+				target := rng.Uint64n(frames) &^ (1<<order - 1)
+				want := blockFree(target, order)
+				got := b.AllocBlockAt(target, order)
+				if got != want {
+					t.Logf("AllocBlockAt(%d, %d) = %v, ref says free=%v", target, order, got, want)
+					return false
+				}
+				if got && !claim(target, order, true) {
+					return false
+				}
+			case 4: // free one frame of a block claimed by address
+				var byAddr []int
+				for i, a := range live {
+					if a.byAddr {
+						byAddr = append(byAddr, i)
+					}
+				}
+				if len(byAddr) == 0 {
+					break
+				}
+				i := byAddr[rng.Intn(len(byAddr))]
+				a := live[i]
+				f := a.frame + rng.Uint64n(1<<a.order)
+				b.Free(f, 0)
+				ref[f] = false
+				drop(i)
+				// The rest of the block stays live frame by frame.
+				for j := a.frame; j < a.frame+1<<a.order; j++ {
+					if j != f {
+						live = append(live, allocation{j, 0, true})
+					}
 				}
 			}
-			if b.FreeFrames() != refCount() {
-				t.Logf("free count mismatch: buddy=%d ref=%d", b.FreeFrames(), refCount())
+			if !sameFreeBlocks(t, b, ref) {
 				return false
 			}
 		}
-		// Spot-check FrameFree against the reference.
 		for i := uint64(0); i < frames; i++ {
 			if b.FrameFree(i) == ref[i] {
 				t.Logf("FrameFree(%d) = %v, ref allocated=%v", i, b.FrameFree(i), ref[i])
@@ -281,9 +335,60 @@ func TestBuddyInvariants(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
+}
+
+// sameFreeBlocks reports whether b's free count, per-order counts of
+// maximal free blocks and largest free order match those derived from the
+// reference bitmap (ref[f] true = frame f allocated).
+func sameFreeBlocks(t *testing.T, b *Buddy, ref []bool) bool {
+	frames := uint64(len(ref))
+	var free uint64
+	for _, a := range ref {
+		if !a {
+			free++
+		}
 	}
+	if b.FreeFrames() != free {
+		t.Logf("free count mismatch: buddy=%d ref=%d", b.FreeFrames(), free)
+		return false
+	}
+	// full[o][i]: the aligned block i of order o is entirely free.
+	full := [][]bool{make([]bool, frames)}
+	for i, a := range ref {
+		full[0][i] = !a
+	}
+	for o := 1; len(full[o-1]) > 1; o++ {
+		prev := full[o-1]
+		level := make([]bool, len(prev)/2)
+		for i := range level {
+			level[i] = prev[2*i] && prev[2*i+1]
+		}
+		full = append(full, level)
+	}
+	largest, anyFree := uint(0), false
+	for o := uint(0); o <= MaxOrder; o++ {
+		var want uint64
+		if int(o) < len(full) {
+			for i, f := range full[o] {
+				// Maximal: the parent block is not entirely free (or lies
+				// past the end of memory).
+				parentFree := int(o)+1 < len(full) && i/2 < len(full[o+1]) && full[o+1][i/2]
+				if f && !parentFree {
+					want++
+					largest, anyFree = o, true
+				}
+			}
+		}
+		if got := b.FreeBlocksOfOrder(o); got != want {
+			t.Logf("FreeBlocksOfOrder(%d) = %d, ref %d", o, got, want)
+			return false
+		}
+	}
+	if o, ok := b.LargestFreeOrder(); o != largest || ok != anyFree {
+		t.Logf("LargestFreeOrder = (%d, %v), ref (%d, %v)", o, ok, largest, anyFree)
+		return false
+	}
+	return true
 }
 
 func TestMemhogFragmentsSuperpages(t *testing.T) {

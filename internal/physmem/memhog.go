@@ -2,6 +2,7 @@ package physmem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mixtlb/internal/addr"
 	"mixtlb/internal/simrand"
@@ -159,7 +160,7 @@ func (m *Memhog) grabChunk(budget uint64) bool {
 		} else {
 			start = m.rng.Uint64n(total) &^ (size - 1)
 		}
-		if start+size <= total && m.grabAt(set, start, size) {
+		if start+size <= total && m.grabAt(set, start, order) {
 			// Leave a strictly sub-superpage gap before the next
 			// clustered chunk: the polluted zone ends up as alternating
 			// held/free fragments — free memory that small pages can use
@@ -174,13 +175,12 @@ func (m *Memhog) grabChunk(budget uint64) bool {
 		// Occupied spot: fall through to a packed grab.
 	}
 	// Packed chunk: the lowest free block of this (or a smaller) order,
-	// as a buddy allocator would serve a buffer. Allocated frame-by-frame
-	// so holdings stay uniformly order-0 (freeable and migratable
-	// individually).
+	// as a buddy allocator would serve a buffer, found by AllocOrder and
+	// then claimed by address like a scattered chunk.
 	for ; ; order-- {
 		if start, ok := m.buddy.AllocOrder(order); ok {
 			m.buddy.Free(start, order)
-			if m.grabAt(set, start, uint64(1)<<order) {
+			if m.grabAt(set, start, order) {
 				return true
 			}
 		}
@@ -198,21 +198,15 @@ func (m *Memhog) grabChunk(budget uint64) bool {
 	return true
 }
 
-// grabAt claims [start, start+size) frame-by-frame, rolling back on any
-// occupied frame. It reports success.
-func (m *Memhog) grabAt(set *bitset, start, size uint64) bool {
-	n := uint64(0)
-	for ; n < size; n++ {
-		if !m.buddy.AllocFrameAt(start + n) {
-			break
-		}
-	}
-	if n < size {
-		for i := uint64(0); i < n; i++ {
-			m.buddy.Free(start+i, 0)
-		}
+// grabAt claims the aligned chunk of 2^order frames at start if every
+// frame of it is free, and reports success. The buddy allocator claims it
+// as one block by address, so each of its frames can later be released
+// or migrated on its own.
+func (m *Memhog) grabAt(set *bitset, start uint64, order uint) bool {
+	if !m.buddy.AllocBlockAt(start, order) {
 		return false
 	}
+	size := uint64(1) << order
 	for i := uint64(0); i < size; i++ {
 		set.set(start + i)
 	}
@@ -239,19 +233,15 @@ func (m *Memhog) releaseRandomFrame() {
 	}
 }
 
-// Release frees every held frame.
+// Release frees every held frame, in ascending order.
 func (m *Memhog) Release() {
-	for f := uint64(0); f < m.buddy.TotalFrames() && m.held > 0; f++ {
-		if m.movable.get(f) {
-			m.movable.clear(f)
-		} else if m.unmovable.get(f) {
-			m.unmovable.clear(f)
-		} else {
-			continue
-		}
+	m.HeldFrames(func(f uint64) bool {
 		m.buddy.Free(f, 0)
-		m.held--
-	}
+		return true
+	})
+	clear(m.movable)
+	clear(m.unmovable)
+	m.held = 0
 }
 
 // CompactFor attempts to assemble and allocate a block of 2^order frames
@@ -372,11 +362,12 @@ func (b bitset) clear(i uint64)    { b[i/64] &^= 1 << (i % 64) }
 // HeldFrames visits every frame the hog currently holds (movable and
 // unmovable); visit returns false to stop. Virtualized experiments use
 // this to demand host backing for in-VM memhog memory — a guest's hog
-// touches its pages, so the hypervisor must back them.
+// touches its pages, so the hypervisor must back them. Frames are visited
+// in ascending order, one 64-frame word at a time.
 func (m *Memhog) HeldFrames(visit func(frame uint64) bool) {
-	for f := uint64(0); f < m.buddy.TotalFrames(); f++ {
-		if m.movable.get(f) || m.unmovable.get(f) {
-			if !visit(f) {
+	for i := range m.movable {
+		for w := m.movable[i] | m.unmovable[i]; w != 0; w &= w - 1 {
+			if !visit(uint64(i)*64 + uint64(bits.TrailingZeros64(w))) {
 				return
 			}
 		}

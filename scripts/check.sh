@@ -289,6 +289,16 @@ go test -run '^$' -bench . -benchtime 100x ./internal/pagetable > /dev/null
 echo "== ledger and journal micro-benchmarks"
 go test -run '^$' -bench . -benchtime 100x ./internal/ledger ./internal/journal > /dev/null
 
+# Physical memory: the memhog digests pin every allocation decision the
+# buddy allocator and the memhog fragmenter make, and the state they
+# leave, bit for bit; the reference test checks free counts, maximal free
+# blocks per order and single-frame frees inside blocks claimed by
+# address against a bitmap; and the layer's micro-benchmarks must still
+# run, 100 iterations each (a smoke run, not a timing gate).
+echo "== physmem digests and micro-benchmarks"
+go test ./internal/physmem/ -run 'TestMemhogDigest|TestBuddyInvariants' -count=1 > /dev/null
+go test -run '^$' -bench . -benchtime 100x ./internal/physmem > /dev/null
+
 # Cycle book and ledger: per-access results, Stats.Cycles and the MMU's
 # Attribution must be one number for every registry design and for nested
 # MMUs; the ledger's closed accesses must conserve per cell (chaos retries
