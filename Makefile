@@ -28,7 +28,8 @@ bench: bench-experiments
 	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/core \
 		./internal/cachesim ./internal/pwc ./internal/tlb ./internal/lru \
 		./internal/workload ./internal/simrand ./internal/pagetable \
-		./internal/gpu ./internal/ledger ./internal/journal ./internal/physmem
+		./internal/gpu ./internal/ledger ./internal/journal ./internal/physmem \
+		./internal/mmu
 
 # Wall-clock timings for the parallel experiment engine: runs the perf
 # group at quick scale and writes per-cell and per-experiment timings to

@@ -1,7 +1,8 @@
 // Package bench holds the benchmark harness that regenerates every table
 // and figure of the paper's evaluation (one Benchmark per figure, plus the
-// ablation benches DESIGN.md calls out). The MIX TLB's own micro-benchmarks
-// live beside it in internal/core. Run with:
+// ablation benches DESIGN.md calls out). Each layer's micro-benchmarks live
+// in its own package: MIX fills in internal/core, whole-MMU translation in
+// internal/mmu, page walks in internal/pagetable. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -16,17 +17,8 @@ import (
 	"strconv"
 	"testing"
 
-	"mixtlb/internal/addr"
-	"mixtlb/internal/cachesim"
-	"mixtlb/internal/core"
 	"mixtlb/internal/experiments"
-	"mixtlb/internal/mmu"
-	"mixtlb/internal/osmm"
-	"mixtlb/internal/physmem"
-	"mixtlb/internal/simrand"
 	"mixtlb/internal/stats"
-	"mixtlb/internal/tlb"
-	"mixtlb/internal/workload"
 )
 
 // runExperiment executes a registered experiment b.N times, returning the
@@ -180,131 +172,6 @@ func BenchmarkBundleEncoding(b *testing.B) {
 	}
 	b.ReportMetric(avgColumn(b, tbl, 2, func(r []string) bool { return r[0] == "popularity" && r[1] == "bitmap" }), "pop-bitmap-missratio")
 	b.ReportMetric(avgColumn(b, tbl, 2, func(r []string) bool { return r[0] == "popularity" && r[1] == "range" }), "pop-range-missratio")
-}
-
-// superpageEnv builds a THS-mapped footprint for the microbenchmarks.
-type superpageEnv struct {
-	as   *osmm.AddressSpace
-	base addr.V
-	fp   uint64
-}
-
-func newSuperpageEnv(b *testing.B) *superpageEnv {
-	b.Helper()
-	phys := physmem.NewBuddy(1 << 30)
-	as, err := osmm.New(phys, osmm.Config{Policy: osmm.THS})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const fp = 512 << 20
-	base, err := as.Mmap(fp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := as.Populate(base, fp); err != nil {
-		b.Fatal(err)
-	}
-	return &superpageEnv{as: as, base: base, fp: fp}
-}
-
-// benchDesign runs a zipf stream through one MMU design, reporting
-// per-translation simulator throughput and the design's miss ratio.
-func benchDesign(b *testing.B, d string) {
-	env := newSuperpageEnv(b)
-	m := tlb.Must(mmu.DefaultRegistry().Build(d, env.as.PageTable(), env.as.PageTable(),
-		cachesim.DefaultHierarchy(), env.as.HandleFault))
-	stream := workload.NewZipf(env.base, env.fp, simrand.New(1), 0.9, 0.2, 0xbe)
-	for i := 0; i < 50_000; i++ { // warm
-		ref := stream.Next()
-		m.Translate(tlb.Request{VA: ref.VA, Write: ref.Write, PC: ref.PC})
-	}
-	m.ResetStats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ref := stream.Next()
-		m.Translate(tlb.Request{VA: ref.VA, Write: ref.Write, PC: ref.PC})
-	}
-	b.StopTimer()
-	b.ReportMetric(m.Stats().MissRatio(), "missratio")
-	b.ReportMetric(m.Stats().CyclesPerAccess(), "cyc/translation")
-}
-
-func BenchmarkTranslateSplit(b *testing.B) { benchDesign(b, mmu.DesignSplit) }
-func BenchmarkTranslateMix(b *testing.B)   { benchDesign(b, mmu.DesignMix) }
-
-// BenchmarkAlignmentRestriction compares coalescing with and without the
-// K-aligned window restriction (Sec 4.1's simplification).
-func BenchmarkAlignmentRestriction(b *testing.B) {
-	for _, restricted := range []bool{true, false} {
-		name := "aligned"
-		if !restricted {
-			name = "unaligned"
-		}
-		b.Run(name, func(b *testing.B) {
-			env := newSuperpageEnv(b)
-			cfg := core.L1Config()
-			cfg.NoAlignmentRestriction = !restricted
-			m := tlb.Must(mmu.New(mmu.Config{Name: cfg.Name, Levels: mmu.L(tlb.Must(core.New(cfg)))},
-				env.as.PageTable(), cachesim.DefaultHierarchy(), env.as.HandleFault))
-			stream := workload.NewZipf(env.base, env.fp, simrand.New(1), 0.9, 0, 0xaa)
-			for i := 0; i < 50_000; i++ {
-				ref := stream.Next()
-				m.Translate(tlb.Request{VA: ref.VA, PC: ref.PC})
-			}
-			m.ResetStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ref := stream.Next()
-				m.Translate(tlb.Request{VA: ref.VA, PC: ref.PC})
-			}
-			b.StopTimer()
-			b.ReportMetric(m.Stats().MissRatio(), "missratio")
-		})
-	}
-}
-
-// BenchmarkFillStrategy compares the paper's mirror-all-sets prefetch
-// strategy against filling only the probed set (Sec 4.2).
-func BenchmarkFillStrategy(b *testing.B) {
-	for _, probedOnly := range []bool{false, true} {
-		name := "mirror-all-sets"
-		if probedOnly {
-			name = "probed-set-only"
-		}
-		b.Run(name, func(b *testing.B) {
-			env := newSuperpageEnv(b)
-			cfg := core.L1Config()
-			cfg.MirrorProbedSetOnly = probedOnly
-			m := tlb.Must(mmu.New(mmu.Config{Name: cfg.Name, Levels: mmu.L(tlb.Must(core.New(cfg)))},
-				env.as.PageTable(), cachesim.DefaultHierarchy(), env.as.HandleFault))
-			stream := workload.NewZipf(env.base, env.fp, simrand.New(1), 0.9, 0, 0xab)
-			for i := 0; i < 50_000; i++ {
-				ref := stream.Next()
-				m.Translate(tlb.Request{VA: ref.VA, PC: ref.PC})
-			}
-			m.ResetStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ref := stream.Next()
-				m.Translate(tlb.Request{VA: ref.VA, PC: ref.PC})
-			}
-			b.StopTimer()
-			b.ReportMetric(m.Stats().MissRatio(), "missratio")
-		})
-	}
-}
-
-// BenchmarkPageWalk measures the simulated 4-level walk.
-func BenchmarkPageWalk(b *testing.B) {
-	env := newSuperpageEnv(b)
-	pt := env.as.PageTable()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		va := env.base + addr.V((uint64(i)*addr.Size4K)%env.fp)
-		if res := pt.Walk(va); !res.Found {
-			b.Fatal("walk missed")
-		}
-	}
 }
 
 // BenchmarkInvalidation reports the Sec 4.4 shootdown refill traffic for

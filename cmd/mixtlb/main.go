@@ -36,9 +36,8 @@
 //
 // Telemetry is off by default and costs nothing when off. Any of
 // -metrics-out (Prometheus text dump), -trace-events (Chrome trace_event
-// JSON for chrome://tracing or Perfetto), -events-out (JSONL event
-// stream), or -pprof-addr (HTTP listener with /metrics, /trace,
-// /debug/tail, /debug/vars, /debug/pprof/) switches it on; -progress
+// JSON for chrome://tracing or Perfetto) or -events-out (JSONL event
+// stream, -tail records included) switches it on; -progress
 // prints live done/total/ETA lines to stderr as cells finish. Telemetry
 // never feeds back into the simulation: result tables are byte-identical
 // with it on or off.
@@ -100,7 +99,6 @@ func run() (code int) {
 		metricsOut = flag.String("metrics-out", "", "write a Prometheus text metrics dump to this file at exit")
 		traceOut   = flag.String("trace-events", "", "write a Chrome trace_event JSON file (chrome://tracing, Perfetto)")
 		eventsOut  = flag.String("events-out", "", "write the raw telemetry event stream as JSONL to this file")
-		pprofAddr  = flag.String("pprof-addr", "", "serve /metrics, /trace, /debug/tail, /debug/vars and /debug/pprof/ on this address (e.g. localhost:6060)")
 		progress   = flag.Bool("progress", false, "print live per-cell progress (done/total, ETA) to stderr")
 		designFile = flag.String("design-file", "", "JSON file of extra TLB design specs to register (see examples/designs.json)")
 
@@ -257,21 +255,10 @@ func run() (code int) {
 		reg    *telemetry.Registry
 		tracer *telemetry.Tracer
 	)
-	stopServe := func() {}
-	if *metricsOut != "" || *traceOut != "" || *eventsOut != "" || *pprofAddr != "" {
+	if *metricsOut != "" || *traceOut != "" || *eventsOut != "" {
 		reg = telemetry.NewRegistry()
 		tracer = telemetry.NewTracer(0)
 		scale.Telemetry = telemetry.NewCollector(reg, tracer)
-	}
-	if *pprofAddr != "" {
-		bound, shutdown, err := telemetry.Serve(*pprofAddr, reg, tracer)
-		if err != nil {
-			lg.Error("starting telemetry server", "err", err)
-			return 2
-		}
-		lg.Info("telemetry serving", "addr", bound,
-			"endpoints", "/metrics /trace /debug/tail /debug/vars /debug/pprof/")
-		stopServe = shutdown
 	}
 	if *progress {
 		scale.ProgressFn = func(ev experiments.ProgressEvent) {
@@ -377,7 +364,6 @@ func run() (code int) {
 		lg.Error("closing journal", "err", err)
 		setExit(1)
 	}
-	stopServe()
 	if err := writeTelemetry(reg, tracer, *metricsOut, *traceOut, *eventsOut); err != nil {
 		lg.Error("writing telemetry", "err", err)
 		setExit(1)

@@ -104,7 +104,8 @@ type Scale struct {
 	// every runStream MMU: the K slowest translations of each cell's
 	// measurement interval (VA, page size, serving level, walk depth,
 	// charge trail) export as "tail" trace events through Telemetry.
-	// Clamped to ledger.MaxTailK; an observer like LedgerAudit.
+	// RunSpec.Scale rejects a K outside [0, ledger.MaxTailK]; an observer
+	// like LedgerAudit.
 	TailK int
 }
 
@@ -449,8 +450,8 @@ func runStream(ctx context.Context, cs Scale, m *mmu.MMU, stream workload.Stream
 
 // flushTail exports a cell's K slowest translations as "tail" instant
 // trace events: rank order, simulated-cycle stamp, and the merged charge
-// trail. The records surface in the telemetry JSONL export and the
-// /debug/tail endpoints; they never touch tables or goldens.
+// trail. The records surface in the JSONL (-events-out) and Chrome
+// (-trace-events) exports; they never touch tables or goldens.
 func flushTail(cs Scale, m *mmu.MMU, led *ledger.Ledger) {
 	if cs.Telemetry == nil {
 		return

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
@@ -91,34 +93,79 @@ func goldenFloatStr(t *testing.T, s string) float64 {
 }
 
 // TestTailEventsExported drives one experiment with telemetry and TailK
-// armed and requires "tail" instant events in the tracer, carrying the
-// narration args the /debug/tail endpoints render.
+// armed, writes the tracer through the JSONL export and checks the "tail"
+// lines there: per design, ranks 0..K-1 in order with non-increasing
+// simulated cycles, each carrying the narration args.
 func TestTailEventsExported(t *testing.T) {
 	e, err := ByName("hierarchy")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// At quick scale each design's 16 slowest translations span several
+	// costs, so the order check below has something to check.
+	const k = 16
 	tracer := telemetry.NewTracer(0)
 	s := QuickScale()
 	s.Workloads = []string{"gups"}
 	s.Jobs = 1
-	s.TailK = 4
+	s.TailK = k
 	s.Telemetry = telemetry.NewCollector(telemetry.NewRegistry(), tracer)
 	if _, err := e.Run(context.Background(), s); err != nil {
 		t.Fatal(err)
 	}
-	recs := tracer.TailRecords()
-	if len(recs) == 0 {
-		t.Fatal("no tail events exported")
+	var buf bytes.Buffer
+	if err := tracer.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range recs[:1] {
+	type tailLine struct {
+		SimCycles uint64            `json:"sim_cycles"`
+		Args      map[string]string `json:"args"`
+	}
+	byDesign := map[string][]tailLine{}
+	var designs []string
+	for _, ln := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if !strings.Contains(ln, `"cat":"tail"`) {
+			continue
+		}
+		var r tailLine
+		if err := json.Unmarshal([]byte(ln), &r); err != nil {
+			t.Fatalf("tail line %q: %v", ln, err)
+		}
 		for _, key := range []string{"design", "va", "size", "served", "trail", "rank"} {
 			if _, ok := r.Args[key]; !ok {
-				t.Errorf("tail record lacks %q: %+v", key, r)
+				t.Errorf("tail record lacks %q: %s", key, ln)
 			}
 		}
-		if r.Cycles == 0 {
-			t.Errorf("tail record has zero cycles: %+v", r)
+		d := r.Args["design"]
+		if byDesign[d] == nil {
+			designs = append(designs, d)
 		}
+		byDesign[d] = append(byDesign[d], r)
+	}
+	if len(designs) == 0 {
+		t.Fatal("no tail events exported")
+	}
+	spread := false
+	for _, d := range designs {
+		recs := byDesign[d]
+		if len(recs) != k {
+			t.Errorf("%s: %d tail records, want %d", d, len(recs), k)
+		}
+		for i, r := range recs {
+			if r.Args["rank"] != strconv.Itoa(i) {
+				t.Errorf("%s: record %d has rank %q", d, i, r.Args["rank"])
+			}
+			if r.SimCycles == 0 {
+				t.Errorf("%s: rank %d has zero cycles", d, i)
+			}
+			if i > 0 && r.SimCycles > recs[i-1].SimCycles {
+				t.Errorf("%s: rank %d costs %d cycles, more than rank %d's %d",
+					d, i, r.SimCycles, i-1, recs[i-1].SimCycles)
+			}
+		}
+		spread = spread || recs[0].SimCycles != recs[len(recs)-1].SimCycles
+	}
+	if !spread {
+		t.Error("every design's tail records cost the same; the rank order went unchecked")
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"mixtlb/internal/chaos"
 	"mixtlb/internal/isa"
+	"mixtlb/internal/ledger"
 	"mixtlb/internal/mmu"
 	"mixtlb/internal/workload"
 )
@@ -77,14 +78,15 @@ func (r *RunSpec) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&r.Jobs, "jobs", r.Jobs, "worker-pool size for experiment cells (0 = GOMAXPROCS)")
 	fs.StringVar(&r.Cell, "cell", r.Cell, "run only grid cells whose name contains this substring")
 	fs.BoolVar(&r.LedgerAudit, "ledger-audit", r.LedgerAudit, "attach the cycle-attribution ledger to every cell and fail cells whose books do not balance")
-	fs.IntVar(&r.TailK, "tail", r.TailK, "record the K slowest translations per cell in the tail flight recorder (0 disables)")
+	fs.IntVar(&r.TailK, "tail", r.TailK, fmt.Sprintf("record the K slowest translations per cell in the tail flight recorder (0 disables, at most %d)", ledger.MaxTailK))
 }
 
 // Scale builds the run: the quick or default preset, overridden by r's
 // non-zero fields, with designs resolved in reg (nil = the builtins). It
 // is the one place a run's settings are checked. An unknown name returns
 // *UnknownWorkloadError, *mmu.UnknownDesignError or *isa.UnknownISAError;
-// a size above MaxMemoryGB returns *FieldError.
+// a size above MaxMemoryGB or a TailK outside [0, ledger.MaxTailK] returns
+// *FieldError.
 func (r RunSpec) Scale(reg *mmu.Registry) (Scale, error) {
 	s := DefaultScale()
 	if r.Quick {
@@ -101,6 +103,9 @@ func (r RunSpec) Scale(reg *mmu.Registry) (Scale, error) {
 		if f.gb > 0 {
 			*f.dst = f.gb << 30
 		}
+	}
+	if r.TailK < 0 || r.TailK > ledger.MaxTailK {
+		return Scale{}, &FieldError{"tail", fmt.Errorf("%d is outside [0, %d]", r.TailK, ledger.MaxTailK)}
 	}
 	if r.Refs > 0 {
 		s.MeasureRefs, s.WarmupRefs = r.Refs, r.Refs/2

@@ -8,6 +8,7 @@ import (
 
 	"mixtlb/internal/chaos"
 	"mixtlb/internal/isa"
+	"mixtlb/internal/ledger"
 	"mixtlb/internal/mmu"
 )
 
@@ -68,6 +69,14 @@ func TestRunSpecScale(t *testing.T) {
 		{name: "mem shifts to all ones", spec: quick(func(r *RunSpec) { r.MemGB = 1<<34 - 1 }), fails: fieldErr("mem-gb")},
 		{name: "footprint above ceiling", spec: quick(func(r *RunSpec) { r.FootprintGB = MaxMemoryGB + 1 }), fails: fieldErr("footprint-gb")},
 		{name: "footprint shifts to zero", spec: quick(func(r *RunSpec) { r.FootprintGB = 1 << 34 }), fails: fieldErr("footprint-gb")},
+		{name: "tail at ceiling", spec: quick(func(r *RunSpec) { r.TailK = ledger.MaxTailK }), check: func(t *testing.T, s Scale) {
+			if s.TailK != ledger.MaxTailK {
+				t.Errorf("TailK = %d", s.TailK)
+			}
+		}},
+		{name: "tail above ceiling", spec: quick(func(r *RunSpec) { r.TailK = ledger.MaxTailK + 1 }), fails: fieldErr("tail")},
+		{name: "tail far above ceiling", spec: quick(func(r *RunSpec) { r.TailK = 100 }), fails: fieldErr("tail")},
+		{name: "tail negative", spec: quick(func(r *RunSpec) { r.TailK = -1 }), fails: fieldErr("tail")},
 		{name: "workload subset", spec: quick(func(r *RunSpec) { r.Workloads = []string{"gups"} }), check: func(t *testing.T, s Scale) {
 			if !reflect.DeepEqual(s.Workloads, []string{"gups"}) {
 				t.Errorf("Workloads = %v", s.Workloads)

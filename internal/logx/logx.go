@@ -1,6 +1,6 @@
 // Package logx builds mixtlb's structured logger. The CLI emits its
-// operational chatter (run lifecycle, journal events, telemetry
-// endpoints) through log/slog so the stream is grep-able as text or
+// operational chatter (run lifecycle, journal events, cell progress)
+// through log/slog so the stream is grep-able as text or
 // machine-readable as JSON, selected by one flag.
 package logx
 

@@ -4,8 +4,9 @@
 // low-overhead event tracer (spans and instant events carrying wall-time
 // and simulated-time stamps). Exporters render the registry as a
 // Prometheus text dump and the tracer as a Chrome trace_event JSON
-// timeline or a JSONL event stream; Serve exposes live pprof/expvar/
-// metrics snapshots over HTTP during long runs.
+// timeline or a JSONL event stream, each to an io.Writer; mixtlb writes
+// them to files once the run ends. The package has no network listener
+// and no package-level state.
 //
 // Two contracts shape the whole package:
 //
@@ -363,8 +364,7 @@ func writeHistogram(w io.Writer, family, labels string, h *Histogram) {
 	fmt.Fprintf(w, "%s_count%s %d\n", family, labels, h.Count())
 }
 
-// PrometheusString renders the registry to a string (tests and the HTTP
-// /metrics endpoint).
+// PrometheusString renders the registry to a string (tests).
 func (r *Registry) PrometheusString() string {
 	var b strings.Builder
 	r.WritePrometheus(&b)

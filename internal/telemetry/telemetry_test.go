@@ -3,8 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -234,41 +232,6 @@ func TestConcurrentFills(t *testing.T) {
 	}
 	if got := r.Histogram("v", []uint64{10}).Count(); got != workers*per {
 		t.Fatalf("histogram count=%d want %d", got, workers*per)
-	}
-}
-
-// TestServe boots the HTTP listener on an ephemeral port and fetches
-// /metrics and /trace.
-func TestServe(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("up_total").Inc()
-	tr := NewTracer(0)
-	tr.Instant("c", "boot", 0, 0)
-	addr, shutdown, err := Serve("127.0.0.1:0", r, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	get := func(path string) string {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		return string(b)
-	}
-	if !strings.Contains(get("/metrics"), "up_total 1") {
-		t.Fatal("/metrics missing counter")
-	}
-	if n, err := ValidateChromeTrace([]byte(get("/trace"))); err != nil || n != 1 {
-		t.Fatalf("/trace: n=%d err=%v", n, err)
-	}
-	if !strings.Contains(get("/debug/vars"), "telemetry_events_total") {
-		t.Fatal("/debug/vars missing event totals")
 	}
 }
 

@@ -23,6 +23,16 @@ echo "== go build ./..."
 go build ./...
 echo "== go vet ./..."
 go vet ./...
+
+# Telemetry is file-only: every export is written once the run ends, so
+# no binary may link a network stack or a live debug endpoint.
+echo "== no network stack in ./cmd/..."
+netdeps=$(go list -deps ./cmd/... | grep -x -E 'net|net/http|net/http/pprof|expvar' || true)
+if [ -n "$netdeps" ]; then
+    echo "FAIL: go list -deps ./cmd/... lists:" >&2
+    echo "$netdeps" >&2
+    exit 1
+fi
 echo "== go test -race ./..."
 go test -race -timeout 20m ./...
 
@@ -275,6 +285,11 @@ go test ./internal/workload/ -run 'TestCatalogStreamDigest|TestChaseVisitsFullCy
 go test ./internal/gpu/ -run 'TestKernelStreamDigest' -count=1 > /dev/null
 go test ./internal/simrand/ -run 'TestUint64nMatchesReference|TestShuffleMatchesReference' -count=1 > /dev/null
 go test -run '^$' -bench . -benchtime 3x ./internal/workload ./internal/simrand > /dev/null
+
+# Whole-MMU translation: the per-design and MIX-variant micro-benchmarks
+# must still run, 100 iterations each (a smoke run, not a timing gate).
+echo "== mmu micro-benchmarks"
+go test -run '^$' -bench . -benchtime 100x ./internal/mmu > /dev/null
 
 # Page-table walker: the per-descriptor walk digests pin every value a
 # walk returns and the accessed bits it leaves, bit for bit; its
