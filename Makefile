@@ -3,10 +3,11 @@ JOBS ?= 0
 
 .PHONY: check fmt build vet test race bench bench-experiments benchdiff fuzz golden chaos loc
 
-# The full tier-1 gate: gofmt, build, vet, and the test suite under the
-# race detector. Test failures print the reproducing seed — rerun the named
+# The full tier-1 gate: gofmt, build, vet, and the test suite without and
+# with the race detector (zero-alloc pins and qualitative goldens skip
+# under -race). Test failures print the reproducing seed — rerun the named
 # test with that seed to replay the exact fault sequence.
-check: fmt build vet race
+check: fmt build vet test race
 
 # Fail when gofmt would reformat any file (it lists them).
 fmt:
@@ -40,26 +41,25 @@ bench-experiments:
 	$(GO) run ./cmd/mixtlb -exp perf -quick -jobs $(JOBS) \
 		-bench-out BENCH_experiments.json > /dev/null
 
-# Compare the committed seed snapshot against a fresh `make bench` run
-# and fail on any >15% per-cell wall-time regression (or a geomean
-# speedup below benchtrend's 0.85x floor). Override the inputs with
-# OLD=/path/a.json NEW=/path/b.json.
-OLD ?= bench_history/0001-seed.json
+# Compare the archived snapshots in bench_history/ with a fresh
+# `make bench` run (override with NEW=/path/b.json or a directory). The
+# history comes from other hosts and is not paired run for run with NEW,
+# so this is informational and never fails; the host-time gate is
+# scripts/check.sh's round-robin of same-host runs.
 NEW ?= BENCH_experiments.json
 benchdiff:
-	$(GO) run ./cmd/benchtrend -max-regression 15 $(OLD) $(NEW)
+	-$(GO) run ./cmd/benchtrend bench_history/ $(NEW)
 
 # Short mutation pass over each fuzz target (seed corpora also run as
-# plain test cases in `make test`). Keep this list equal to the one in
-# scripts/check.sh.
+# plain test cases in `make test`), listed from the code per package.
 fuzz:
-	$(GO) test ./internal/trace/ -fuzz 'FuzzRoundTrip' -fuzztime 10s -run ^$$
-	$(GO) test ./internal/trace/ -fuzz 'FuzzReader' -fuzztime 10s -run ^$$
-	$(GO) test ./internal/addr/ -fuzz 'FuzzAddrArithmetic' -fuzztime 10s -run ^$$
-	$(GO) test ./internal/addr/ -fuzz 'FuzzSpaceArithmetic' -fuzztime 10s -run ^$$
-	$(GO) test ./internal/pagetable/ -fuzz 'FuzzPTE' -fuzztime 10s -run ^$$
-	$(GO) test ./internal/journal/ -fuzz 'FuzzJournalDecode' -fuzztime 10s -run ^$$
-	$(GO) test ./internal/tlb/ -fuzz 'FuzzVictimBundle' -fuzztime 10s -run ^$$
+	@for pkg in $$($(GO) list ./...); do \
+		targets=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
+		for fz in $$(echo "$$targets" | grep '^Fuzz'); do \
+			echo "$(GO) test $$pkg -fuzz ^$$fz\$$"; \
+			$(GO) test $$pkg -fuzz "^$$fz\$$" -fuzztime 10s -run '^$$' || exit 1; \
+		done; \
+	done
 
 # Regenerate the golden experiment tables after an intentional change in
 # simulator behavior (records at -jobs=1; the test verifies at -jobs=8).

@@ -1,33 +1,41 @@
 // Command benchtrend is the one reader of mixtlb -bench-out files
-// (experiments.BenchReport, archived under bench_history/). It diffs two
-// of them, trends a history of them and gates on the result.
+// (experiments.BenchReport, archived under bench_history/). It compares
+// the runs of a baseline with the runs of a change and gates on the
+// result.
 //
-//	benchtrend [-max-regression 25] OLD.json NEW.json
-//	benchtrend [-max-regression 25] bench_history/
+//	benchtrend BASE NEW
 //
-// The unit of comparison is the cell (experiment, cell). A snapshot's
-// value for a cell is the sum of its entries (the engine records one per
-// attempt), and a cell's baseline is the geomean of that value over every
-// snapshot before the newest; with two files that is just the old one.
-// Cells with zero seconds are joined but not counted.
+// Each operand is a -bench-out file or a directory of them, read in name
+// order; run i of BASE pairs with run i of NEW. A history is just a BASE
+// directory. The unit of comparison is the cell (experiment, cell). A
+// run's value for a cell is the sum of its entries (the engine records
+// one per attempt); cells with zero seconds are joined but not counted.
 //
-// It prints one row per experiment of the newest snapshot (cells joined,
-// geomean time ratio newest/baseline, status ok, REGRESSION, new or
-// error), then each regressed cell, the newest snapshot's total wall time,
-// jobs and telemetry totals, how many cells appear on one side only, and
-// the overall geomean speedup (baseline/newest).
+// Host time is noisy: one cell of one unchanged command can spread 1.5x
+// across runs on a shared host, so no single pair of runs can gate a
+// cell. A counted cell is a REGRESSION only when both hold:
+//   - NEW's median is slower than BASE's by more than BASE's
+//     interquartile range;
+//   - NEW is slower in at least 9 of every 10 pairs.
 //
-// A directory operand expands to its *.json files sorted by name, so
-// lexically ordered snapshot names read oldest-to-newest. Snapshots
-// recorded at different -jobs settings are still compared; the jobs
-// figure shows when a shift in timing is a pool-size change rather than
-// a code change.
+// That needs at least minPairs pairs: equal run counts on both sides, and
+// the cell timed in every run. A cell with fewer is unpaired and is not
+// gated on its own. Every counted cell, paired or not, enters the overall
+// geomean speedup (BASE median / NEW median), which must stay at or above
+// geomeanFloor.
 //
-// Exit codes: 0 no regression (or fewer than two snapshots); 1 a counted
-// cell is more than -max-regression percent slower than its baseline,
-// the overall geomean speedup is below 0.85, or an experiment that has a
-// baseline failed in the newest snapshot; 2 usage, an unreadable or
-// malformed snapshot, or no joined cells.
+// It prints one row per experiment of NEW (cells joined, geomean median
+// ratio NEW/BASE, status ok, REGRESSION, unpaired, new or error), then
+// each regressed cell, the newest NEW run's total wall time, jobs and
+// telemetry totals, how many cells appear on one side only or are
+// unpaired, and the overall geomean speedup. Runs recorded at different
+// -jobs settings are still compared; the jobs figure shows when a shift in
+// timing is a pool-size change rather than a code change.
+//
+// Exit codes: 0 no regression; 1 a regressed cell, a geomean speedup
+// below the floor, or an experiment that ran in BASE failed in NEW; 2
+// usage (anything but two operands, or any flag), an unreadable or
+// malformed snapshot, an empty directory, or no joined cells.
 package main
 
 import (
@@ -44,9 +52,14 @@ import (
 	"mixtlb/internal/experiments"
 )
 
-// geomeanFloor is the lowest overall geomean speedup that passes. Per-cell
-// limits are loose backstops against scheduler noise; this is the gate.
-const geomeanFloor = 0.85
+const (
+	// geomeanFloor is the lowest overall geomean speedup that passes.
+	geomeanFloor = 0.85
+	// minPairs is the fewest pairs the per-cell rule gates on; a
+	// regressed cell is slower in at least slowerTenths/10 of its pairs.
+	minPairs     = 10
+	slowerTenths = 9
+)
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -63,111 +76,155 @@ func cellSeconds(r experiments.BenchReport) map[cellKey]float64 {
 	return m
 }
 
+// side is one operand's runs, each reduced to its per-cell seconds.
+type side struct {
+	runs []map[cellKey]float64
+	seen map[cellKey]bool
+}
+
+func newSide(snaps []experiments.BenchReport) side {
+	s := side{seen: map[cellKey]bool{}}
+	for _, snap := range snaps {
+		secs := cellSeconds(snap)
+		for k := range secs {
+			s.seen[k] = true
+		}
+		s.runs = append(s.runs, secs)
+	}
+	return s
+}
+
+// samples returns the cell's positive seconds in run order, and whether
+// every run timed it.
+func (s side) samples(k cellKey) (v []float64, everyRun bool) {
+	for _, run := range s.runs {
+		if sec := run[k]; sec > 0 {
+			v = append(v, sec)
+		}
+	}
+	return v, len(v) == len(s.runs)
+}
+
+// quantile returns the q-quantile of v by linear interpolation between
+// closest ranks.
+func quantile(v []float64, q float64) float64 {
+	s := append([]float64(nil), v...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	i := int(pos)
+	if i+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
+}
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchtrend", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	maxRegression := fs.Float64("max-regression", 25,
-		"fail when a cell's newest wall time is this percent slower than its baseline")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	paths, err := expand(fs.Args())
-	if err != nil {
-		fmt.Fprintln(stderr, "benchtrend:", err)
+	if fs.NArg() != 2 {
+		fmt.Fprintln(stderr, "usage: benchtrend BASE NEW (each a -bench-out file or a directory of them)")
 		return 2
 	}
-	if len(paths) == 0 {
-		fmt.Fprintln(stderr, "usage: benchtrend [-max-regression PCT] <OLD.json NEW.json ... | history-dir>")
-		return 2
-	}
-
-	snaps := make([]experiments.BenchReport, 0, len(paths))
-	for _, p := range paths {
-		s, err := load(p)
+	var sides [2][]experiments.BenchReport
+	var newestName string
+	for i, op := range fs.Args() {
+		paths, err := expand(op)
 		if err != nil {
 			fmt.Fprintln(stderr, "benchtrend:", err)
 			return 2
 		}
-		snaps = append(snaps, s)
+		for _, p := range paths {
+			s, err := load(p)
+			if err != nil {
+				fmt.Fprintln(stderr, "benchtrend:", err)
+				return 2
+			}
+			sides[i] = append(sides[i], s)
+		}
+		newestName = filepath.Base(paths[len(paths)-1])
 	}
-	if len(snaps) < 2 {
-		fmt.Fprintf(stdout, "benchtrend: %d snapshot(s) — need at least 2 for a trend; nothing to compare\n", len(snaps))
-		return 0
-	}
-	latest, latestName := snaps[len(snaps)-1], filepath.Base(paths[len(paths)-1])
-	history := snaps[:len(snaps)-1]
+	baseSnaps, newSnaps := sides[0], sides[1]
+	base, cur := newSide(baseSnaps), newSide(newSnaps)
+	pairable := len(base.runs) == len(cur.runs) && len(base.runs) >= minPairs
 
-	// meanLog[k] = mean log of the cell's positive values over history,
-	// so its baseline is the geomean exp(meanLog[k]); ratios stay in log
-	// space, so a file compared with itself reads exactly 1. seen holds
-	// every cell history recorded, zero-second ones included.
-	meanLog := map[cellKey]float64{}
-	runs := map[cellKey]int{}
-	seen := map[cellKey]bool{}
 	ranOK := map[string]bool{}
-	for _, s := range history {
+	for _, s := range baseSnaps {
 		for _, e := range s.Experiments {
 			if e.Err == "" {
 				ranOK[e.Experiment] = true
 			}
 		}
-		for k, sec := range cellSeconds(s) {
-			seen[k] = true
-			if sec > 0 {
-				meanLog[k] += math.Log(sec)
-				runs[k]++
-			}
-		}
 	}
-	for k, sum := range meanLog {
-		meanLog[k] = sum / float64(runs[k])
-	}
-
 	type expRow struct {
-		joined, counted int
-		logRatio        float64
-		regressed       bool
+		joined, counted, unpaired int
+		logRatio                  float64
+		regressed                 bool
 	}
 	rows := map[string]expRow{}
 	failed := map[string]string{}
-	for _, e := range latest.Experiments {
-		rows[e.Experiment] = expRow{}
-		failed[e.Experiment] = e.Err
+	for _, s := range newSnaps {
+		for _, e := range s.Experiments {
+			rows[e.Experiment] = expRow{}
+			if failed[e.Experiment] == "" {
+				failed[e.Experiment] = e.Err
+			}
+		}
 	}
-	newest := cellSeconds(latest)
-	keys := make([]cellKey, 0, len(newest))
-	for k := range newest {
+	keys := make([]cellKey, 0, len(cur.seen))
+	for k := range cur.seen {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
 		return a.experiment < b.experiment || a.experiment == b.experiment && a.cell < b.cell
 	})
-	limit := 1 + *maxRegression/100
 	var regressedCells []string
-	onlyNewest := 0
+	onlyNew, joined, counted, unpaired, logRatio := 0, 0, 0, 0, 0.0
 	for _, k := range keys {
-		if !seen[k] {
-			onlyNewest++
+		if !base.seen[k] {
+			onlyNew++
 			continue
 		}
 		row := rows[k.experiment]
 		row.joined++
-		if mean, ok := meanLog[k]; ok && newest[k] > 0 {
-			logRatio := math.Log(newest[k]) - mean
+		joined++
+		b, bAll := base.samples(k)
+		n, nAll := cur.samples(k)
+		if len(b) > 0 && len(n) > 0 {
+			bMed, nMed := quantile(b, 0.5), quantile(n, 0.5)
+			lr := math.Log(nMed / bMed)
 			row.counted++
-			row.logRatio += logRatio
-			if ratio := math.Exp(logRatio); ratio > limit {
-				row.regressed = true
-				regressedCells = append(regressedCells, fmt.Sprintf("%s %s: %.3fs -> %.3fs (%.2fx)",
-					k.experiment, k.cell, math.Exp(mean), newest[k], ratio))
+			row.logRatio += lr
+			counted++
+			logRatio += lr
+			if !pairable || !bAll || !nAll {
+				row.unpaired++
+				unpaired++
+			} else {
+				slower := 0
+				for i := range b {
+					if n[i] > b[i] {
+						slower++
+					}
+				}
+				iqr := quantile(b, 0.75) - quantile(b, 0.25)
+				if nMed-bMed > iqr && 10*slower >= slowerTenths*len(b) {
+					row.regressed = true
+					regressedCells = append(regressedCells, fmt.Sprintf(
+						"%s %s: median %.3fs -> %.3fs (%.2fx), base IQR %.3fs, slower in %d/%d pairs",
+						k.experiment, k.cell, bMed, nMed, nMed/bMed, iqr, slower, len(b)))
+				}
 			}
 		}
 		rows[k.experiment] = row
 	}
 
-	fmt.Fprintf(stdout, "history: %d snapshots, newest %s: %.2fs total wall (jobs %d)\n",
-		len(snaps), latestName, latest.TotalWallSeconds, latest.Jobs)
+	newest := newSnaps[len(newSnaps)-1]
+	fmt.Fprintf(stdout, "base: %d run(s); new: %d run(s), newest %s: %.2fs total wall (jobs %d)\n",
+		len(baseSnaps), len(newSnaps), newestName, newest.TotalWallSeconds, newest.Jobs)
 	names := make([]string, 0, len(rows))
 	for name := range rows {
 		names = append(names, name)
@@ -176,12 +233,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tw := tabwriter.NewWriter(stdout, 2, 8, 2, ' ', 0)
 	fmt.Fprintln(tw, "experiment\tcells\tratio\tstatus")
 	var failures []string
-	joined, counted, logRatio := 0, 0, 0.0
 	for _, name := range names {
 		row := rows[name]
-		joined += row.joined
-		counted += row.counted
-		logRatio += row.logRatio
 		ratio, status := "-", "ok"
 		if row.counted > 0 {
 			ratio = fmt.Sprintf("%.2fx", math.Exp(row.logRatio/float64(row.counted)))
@@ -196,6 +249,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			status = "new"
 		case row.regressed:
 			status = "REGRESSION"
+		case row.unpaired == row.counted:
+			status = "unpaired"
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\n", name, row.joined, ratio, status)
 	}
@@ -204,26 +259,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, c := range regressedCells {
 		fmt.Fprintln(stdout, "regressed:", c)
 	}
-	if t := latest.Telemetry; t != nil {
-		fmt.Fprintf(stdout, "telemetry %s: %d events, %d dropped\n", latestName, t.EventsTotal, t.EventsDropped)
+	if t := newest.Telemetry; t != nil {
+		fmt.Fprintf(stdout, "telemetry %s: %d events, %d dropped\n", newestName, t.EventsTotal, t.EventsDropped)
 	}
-	if onlyHistory := len(seen) - joined; onlyHistory > 0 || onlyNewest > 0 {
-		fmt.Fprintf(stdout, "cells on one side only: %d in history, %d in newest\n", onlyHistory, onlyNewest)
+	if onlyBase := len(base.seen) - joined; onlyBase > 0 || onlyNew > 0 {
+		fmt.Fprintf(stdout, "cells on one side only: %d in base, %d in new\n", onlyBase, onlyNew)
 	}
 	if uncounted := joined - counted; uncounted > 0 {
 		fmt.Fprintf(stdout, "%d joined cell(s) with zero seconds not counted\n", uncounted)
 	}
+	if unpaired > 0 {
+		fmt.Fprintf(stdout, "%d counted cell(s) unpaired (base %d run(s), new %d; the per-cell rule needs %d pairs): geomean only\n",
+			unpaired, len(baseSnaps), len(newSnaps), minPairs)
+	}
 	if counted > 0 {
 		speedup := math.Exp(-logRatio / float64(counted))
-		fmt.Fprintf(stdout, "geomean speedup vs history over %d cells: %.2fx (floor %.2fx)\n",
+		fmt.Fprintf(stdout, "geomean speedup over %d cells: %.2fx (floor %.2fx)\n",
 			counted, speedup, geomeanFloor)
 		if speedup < geomeanFloor {
 			failures = append(failures, fmt.Sprintf("geomean speedup %.2fx is below the %.2fx floor", speedup, geomeanFloor))
 		}
 	}
 	if len(regressedCells) > 0 {
-		failures = append(failures, fmt.Sprintf("%d cell(s) more than %.0f%% slower than their baseline",
-			len(regressedCells), *maxRegression))
+		failures = append(failures, fmt.Sprintf("%d cell(s) slower by more than the base IQR in at least %d/10 of pairs",
+			len(regressedCells), slowerTenths))
 	}
 	for _, f := range failures {
 		fmt.Fprintln(stdout, "REGRESSION:", f)
@@ -232,34 +291,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if joined == 0 {
-		fmt.Fprintln(stderr, "benchtrend: no cells in common between the newest snapshot and its history")
+		fmt.Fprintln(stderr, "benchtrend: no cells in common between BASE and NEW")
 		return 2
 	}
 	return 0
 }
 
-// expand turns operands into an ordered snapshot path list: files stay in
-// argument order; a directory contributes its *.json entries sorted by
-// name.
-func expand(operands []string) ([]string, error) {
-	var out []string
-	for _, op := range operands {
-		info, err := os.Stat(op)
-		if err != nil {
-			return nil, err
-		}
-		if !info.IsDir() {
-			out = append(out, op)
-			continue
-		}
-		matches, err := filepath.Glob(filepath.Join(op, "*.json"))
-		if err != nil {
-			return nil, err
-		}
-		sort.Strings(matches)
-		out = append(out, matches...)
+// expand turns an operand into its snapshot paths: a file is itself; a
+// directory contributes its *.json entries sorted by name.
+func expand(op string) ([]string, error) {
+	info, err := os.Stat(op)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	if !info.IsDir() {
+		return []string{op}, nil
+	}
+	matches, err := filepath.Glob(filepath.Join(op, "*.json"))
+	if err != nil {
+		return nil, err
+	}
+	if len(matches) == 0 {
+		return nil, fmt.Errorf("%s: no *.json snapshots", op)
+	}
+	sort.Strings(matches)
+	return matches, nil
 }
 
 func load(path string) (experiments.BenchReport, error) {

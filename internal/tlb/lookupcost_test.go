@@ -14,8 +14,8 @@ import (
 // per access, so a Result that outgrows a few words turns every probe into
 // a block copy.
 func TestResultSize(t *testing.T) {
-	if n := unsafe.Sizeof(Result{}); n > 48 {
-		t.Fatalf("tlb.Result is %d bytes, want at most 48", n)
+	if n := unsafe.Sizeof(Result{}); n > 40 {
+		t.Fatalf("tlb.Result is %d bytes, want at most 40", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Tier-1 gate: gofmt, build, vet, race-enabled tests, fuzz-corpus
-# smoke, and a parallel-determinism check. Mirrors `make check` for
+# Tier-1 gate: gofmt, build, vet, the test suite with and without the
+# race detector, fuzz smoke, binary-level determinism checks and a paired
+# host-time gate. Mirrors `make check` for
 # environments without make. Any failing chaos/differential test prints
 # the reproducing seed in its failure message — replay with
 #   go test -run <TestName> ./internal/...
@@ -33,6 +34,14 @@ if [ -n "$netdeps" ]; then
     echo "$netdeps" >&2
     exit 1
 fi
+# The suite without -race is tier-1's own command. Only it runs the checks
+# that skip under the race detector: the zero-alloc pins of the translate
+# loop, the MIX TLB, the workload cursors and the ledger, and the
+# qualitative goldens. It also runs every digest (op streams, walks,
+# workload and kernel streams, memhog allocations) and size pin (a TLB
+# lookup Result stays within 40 bytes).
+echo "== go test ./..."
+go test -count=1 ./...
 echo "== go test -race ./..."
 go test -race -timeout 20m ./...
 
@@ -45,14 +54,14 @@ echo "== cmd/mixbench vet + test"
 # Fuzz smoke: run each fuzz target briefly beyond its seed corpus. The
 # corpora under testdata/fuzz/ already ran as regular test cases above;
 # this adds a short mutation pass to catch fresh encode/decode breakage.
+# The targets are listed from the code, one package at a time.
 echo "== go test -fuzz (10s per target)"
-go test ./internal/trace/ -fuzz 'FuzzRoundTrip' -fuzztime 10s -run '^$'
-go test ./internal/trace/ -fuzz 'FuzzReader' -fuzztime 10s -run '^$'
-go test ./internal/addr/ -fuzz 'FuzzAddrArithmetic' -fuzztime 10s -run '^$'
-go test ./internal/addr/ -fuzz 'FuzzSpaceArithmetic' -fuzztime 10s -run '^$'
-go test ./internal/pagetable/ -fuzz 'FuzzPTE' -fuzztime 10s -run '^$'
-go test ./internal/journal/ -fuzz 'FuzzJournalDecode' -fuzztime 10s -run '^$'
-go test ./internal/tlb/ -fuzz 'FuzzVictimBundle' -fuzztime 10s -run '^$'
+for pkg in $(go list ./...); do
+    targets=$(go test -list '^Fuzz' "$pkg")
+    for fz in $(echo "$targets" | grep '^Fuzz' || true); do
+        go test "$pkg" -fuzz "^$fz\$" -fuzztime 10s -run '^$'
+    done
+done
 
 # Parallel determinism: the same experiment at -jobs 1 and -jobs 4 must
 # produce byte-identical tables (cell seeds derive from cell identity,
@@ -128,7 +137,6 @@ fi
 # construct, and the hierarchy comparison over file-loaded designs must
 # be jobs-invariant like every experiment.
 echo "== design registry"
-go test ./internal/mmu/ -run 'TestRegistryBuiltinsConstruct|TestDesignSpecValidationErrors|TestParseSpecs' -count=1 > /dev/null
 "$tmpdir/mixtlb" -design-file examples/designs.json -list > /dev/null
 "$tmpdir/mixtlb" -exp hierarchy -quick -csv -jobs 1 \
     -design-file examples/designs.json -designs split+pwc,mix-as-l2,mix+pwc > "$tmpdir/hier1.csv"
@@ -157,50 +165,9 @@ for ex in quickstart fragmentation gpu virtualized; do
     go run "./examples/$ex" > /dev/null
 done
 
-# Host-time gates: bench_gate NAME PCT OLD NEW compares two -bench-out
-# files with benchtrend, which fails on any cell more than PCT% slower
-# than OLD or an overall geomean speedup below its 0.85x floor. On
-# failure it prints the whole comparison, so the log names the cells
-# that regressed.
-go build -o "$tmpdir/benchtrend" ./cmd/benchtrend
-bench_gate() {
-    if ! "$tmpdir/benchtrend" -max-regression "$2" "$3" "$4" > "$tmpdir/$1.txt" 2>&1; then
-        echo "FAIL: $1 host-time gate (benchtrend -max-regression $2 $3 $4):" >&2
-        cat "$tmpdir/$1.txt" >&2
-        exit 1
-    fi
-}
-
-# benchtrend identity: the gates below read files this mixtlb just
-# wrote, so first check, free of timing noise, that benchtrend reads
-# that format at all: a file compared with itself must join its cells
-# at 1.00x and pass even at a 0% per-cell limit.
-echo "== benchtrend identity"
-"$tmpdir/mixtlb" -exp fig15r -quick -jobs 1 -bench-out "$tmpdir/bench.json" > /dev/null
-bench_gate identity 0 "$tmpdir/bench.json" "$tmpdir/bench.json"
-
-# Journaling overhead: checkpointing must be cheap relative to the
-# simulation itself. Quick cells run ~60ms each, where scheduler noise
-# alone exceeds 15%, so this gate runs longer cells (-refs 300000, after
-# a warmup pass) and checks the geomean: journaling-on must stay within
-# 15% of journaling-off overall, with a loose 40% per-cell backstop
-# against pathological regressions.
-echo "== journaling overhead"
-"$tmpdir/mixtlb" -exp fig15r -quick -refs 300000 -jobs 1 > /dev/null # warmup
-"$tmpdir/mixtlb" -exp fig15r -quick -refs 300000 -jobs 1 \
-    -bench-out "$tmpdir/nojournal.json" > /dev/null
-"$tmpdir/mixtlb" -exp fig15r -quick -refs 300000 -jobs 1 \
-    -journal "$tmpdir/overhead.journal" -bench-out "$tmpdir/journal.json" > /dev/null
-bench_gate journaling 40 "$tmpdir/nojournal.json" "$tmpdir/journal.json"
-
-# Victim level: the cache-backed victim designs must satisfy the
-# metamorphic/differential layer (deeper hierarchies never change the
-# translation function; demotion conserves entries), and the reach study
-# must be jobs-invariant like every experiment — including the
-# file-loaded mix+victima-xl design.
+# Victim level: the reach study must be jobs-invariant like every
+# experiment, including the file-loaded mix+victima-xl design.
 echo "== victim level"
-go test ./internal/mmu/ -run 'TestDeeperHierarchyPreservesTranslation|TestVictimInvariants|TestVictimShootdownConsistency' -count=1 > /dev/null
-go test ./internal/tlb/ -run 'TestVictimDemotionConservation|TestEvictionSinkConservation' -count=1 > /dev/null
 "$tmpdir/mixtlb" -exp reach -quick -csv -jobs 1 \
     -design-file examples/designs.json \
     -designs split,victima,mix+victima-xl > "$tmpdir/reach1.csv"
@@ -212,17 +179,6 @@ if ! cmp -s "$tmpdir/reach1.csv" "$tmpdir/reach8.csv"; then
     diff "$tmpdir/reach1.csv" "$tmpdir/reach8.csv" >&2 || true
     exit 1
 fi
-
-# Zero-cost-when-absent: designs without a victim level must not pay for
-# the subsystem. The AllocsPerRun pin keeps the victimless translate
-# loop at zero heap allocations, and re-timing fig15r (whose designs are
-# all victimless) against the journaling-off baseline above bounds any
-# slow-path regression at the same 0.85x geomean floor.
-echo "== victim zero-cost-when-absent"
-go test ./internal/mmu/ -run 'TestTranslateZeroAlloc$' -count=1 > /dev/null
-"$tmpdir/mixtlb" -exp fig15r -quick -refs 300000 -jobs 1 \
-    -bench-out "$tmpdir/absent.json" > /dev/null
-bench_gate victim-absent 40 "$tmpdir/nojournal.json" "$tmpdir/absent.json"
 
 # Telemetry smoke: a quick instrumented run must write all three
 # exporter files, and its result table must be byte-identical to an
@@ -244,88 +200,14 @@ if ! cmp -s "$tmpdir/tel-on.csv" "$tmpdir/tel-off.csv"; then
     exit 1
 fi
 
-# Zero-alloc guard: the disabled-telemetry translate loop must not
-# allocate (nil-sink fast path). Run without -race, which inflates counts.
-echo "== telemetry zero-alloc guard"
-go test ./internal/mmu/ -run 'TestTranslateZeroAllocTelemetry' -count=1 > /dev/null
-
-# MIX TLB layer: the op-stream digests pin every value a MixTLB returns,
-# bit for bit, whatever its storage layout; the warm Fill/Promote/Lookup
-# paths must not allocate (without -race, like the guard above); and the
-# layer's own micro-benchmarks must still run, 100 iterations each (a
-# smoke run, not a timing gate).
-echo "== MIX TLB digests, zero-alloc guard and micro-benchmarks"
-go test ./internal/core/ -run 'TestMixOpStreamDigest|TestMixZeroAlloc' -count=1 > /dev/null
-go test ./internal/core/ -run '^$' -bench 'Mix' -benchtime 100x > /dev/null
-
-# Shared LRU storage: the op-stream digests pin every value the data
-# caches, paging-structure caches and non-MIX TLBs return, bit for bit,
-# whatever their storage layout; the reference tests check the shared
-# array against the last-free scans it replaced; the size pin keeps a TLB
-# lookup result within 48 bytes, since every component probe of a split
-# TLB copies one; and the storage layers'
-# micro-benchmarks must still run, 100 iterations each (a smoke run, not
-# a timing gate).
-echo "== LRU storage digests and micro-benchmarks"
-go test ./internal/cachesim/ -run 'TestAccessStreamDigest|TestCacheMatchesLastFreeReference' -count=1 > /dev/null
-go test ./internal/pwc/ -run 'TestOpStreamDigest|TestCacheMatchesLastFreeReference' -count=1 > /dev/null
-go test ./internal/tlb/ -run 'TestOpStreamDigest|TestResultSize' -count=1 > /dev/null
-go test -run '^$' -bench . -benchtime 100x ./internal/cachesim ./internal/pwc ./internal/tlb ./internal/lru > /dev/null
-
-# Workload layer: the catalog and GPU kernel digests pin every reference
-# every workload and kernel core generates, bit for bit; the reference
-# tests check Uint64n and the block-drawing Shuffle against the forms they
-# replaced, values and generator state both; the chase pins hold its
-# period and its one array per stream; the cursor pins check that every
-# Fork yields what a fresh build does and copies no chase order (under
-# 4 KiB per fork); and the layer's micro-benchmarks must still run,
-# 3 iterations each (a smoke run, not a timing gate).
-echo "== workload stream digests and micro-benchmarks"
-go test ./internal/workload/ -run 'TestCatalogStreamDigest|TestChaseVisitsFullCycle|TestChaseBuildBytes|TestNextBatchZeroAlloc|TestForkMatchesFreshBuild|TestForkBytes' -count=1 > /dev/null
-go test ./internal/gpu/ -run 'TestKernelStreamDigest' -count=1 > /dev/null
-go test ./internal/simrand/ -run 'TestUint64nMatchesReference|TestShuffleMatchesReference' -count=1 > /dev/null
+# Micro-benchmark smoke: every layer's micro-benchmarks must still run,
+# 100 iterations each (3 for the stream builds), as a smoke run, not a
+# timing gate.
+echo "== micro-benchmarks"
+go test -run '^$' -bench . -benchtime 100x ./internal/core ./internal/cachesim \
+    ./internal/pwc ./internal/tlb ./internal/lru ./internal/mmu ./internal/pagetable \
+    ./internal/ledger ./internal/journal ./internal/physmem > /dev/null
 go test -run '^$' -bench . -benchtime 3x ./internal/workload ./internal/simrand > /dev/null
-
-# Whole-MMU translation: the per-design and MIX-variant micro-benchmarks
-# must still run, 100 iterations each (a smoke run, not a timing gate).
-echo "== mmu micro-benchmarks"
-go test -run '^$' -bench . -benchtime 100x ./internal/mmu > /dev/null
-
-# Page-table walker: the per-descriptor walk digests pin every value a
-# walk returns and the accessed bits it leaves, bit for bit; its
-# per-descriptor micro-benchmark must still run, 100 iterations each (a
-# smoke run, not a timing gate).
-echo "== page-table walk digests and micro-benchmarks"
-go test ./internal/pagetable/ -run 'TestWalkDigest' -count=1 > /dev/null
-go test -run '^$' -bench . -benchtime 100x ./internal/pagetable > /dev/null
-
-# Ledger tail recorder and journal appends: their micro-benchmarks must
-# still run, 100 iterations each (a smoke run, not a timing gate).
-echo "== ledger and journal micro-benchmarks"
-go test -run '^$' -bench . -benchtime 100x ./internal/ledger ./internal/journal > /dev/null
-
-# Physical memory: the memhog digests pin every allocation decision the
-# buddy allocator and the memhog fragmenter make, and the state they
-# leave, bit for bit; the reference test checks free counts, maximal free
-# blocks per order and single-frame frees inside blocks claimed by
-# address against a bitmap; and the layer's micro-benchmarks must still
-# run, 100 iterations each (a smoke run, not a timing gate).
-echo "== physmem digests and micro-benchmarks"
-go test ./internal/physmem/ -run 'TestMemhogDigest|TestBuddyInvariants' -count=1 > /dev/null
-go test -run '^$' -bench . -benchtime 100x ./internal/physmem > /dev/null
-
-# Cycle book and ledger: per-access results, Stats.Cycles and the MMU's
-# Attribution must be one number for every registry design and for nested
-# MMUs; the ledger's closed accesses must conserve per cell (chaos retries
-# and shootdowns included); attribution must be an observer (armed vs
-# disarmed tables byte-identical); and the translate loop must stay
-# zero-alloc with the ledger attached and detached, native and nested.
-echo "== cycle book and ledger conservation"
-go test ./internal/ledger/ -count=1 > /dev/null
-go test ./internal/mmu/ -run 'TestCycleConservation|TestLedgerConservation|TestAttributionFoldsRetries|TestLedgerObserverOnly|TestTranslateZeroAllocLedger|TestTranslateZeroAllocNested|TestStatsAddSumsEveryField' -count=1 > /dev/null
-go test ./internal/smp/ -run 'TestLedgerConservationUnderShootdowns' -count=1 > /dev/null
-go test ./internal/virt/ -run 'TestNestedSetDirtyLineMatchesTwoStep' -count=1 > /dev/null
-go test ./internal/perfmodel/ -count=1 > /dev/null
 
 # The breakdown experiment (the ledger's table readout, audited in-cell)
 # must be jobs-invariant like every experiment, and match its checked-in
@@ -348,21 +230,10 @@ if ! cmp -s "$tmpdir/breakdown.golden" "$tmpdir/breakdown1.csv"; then
     exit 1
 fi
 
-# Ledger overhead: arming attribution on fig15r must keep the geomean
-# within the same 0.85x floor as the journaling/victim gates, against the
-# journaling-off baseline timed above.
-echo "== ledger overhead"
-"$tmpdir/mixtlb" -exp fig15r -quick -refs 300000 -jobs 1 -ledger-audit -tail 8 \
-    -bench-out "$tmpdir/ledger.json" > /dev/null
-bench_gate ledger 40 "$tmpdir/nojournal.json" "$tmpdir/ledger.json"
-
-# Cross-ISA translation front end: descriptor packages and conformance
-# (LA57 vs 4-level, Sv39 vs Sv48 differential; typed ISA validation on
-# design specs and run specs), then the xisa experiment — jobs-invariant like
-# every experiment and byte-identical to its checked-in golden.
+# Cross-ISA translation front end: the xisa experiment must be
+# jobs-invariant like every experiment and byte-identical to its
+# checked-in golden.
 echo "== cross-ISA descriptors"
-go test ./internal/isa/ -count=1 > /dev/null
-go test ./internal/mmu/ -run 'TestISAConformance|TestSpecISAValidation' -count=1 > /dev/null
 "$tmpdir/mixtlb" -exp xisa -quick -csv -jobs 1 > "$tmpdir/xisa1.csv"
 "$tmpdir/mixtlb" -exp xisa -quick -csv -jobs 8 > "$tmpdir/xisa8.csv"
 if ! cmp -s "$tmpdir/xisa1.csv" "$tmpdir/xisa8.csv"; then
@@ -378,25 +249,63 @@ if ! cmp -s "$tmpdir/xisa.golden" "$tmpdir/xisa1.csv"; then
     exit 1
 fi
 
-# Descriptor indirection must stay free on the hot path: the
-# descriptor-parameterized translate loop (deep radixes, NAPOT/contig
-# block detection, 16-entry extended walk lines) allocates nothing in
-# steady state, and the default-descriptor perf group stays within the
-# same 0.85x geomean floor of the committed pre-descriptor seed snapshot
-# (bench_history/0001-seed.json). The per-cell backstop is loose (75%) because
-# the snapshot predates this session's scheduler noise; the geomean is
-# the real gate.
-echo "== descriptor indirection overhead"
-go test ./internal/mmu/ -run 'TestTranslateZeroAllocISA' -count=1 > /dev/null
-"$tmpdir/mixtlb" -exp perf -quick -jobs 1 -bench-out "$tmpdir/isa-perf.json" > /dev/null
-bench_gate descriptor 75 bench_history/0001-seed.json "$tmpdir/isa-perf.json"
+# Host-time gate: HEAD's mixtlb against the working tree's, and the
+# tree's against itself with journaling and with the cycle ledger and
+# tail recorder armed. One cell of one unchanged command spreads up to
+# 1.6x across runs on a shared host, so each of the four arms runs the
+# same fig15r command once per round for 10 rounds, the arm order
+# rotating each round, and benchtrend gates each comparison with its
+# paired rule (see cmd/benchtrend). HEAD is built from `git archive`
+# with the module proxy and toolchain downloads off.
+echo "== host-time gate (10 rounds of 4 arms)"
+mkdir "$tmpdir/head"
+git archive HEAD | tar -x -C "$tmpdir/head"
+(cd "$tmpdir/head" && GOPROXY=off GOTOOLCHAIN=local go build -o "$tmpdir/mixtlb-head" ./cmd/mixtlb)
+go build -o "$tmpdir/benchtrend" ./cmd/benchtrend
+fig15r="-exp fig15r -quick -refs 300000 -jobs 1"
+time_arm() { # ARM ROUND
+    out=$tmpdir/bench-$1/round$(printf %02d "$2").json
+    case $1 in
+    head) "$tmpdir/mixtlb-head" $fig15r -bench-out "$out" ;;
+    tree) "$tmpdir/mixtlb" $fig15r -bench-out "$out" ;;
+    journal) "$tmpdir/mixtlb" $fig15r -journal "$tmpdir/gate.journal" -bench-out "$out" ;;
+    ledger) "$tmpdir/mixtlb" $fig15r -ledger-audit -tail 8 -bench-out "$out" ;;
+    esac > "$tmpdir/arm.log" 2>&1 || {
+        echo "FAIL: host-time arm $1 failed in round $2:" >&2
+        cat "$tmpdir/arm.log" >&2
+        exit 1
+    }
+}
+mkdir "$tmpdir/bench-head" "$tmpdir/bench-tree" "$tmpdir/bench-journal" "$tmpdir/bench-ledger"
+round=0
+while [ "$round" -lt 10 ]; do
+    case $((round % 4)) in
+    0) order="head tree journal ledger" ;;
+    1) order="tree journal ledger head" ;;
+    2) order="journal ledger head tree" ;;
+    3) order="ledger head tree journal" ;;
+    esac
+    for arm in $order; do
+        time_arm "$arm" "$round"
+    done
+    round=$((round + 1))
+done
+for pair in "head tree" "tree journal" "tree ledger"; do
+    set -- $pair
+    if ! "$tmpdir/benchtrend" "$tmpdir/bench-$1" "$tmpdir/bench-$2" > "$tmpdir/trend.txt" 2>&1; then
+        echo "FAIL: host time $1 -> $2 (benchtrend bench-$1 bench-$2):" >&2
+        cat "$tmpdir/trend.txt" >&2
+        exit 1
+    fi
+    echo "$1 -> $2: $(grep '^geomean' "$tmpdir/trend.txt")"
+done
 
-# Bench history: with CHECK_ARCHIVE_BENCH=1 the newest snapshot is
-# archived under bench_history/ for long-term trend tracking.
+# Bench history: with CHECK_ARCHIVE_BENCH=1 the tree's last timing run is
+# archived under bench_history/ for long-term trend tracking, after an
+# informational comparison of the history with the tree's runs.
 if [ "${CHECK_ARCHIVE_BENCH:-0}" = "1" ]; then
     echo "== bench history archive"
-    mkdir -p bench_history
-    cp "$tmpdir/absent.json" "bench_history/$(date -u +%Y%m%dT%H%M%SZ).json"
-    "$tmpdir/benchtrend" bench_history/ || true # informational on real history
+    "$tmpdir/benchtrend" bench_history/ "$tmpdir/bench-tree" || true
+    cp "$tmpdir/bench-tree/round09.json" "bench_history/$(date -u +%Y%m%dT%H%M%SZ).json"
 fi
 echo "== OK"
