@@ -50,9 +50,10 @@ func (k ContigKind) String() string {
 	return fmt.Sprintf("ContigKind(%d)", int(k))
 }
 
-// PTEFormat selects the packed 8-byte PTE layout an ISA uses. The
-// simulator keeps entries decoded; the packed formats exist so entry
-// layout claims rest on concrete encodings and round-trip under test.
+// PTEFormat selects the packed 8-byte PTE layout an ISA uses. The page
+// table stores entries in one x86-style packed format on every ISA; these
+// formats exist so each ISA's entry layout claims rest on concrete
+// encodings and round-trip under test.
 type PTEFormat uint8
 
 const (

@@ -50,6 +50,9 @@ var (
 	ErrNoMemory = errors.New("pagetable: out of memory for page-table pages")
 	// ErrNotMapped indicates an unmap or update of an absent translation.
 	ErrNotMapped = errors.New("pagetable: virtual address not mapped")
+	// ErrUnencodable indicates a PA at or above 2^52 or a permission set
+	// beyond addr's four flags, which a packed PTE cannot hold.
+	ErrUnencodable = errors.New("pagetable: address or permission does not fit a PTE")
 )
 
 // FrameAllocator supplies physical frames for page-table pages.
@@ -83,32 +86,28 @@ func (t Translation) String() string {
 	return fmt.Sprintf("%v->%v %v %v a=%v d=%v", t.VA, t.PA, t.Size, t.Perm, t.Accessed, t.Dirty)
 }
 
-// table is one 4KB page-table page.
-type table struct {
-	base     addr.P // physical address of this table page
-	entries  [entriesPerTable]entry
-	children [entriesPerTable]*table
-	live     int // populated entries (for reclamation)
-}
+// table is one 4KB page-table page: 512 packed 8-byte PTEs (pte.go). A
+// level-1 table is nothing more, so it is exactly one 4KB host page and
+// each 8-PTE line the walker decodes is one aligned 64-byte host line.
+type table [entriesPerTable]uint64
 
-// entry is a decoded PTE. A hardware implementation packs this into 8
-// bytes; the simulator keeps it unpacked for clarity and stores the packed
-// form only conceptually (EncodePTE/DecodePTE cover the packed format and
-// are exercised by tests).
-type entry struct {
-	present bool
-	leaf    bool // PS bit (or level-1 entry)
-	pfn     uint64
-	perm    addr.Perm
-	acc     bool
-	dirty   bool
+// dir is a table page above level 1: its PTEs plus pointers to the child
+// pages its non-leaf PTEs name — leaf tables below level 2, dirs below
+// higher levels, so one of the two arrays stays empty (dirs are few). A
+// child's physical base is the frame number in its parent's PTE, where
+// the hardware walker finds it too.
+type dir struct {
+	pte    table
+	dirs   [entriesPerTable]*dir
+	leaves [entriesPerTable]*table
 }
 
 // PageTable is a radix page table with descriptor-driven depth.
 type PageTable struct {
-	alloc FrameAllocator
-	root  *table
-	count [addr.NumPageSizes]uint64 // live translations per size
+	alloc    FrameAllocator
+	root     *dir
+	rootBase addr.P
+	count    [addr.NumPageSizes]uint64 // live translations per size
 
 	// desc is the translation architecture; depth and contigPages are
 	// copies of its hot fields so walk loops touch plain ints.
@@ -154,13 +153,11 @@ func NewISA(alloc FrameAllocator, d *isa.Descriptor) (*PageTable, error) {
 			return nil, fmt.Errorf("pagetable: descriptor %s: level %d index width %d unsupported (want %d)", d.Name, lvl, d.IndexBits(lvl), indexBits)
 		}
 	}
-	pt := &PageTable{alloc: alloc, desc: d, depth: d.Depth(), contigPages: d.ContigPages}
-	root, err := pt.newTable()
-	if err != nil {
-		return nil, err
+	base, ok := alloc.AllocPage(addr.Page4K)
+	if !ok {
+		return nil, ErrNoMemory
 	}
-	pt.root = root
-	return pt, nil
+	return &PageTable{alloc: alloc, root: new(dir), rootBase: base, desc: d, depth: d.Depth(), contigPages: d.ContigPages}, nil
 }
 
 // Descriptor returns the translation architecture the table implements.
@@ -169,69 +166,65 @@ func (pt *PageTable) Descriptor() *isa.Descriptor { return pt.desc }
 // Depth returns the radix depth (4 for x86-64, 5 for LA57, 3 for Sv39).
 func (pt *PageTable) Depth() int { return pt.depth }
 
-func (pt *PageTable) newTable() (*table, error) {
-	base, ok := pt.alloc.AllocPage(addr.Page4K)
-	if !ok {
-		return nil, ErrNoMemory
-	}
-	return &table{base: base}, nil
-}
-
 // index extracts the radix index of va at a level.
 func index(va addr.V, level int) int {
 	return int((uint64(va) >> levelShift(level)) & (entriesPerTable - 1))
 }
 
-// Map installs a translation. VA and PA must be aligned to size. The
-// covered range must be entirely unmapped.
+// Map installs a translation. VA and PA must be aligned to size, the PA
+// below 2^52 and perm within addr's four flags (the PTE's frame and
+// permission fields). The covered range must be entirely unmapped.
 func (pt *PageTable) Map(va addr.V, pa addr.P, size addr.PageSize, perm addr.Perm) error {
 	if va.Offset(size) != 0 || pa.Offset(size) != 0 {
 		return ErrMisaligned
 	}
+	if uint64(pa)&^pteFrameMask != 0 || perm&^pteAllPerm != 0 {
+		return ErrUnencodable
+	}
 	target := leafLevel(size)
-	t := pt.root
+	d := pt.root
 	for level := pt.depth; level > target; level-- {
 		i := index(va, level)
-		e := &t.entries[i]
-		if e.present && e.leaf {
+		if d.pte[i]&ptePS != 0 {
 			return ErrOverlap // a larger page already covers this VA
 		}
-		if t.children[i] == nil {
-			child, err := pt.newTable()
-			if err != nil {
-				return err
+		if d.pte[i]&pteP == 0 {
+			base, ok := pt.alloc.AllocPage(addr.Page4K)
+			if !ok {
+				return ErrNoMemory
 			}
-			t.children[i] = child
-			e.present = true
-			e.pfn = child.base.PFN4K()
-			t.live++
+			if level == 2 {
+				d.leaves[i] = new(table)
+			} else {
+				d.dirs[i] = new(dir)
+			}
+			d.pte[i] = pteP | uint64(base)
 		}
-		t = t.children[i]
+		if level == 2 {
+			return pt.install(d.leaves[i], index(va, 1), pa, size, perm)
+		}
+		d = d.dirs[i]
 	}
 	i := index(va, target)
-	e := &t.entries[i]
-	if t.children[i] != nil {
-		if t.children[i].live > 0 {
+	if raw := d.pte[i]; raw&pteP != 0 && raw&ptePS == 0 {
+		if !d.childEmpty(i, target) {
 			return ErrOverlap // smaller pages still mapped below
 		}
 		// The child table emptied out (e.g. khugepaged unmapped all 512
 		// base pages before collapsing to a superpage): reclaim it and
 		// install the leaf in its place.
-		pt.alloc.FreePage(t.children[i].base, addr.Page4K)
-		t.children[i] = nil
-		*e = entry{}
-		t.live--
+		pt.alloc.FreePage(pteFrame(raw), addr.Page4K)
+		d.pte[i], d.dirs[i], d.leaves[i] = 0, nil, nil
 	}
-	if e.present {
+	return pt.install(&d.pte, i, pa, size, perm)
+}
+
+// install writes a leaf PTE into entry i of t unless it is taken.
+func (pt *PageTable) install(t *table, i int, pa addr.P, size addr.PageSize, perm addr.Perm) error {
+	if t[i]&pteP != 0 {
 		return ErrOverlap
 	}
-	*e = entry{
-		present: true,
-		leaf:    true,
-		pfn:     pa.PageNum(addr.Page4K),
-		perm:    perm,
-	}
-	t.live++
+	t[i] = leafPTE(pa, perm, size)
 	pt.count[size]++
 	if pt.tel != nil {
 		pt.tel.maps[size].Inc()
@@ -239,31 +232,72 @@ func (pt *PageTable) Map(va addr.V, pa addr.P, size addr.PageSize, perm addr.Per
 	return nil
 }
 
-// Unmap removes the translation covering va and returns it.
-func (pt *PageTable) Unmap(va addr.V) (Translation, error) {
-	t := pt.root
-	for level := pt.depth; level >= 1; level-- {
-		i := index(va, level)
-		e := &t.entries[i]
-		if !e.present {
-			return Translation{}, ErrNotMapped
-		}
-		if e.leaf || level == 1 {
-			size := sizeAtLevel(level)
-			tr := decode(e, va, level)
-			*e = entry{}
-			t.live--
-			pt.count[size]--
-			// Intermediate tables are retained (as real OSes usually do
-			// between mappings); freeing them lazily keeps Unmap O(levels).
-			if pt.tel != nil {
-				pt.tel.unmaps.Inc()
-			}
-			return tr, nil
-		}
-		t = t.children[i]
+// childEmpty reports whether the child page under entry i of d, a dir at
+// level, holds no present entry.
+func (d *dir) childEmpty(i, level int) bool {
+	c := d.leaves[i]
+	if level > 2 {
+		c = &d.dirs[i].pte
 	}
-	return Translation{}, ErrNotMapped
+	for _, raw := range c {
+		if raw&pteP != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// leaf descends from the root to the present leaf PTE mapping va and
+// returns the table page holding it, its index and its level; t is nil
+// when va is unmapped. A non-nil res records the physical address of each
+// PTE read, root first, in res.Accesses.
+func (pt *PageTable) leaf(va addr.V, res *WalkResult) (t *table, i, level int) {
+	d, base := pt.root, pt.rootBase
+	for level = pt.depth; ; level-- {
+		i = index(va, level)
+		if res != nil {
+			res.Accesses = append(res.Accesses, base+addr.P(i*8))
+		}
+		raw := d.pte[i]
+		if raw&pteP == 0 {
+			return nil, 0, 0
+		}
+		if raw&ptePS != 0 {
+			return &d.pte, i, level
+		}
+		base = pteFrame(raw)
+		if level == 2 {
+			t = d.leaves[i]
+			break
+		}
+		d = d.dirs[i]
+	}
+	i = index(va, 1)
+	if res != nil {
+		res.Accesses = append(res.Accesses, base+addr.P(i*8))
+	}
+	if t[i]&pteP == 0 {
+		return nil, 0, 0
+	}
+	return t, i, 1
+}
+
+// Unmap removes the translation covering va and returns it.
+// Intermediate tables are retained (as real OSes usually do between
+// mappings); freeing them lazily keeps Unmap O(levels).
+func (pt *PageTable) Unmap(va addr.V) (Translation, error) {
+	t, i, level := pt.leaf(va, nil)
+	if t == nil {
+		return Translation{}, ErrNotMapped
+	}
+	size := sizeAtLevel(level)
+	tr := decode(t[i], va.PageBase(size), size)
+	t[i] = 0
+	pt.count[size]--
+	if pt.tel != nil {
+		pt.tel.unmaps.Inc()
+	}
+	return tr, nil
 }
 
 func sizeAtLevel(level int) addr.PageSize {
@@ -278,101 +312,57 @@ func sizeAtLevel(level int) addr.PageSize {
 	panic("pagetable: no page size at level")
 }
 
-func decode(e *entry, va addr.V, level int) Translation {
-	size := sizeAtLevel(level)
-	return Translation{
-		VA:       va.PageBase(size),
-		PA:       addr.P(e.pfn << addr.Shift4K),
-		Size:     size,
-		Perm:     e.perm,
-		Accessed: e.acc,
-		Dirty:    e.dirty,
-	}
-}
-
 // Lookup performs a software lookup with no side effects or cost model.
 func (pt *PageTable) Lookup(va addr.V) (Translation, bool) {
-	t := pt.root
-	for level := pt.depth; level >= 1; level-- {
-		e := &t.entries[index(va, level)]
-		if !e.present {
-			return Translation{}, false
-		}
-		if e.leaf || level == 1 {
-			return decode(e, va, level), true
-		}
-		t = t.children[index(va, level)]
+	t, i, level := pt.leaf(va, nil)
+	if t == nil {
+		return Translation{}, false
 	}
-	return Translation{}, false
+	size := sizeAtLevel(level)
+	return decode(t[i], va.PageBase(size), size), true
 }
 
 // Count returns the number of live translations of the given size.
 func (pt *PageTable) Count(size addr.PageSize) uint64 { return pt.count[size] }
 
 // RootBase returns the physical address of the root table (CR3).
-func (pt *PageTable) RootBase() addr.P { return pt.root.base }
+func (pt *PageTable) RootBase() addr.P { return pt.rootBase }
 
 // SetAccessed marks the leaf covering va accessed (hardware walker
 // behaviour on TLB fill). It reports whether a mapping was found.
-func (pt *PageTable) SetAccessed(va addr.V) bool {
-	e := pt.leafEntry(va)
-	if e == nil {
-		return false
-	}
-	e.acc = true
-	return true
-}
+func (pt *PageTable) SetAccessed(va addr.V) bool { return pt.update(va, pteA, 0) }
 
 // SetDirty marks the leaf covering va dirty (hardware behaviour on the
 // first store through a translation). It reports whether a mapping exists.
-func (pt *PageTable) SetDirty(va addr.V) bool {
-	e := pt.leafEntry(va)
-	if e == nil {
-		return false
-	}
-	e.acc = true
-	e.dirty = true
-	return true
-}
+func (pt *PageTable) SetDirty(va addr.V) bool { return pt.update(va, pteA|pteD, 0) }
 
 // ClearAccessedDirty clears the A/D bits of the leaf covering va, the
 // operation an OS page-reclaim scan performs.
-func (pt *PageTable) ClearAccessedDirty(va addr.V) bool {
-	e := pt.leafEntry(va)
-	if e == nil {
+func (pt *PageTable) ClearAccessedDirty(va addr.V) bool { return pt.update(va, 0, pteA|pteD) }
+
+// update sets then clears bits of the leaf PTE covering va and reports
+// whether a mapping exists.
+func (pt *PageTable) update(va addr.V, set, clear uint64) bool {
+	t, i, _ := pt.leaf(va, nil)
+	if t == nil {
 		return false
 	}
-	e.acc, e.dirty = false, false
+	t[i] = t[i]&^clear | set
 	return true
-}
-
-func (pt *PageTable) leafEntry(va addr.V) *entry {
-	t := pt.root
-	for level := pt.depth; level >= 1; level-- {
-		e := &t.entries[index(va, level)]
-		if !e.present {
-			return nil
-		}
-		if e.leaf || level == 1 {
-			return e
-		}
-		t = t.children[index(va, level)]
-	}
-	return nil
 }
 
 // LeafRef is an opaque handle to the leaf PTE a Walk resolved. It lets the
 // MMU update the entry's A/D bits after a walk without re-traversing the
 // radix from the root (the fused store path). A zero LeafRef is invalid;
 // sources that synthesize WalkResults (nested walkers) leave it zero.
-type LeafRef struct{ e *entry }
+type LeafRef struct{ e *uint64 }
 
 // Valid reports whether the handle refers to a leaf PTE.
 func (l LeafRef) Valid() bool { return l.e != nil }
 
 // SetDirty sets the accessed and dirty bits of the referenced leaf,
 // equivalent to PageTable.SetDirty on the walked VA.
-func (l LeafRef) SetDirty() { l.e.acc, l.e.dirty = true, true }
+func (l LeafRef) SetDirty() { *l.e |= pteA | pteD }
 
 // WalkResult is the outcome of a hardware page-table walk.
 type WalkResult struct {
@@ -424,35 +414,27 @@ func (pt *PageTable) WalkInto(va addr.V, res *WalkResult) {
 	res.Line = res.Line[:0]
 	res.Leaf = LeafRef{}
 	res.ContigPages = 0
-	t := pt.root
-	for level := pt.depth; level >= 1; level-- {
-		i := index(va, level)
-		res.Accesses = append(res.Accesses, t.base+addr.P(i*8))
-		e := &t.entries[i]
-		if !e.present {
-			return
-		}
-		if e.leaf || level == 1 {
-			e.acc = true
-			res.Found = true
-			res.Translation = decode(e, va, level)
-			res.Leaf = LeafRef{e}
-			// A block wider than the cache line replaces the line, so
-			// check it first and skip the line decode. A kept line is
-			// decoded before contigBlock sets its members' A bits.
-			wide := pt.contigPages > addr.PTEsPerCacheLine
-			if wide && level == 1 && pt.contigBlock(t, i) {
-				res.ContigPages = pt.contigPages
-				res.Line = appendBlockTranslations(res.Line, t, i&^(pt.contigPages-1), pt.contigPages, va)
-				return
-			}
-			res.Line = appendLineTranslations(res.Line, t, i, va, level)
-			if !wide && pt.contigPages > 1 && level == 1 && pt.contigBlock(t, i) {
-				res.ContigPages = pt.contigPages
-			}
-			return
-		}
-		t = t.children[i]
+	t, i, level := pt.leaf(va, res)
+	if t == nil {
+		return
+	}
+	t[i] |= pteA
+	res.Found = true
+	size := sizeAtLevel(level)
+	res.Translation = decode(t[i], va.PageBase(size), size)
+	res.Leaf = LeafRef{&t[i]}
+	// A block wider than the cache line replaces the line, so check it
+	// first and skip the line decode. A kept line is decoded before
+	// contigBlock sets its members' A bits.
+	wide := pt.contigPages > addr.PTEsPerCacheLine
+	if wide && level == 1 && pt.contigBlock(t, i) {
+		res.ContigPages = pt.contigPages
+		res.Line = appendBlockTranslations(res.Line, t, i&^(pt.contigPages-1), pt.contigPages, va)
+		return
+	}
+	res.Line = appendLineTranslations(res.Line, t, i, va, level)
+	if !wide && pt.contigPages > 1 && level == 1 && pt.contigBlock(t, i) {
+		res.ContigPages = pt.contigPages
 	}
 }
 
@@ -466,18 +448,19 @@ func (pt *PageTable) WalkInto(va addr.V, res *WalkResult) {
 // encoded PTE, so its A bit covers the whole range.
 func (pt *PageTable) contigBlock(t *table, i int) bool {
 	start := i &^ (pt.contigPages - 1)
-	base := &t.entries[start]
-	if !base.present || base.pfn&uint64(pt.contigPages-1) != 0 {
+	base := t[start] &^ (pteA | pteD)
+	if base&pteP == 0 || pteFrame(base).PFN4K()&uint64(pt.contigPages-1) != 0 {
 		return false
 	}
+	// Member j must equal the base entry but for its A/D bits and a frame
+	// j higher; the aligned base frame cannot carry into the Perm bits.
 	for j := 0; j < pt.contigPages; j++ {
-		e := &t.entries[start+j]
-		if !e.present || !e.leaf || e.perm != base.perm || e.pfn != base.pfn+uint64(j) {
+		if t[start+j]&^(pteA|pteD) != base+uint64(j)<<addr.Shift4K {
 			return false
 		}
 	}
-	for j := 0; j < pt.contigPages; j++ {
-		t.entries[start+j].acc = true
+	for j := start; j < start+pt.contigPages; j++ {
+		t[j] |= pteA
 	}
 	return true
 }
@@ -487,9 +470,9 @@ func (pt *PageTable) contigBlock(t *table, i int) bool {
 // slice. All entries are known present (contigBlock verified them).
 func appendBlockTranslations(out []Translation, t *table, start, n int, va addr.V) []Translation {
 	const shift = addr.Shift4K
+	base := uint64(va) &^ (entriesPerTable<<shift - 1) // VA mapped by entry 0
 	for j := start; j < start+n; j++ {
-		nva := addr.V(uint64(va)&^(uint64(entriesPerTable-1)<<shift) | uint64(j)<<shift)
-		out = append(out, decode(&t.entries[j], nva.PageBase(addr.Page4K), 1))
+		out = append(out, decode(t[j], addr.V(base|uint64(j)<<shift), addr.Page4K))
 	}
 	return out
 }
@@ -501,24 +484,15 @@ func appendBlockTranslations(out []Translation, t *table, start, n int, va addr.
 // looping over dirty transitions can reuse one buffer. It returns nil
 // when va is unmapped.
 func (pt *PageTable) SetDirtyLine(va addr.V, buf []Translation) []Translation {
-	t := pt.root
-	for level := pt.depth; level >= 1; level-- {
-		i := index(va, level)
-		e := &t.entries[i]
-		if !e.present {
-			return nil
-		}
-		if e.leaf || level == 1 {
-			e.acc = true
-			e.dirty = true
-			if pt.tel != nil {
-				pt.tel.dirtyLines.Inc()
-			}
-			return appendLineTranslations(buf[:0], t, i, va, level)
-		}
-		t = t.children[i]
+	t, i, level := pt.leaf(va, nil)
+	if t == nil {
+		return nil
 	}
-	return nil
+	t[i] |= pteA | pteD
+	if pt.tel != nil {
+		pt.tel.dirtyLines.Inc()
+	}
+	return appendLineTranslations(buf[:0], t, i, va, level)
 }
 
 // appendLineTranslations decodes the present, same-level leaves in the
@@ -526,16 +500,17 @@ func (pt *PageTable) SetDirtyLine(va addr.V, buf []Translation) []Translation {
 // caller-owned slice.
 func appendLineTranslations(out []Translation, t *table, i int, va addr.V, level int) []Translation {
 	size := sizeAtLevel(level)
+	shift := levelShift(level)
+	base := uint64(va) &^ (entriesPerTable<<shift - 1) // VA mapped by entry 0
+	leaf := uint64(pteP)
+	if level > 1 {
+		leaf |= ptePS
+	}
 	lineStart := i &^ (addr.PTEsPerCacheLine - 1)
 	for j := lineStart; j < lineStart+addr.PTEsPerCacheLine; j++ {
-		e := &t.entries[j]
-		if !e.present || (!e.leaf && level != 1) {
-			continue
+		if raw := t[j]; raw&leaf == leaf {
+			out = append(out, decode(raw, addr.V(base|uint64(j)<<shift), size))
 		}
-		// Reconstruct the neighbour's VA by replacing the index bits.
-		shift := levelShift(level)
-		nva := addr.V(uint64(va)&^(uint64(entriesPerTable-1)<<shift) | uint64(j)<<shift)
-		out = append(out, decode(e, nva.PageBase(size), level))
 	}
 	return out
 }
@@ -547,16 +522,23 @@ func (pt *PageTable) ForEach(visit func(Translation) bool) {
 	pt.forEach(pt.root, pt.depth, 0, visit)
 }
 
-func (pt *PageTable) forEach(t *table, level int, vaBase uint64, visit func(Translation) bool) bool {
-	for i := 0; i < entriesPerTable; i++ {
-		e := &t.entries[i]
+func (pt *PageTable) forEach(d *dir, level int, vaBase uint64, visit func(Translation) bool) bool {
+	for i, raw := range &d.pte {
 		va := vaBase | uint64(i)<<levelShift(level)
-		if e.present && (e.leaf || level == 1) {
-			if !visit(decode(e, addr.V(va), level)) {
+		switch {
+		case raw&pteP == 0:
+		case raw&ptePS != 0:
+			if !visit(decode(raw, addr.V(va), sizeAtLevel(level))) {
 				return false
 			}
-		} else if t.children[i] != nil {
-			if !pt.forEach(t.children[i], level-1, va, visit) {
+		case level == 2:
+			for j, raw := range d.leaves[i] {
+				if raw&pteP != 0 && !visit(decode(raw, addr.V(va|uint64(j)<<addr.Shift4K), addr.Page4K)) {
+					return false
+				}
+			}
+		default:
+			if !pt.forEach(d.dirs[i], level-1, va, visit) {
 				return false
 			}
 		}

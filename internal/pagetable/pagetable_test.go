@@ -1,8 +1,10 @@
 package pagetable
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mixtlb/internal/addr"
 	"mixtlb/internal/isa"
@@ -437,4 +439,69 @@ func TestCollapseEmptyChildTable(t *testing.T) {
 	if buddy.FreeFrames() != free+1 {
 		t.Errorf("table page not reclaimed: %d -> %d", free, buddy.FreeFrames())
 	}
+}
+
+// TestMapRefusesUnencodable: a packed PTE holds a frame number in bits
+// 12..51 and the permission set in four bits, so Map refuses a PA at or
+// above 2^52 and a Perm beyond addr's four flags instead of storing an
+// alias of another frame or permission set. The highest PA that fits
+// still round-trips at every page size.
+func TestMapRefusesUnencodable(t *testing.T) {
+	pt := newPT(t)
+	const limit = addr.P(1) << 52
+	for k, s := range addr.Sizes() {
+		va := addr.V(uint64(k+1) << 32)
+		top := limit - addr.P(s.Bytes())
+		if err := pt.Map(va, top, s, addr.PermRW); err != nil {
+			t.Fatalf("%v: Map at PA %v: %v", s, top, err)
+		}
+		if tr, ok := pt.Lookup(va); !ok || tr.PA != top {
+			t.Errorf("%v: Lookup = %v %v, want PA %v", s, tr, ok, top)
+		}
+		for _, pa := range []addr.P{limit, limit + top, 1 << 63} {
+			if err := pt.Map(va+addr.V(s.Bytes()), pa, s, addr.PermRW); err != ErrUnencodable {
+				t.Errorf("%v: Map at PA %v: %v, want ErrUnencodable", s, pa, err)
+			}
+		}
+		if err := pt.Map(va+addr.V(s.Bytes()), 0, s, addr.PermUser<<1); err != ErrUnencodable {
+			t.Errorf("%v: Map with perm %#x: %v, want ErrUnencodable", s, uint8(addr.PermUser<<1), err)
+		}
+		if _, ok := pt.Lookup(va + addr.V(s.Bytes())); ok {
+			t.Errorf("%v: a refused Map left a translation", s)
+		}
+	}
+}
+
+// TestTableSize pins the packed layout: a level-1 table page, the bulk of
+// any large table, is its 512 8-byte PTEs and at most a small header,
+// with no child-pointer array (no pointer at all), so it takes about one
+// 4KB host page.
+func TestTableSize(t *testing.T) {
+	if n := unsafe.Sizeof(table{}); n > 4096+16 {
+		t.Errorf("a level-1 table is %d bytes, want at most 4096+16", n)
+	}
+	if typ := reflect.TypeOf(table{}); holdsPointer(typ) {
+		t.Errorf("a level-1 table (%v) holds pointers", typ)
+	}
+}
+
+// holdsPointer reports whether a value of typ contains any pointer,
+// slice, map, channel, function, interface or string.
+func holdsPointer(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Array:
+		return holdsPointer(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if holdsPointer(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	}
+	return true
 }

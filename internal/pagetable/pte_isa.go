@@ -8,10 +8,11 @@ import (
 // ISA-parameterized packed PTE codecs. EncodePTE/DecodePTE (pte.go) cover
 // the default x86-64 layout; these dispatch on the descriptor's PTEFormat
 // and additionally carry the leaf contiguity encodings: the SVNAPOT N bit
-// and the ARM64 contiguous hint. As with the x86 codec, the simulator
-// stores entries decoded — the packed forms exist so the "one PTE encodes
-// a whole block" claims rest on concrete bit layouts, round-tripped under
-// test and fuzz (FuzzPTE).
+// and the ARM64 contiguous hint. The page table stores every
+// descriptor's entries in its own packed format (pte.go) and detects
+// contiguity blocks from their members; these codecs make the "one PTE
+// encodes a whole block" claims rest on concrete bit layouts,
+// round-tripped under test and fuzz (FuzzPTE).
 
 // RISC-V Sv39/Sv48 PTE layout (RISC-V privileged spec):
 //

@@ -253,11 +253,15 @@ fi
 # tree's against itself with journaling and with the cycle ledger and
 # tail recorder armed. One cell of one unchanged command spreads up to
 # 1.6x across runs on a shared host, so each of the four arms runs the
-# same fig15r command once per round for 10 rounds, the arm order
+# same fig15r command once per round for 20 rounds, the arm order
 # rotating each round, and benchtrend gates each comparison with its
-# paired rule (see cmd/benchtrend). HEAD is built from `git archive`
-# with the module proxy and toolchain downloads off.
-echo "== host-time gate (10 rounds of 4 arms)"
+# paired rule (see cmd/benchtrend): slower in at least 18 of 20 pairs,
+# which noise alone reaches in one cell with chance 211/1048576 (at 10
+# rounds, 9 of 10 pairs: 11/1024, over 18 cell tests per block). HEAD is
+# built from `git archive` with the module proxy and toolchain downloads
+# off.
+rounds=20
+echo "== host-time gate ($rounds rounds of 4 arms)"
 mkdir "$tmpdir/head"
 git archive HEAD | tar -x -C "$tmpdir/head"
 (cd "$tmpdir/head" && GOPROXY=off GOTOOLCHAIN=local go build -o "$tmpdir/mixtlb-head" ./cmd/mixtlb)
@@ -278,7 +282,7 @@ time_arm() { # ARM ROUND
 }
 mkdir "$tmpdir/bench-head" "$tmpdir/bench-tree" "$tmpdir/bench-journal" "$tmpdir/bench-ledger"
 round=0
-while [ "$round" -lt 10 ]; do
+while [ "$round" -lt "$rounds" ]; do
     case $((round % 4)) in
     0) order="head tree journal ledger" ;;
     1) order="tree journal ledger head" ;;
@@ -306,6 +310,6 @@ done
 if [ "${CHECK_ARCHIVE_BENCH:-0}" = "1" ]; then
     echo "== bench history archive"
     "$tmpdir/benchtrend" bench_history/ "$tmpdir/bench-tree" || true
-    cp "$tmpdir/bench-tree/round09.json" "bench_history/$(date -u +%Y%m%dT%H%M%SZ).json"
+    cp "$tmpdir/bench-tree/round$(printf %02d $((rounds - 1))).json" "bench_history/$(date -u +%Y%m%dT%H%M%SZ).json"
 fi
 echo "== OK"
