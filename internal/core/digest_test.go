@@ -98,7 +98,7 @@ func (d *digester) lookupCost(l tlb.LookupCost) {
 func (d *digester) result(r tlb.Result) {
 	d.flag(r.Hit)
 	d.tr(r.T)
-	d.flag(r.Dirty)
+	d.flag(r.T.Dirty)
 	d.lookupCost(r.Cost)
 }
 
@@ -139,7 +139,7 @@ func opStreamDigest(m *MixTLB, seed uint64, n int) string {
 	m.SetEvictionSink(func(t pagetable.Translation, dirty bool) {
 		d.u64(0xe1)
 		d.tr(t)
-		d.flag(dirty)
+		d.flag(t.Dirty)
 	})
 	gen := map[uint64]uint64{}
 	pick := func() (addr.PageSize, uint64, addr.V) {

@@ -48,16 +48,20 @@ var streamKinds = []struct {
 // exposes, with an eviction sink attached where it takes one, and
 // SHA-256s every returned value, evicted translation and probed line,
 // plus the final reach and occupancy. A storage-layout or performance
-// change must leave every digest unchanged.
+// change must leave every digest unchanged. Dirty state is hashed as one
+// bit per entry, the entry's current one: a lookup's or an eviction's
+// translation carries it in Dirty (hashed twice, so designs whose result
+// already did keep their digests), and a demotion folds the stream's
+// dirty draw into the demoted translation.
 func TestOpStreamDigest(t *testing.T) {
 	want := map[string]string{
-		"haswell-l1":      "748f20338537623a1984b7146c1b72e962cda6afd6bc94d3ee16f2989fbaeeff",
-		"haswell-l2":      "70de1689a2688e0660b69de60be0d31c6c2431ce780607ffff98d4833fda461d",
-		"colt-split-l1":   "df2469486972859920456f33059e96a0309d822cb6cc1474e3b0206d5530e18e",
+		"haswell-l1":      "34ae0631325bd4ce141eda1e7de9fd33bf45738cf867354b9a00ea1aed484bb3",
+		"haswell-l2":      "cabbb8452142747bc6378a0ff4672adbf394e001a8d7bc09e12d37acb47b0a55",
+		"colt-split-l1":   "72dc387b040b3b22f2009d6e804217962c14157a3edc917e049e3eb669ed2f76",
 		"colt++-split-l1": "77f07cdabeeb941d6432d765b7631c57a7c98d6ad0b7f104ad3165ca4dcec039",
-		"rehash+pred":     "c8eb334f1a0a9ed36351b0a21ba2dcad447139818d1e3aeb1bc7fcc529d4161c",
-		"skew+pred":       "9c6f38af07d66ecbb1ab291c7f4a6966abc0621a7dd44b7117f46b66f77c0fc2",
-		"ideal":           "2e16350dd7c3c8f550c3b8548ff70dd16f8ace18bba82959188978ec8245ab43",
+		"rehash+pred":     "b30cc01db1b53c4feaf781d50d0481614312739db0def8e77366adda73ab7016",
+		"skew+pred":       "32d2b6482c9ae286af7402f7c6c771dc40d55bf79500e8addf683bd67c684226",
+		"ideal":           "e8aee37d75dcc8bb64b3380086c36391390355a102f431e95a95bcc348594f5d",
 		"victim":          "ede8d869a647338ebe9b34e099791dfba8224d98d214d792071459211de01472",
 	}
 	pt := streamPageTable(t)
@@ -205,9 +209,10 @@ func opStreamDigest(tl TLB, seed uint64, n int) string {
 	d := &streamDigester{h: sha256.New()}
 	if en, ok := tl.(EvictionNotifier); ok {
 		en.SetEvictionSink(func(t pagetable.Translation, dirty bool) {
+			t.Dirty = dirty
 			d.u64(0xe1)
 			d.tr(t)
-			d.flag(dirty)
+			d.flag(t.Dirty)
 		})
 	}
 	gens := map[uint64]uint64{}
@@ -226,16 +231,21 @@ func opStreamDigest(tl TLB, seed uint64, n int) string {
 			walk := streamWalk(op, gen, rng.Bool(0.97))
 			d.cost(tl.Fill(req, walk))
 			if dm, ok := tl.(Demoter); ok {
-				absorbed, evicted := dm.Demote(walk.Translation, rng.Bool(0.3))
+				// The demoted entry's dirty bit: the walked PTE's,
+				// or set while the entry was resident.
+				tr, dirty := walk.Translation, rng.Bool(0.3)
+				tr.Dirty = tr.Dirty || dirty
+				absorbed, evicted := dm.Demote(tr, false)
 				d.flag(absorbed)
 				d.u64(uint64(evicted))
 			}
 		case u < 0.72:
 			req.Write = rng.Bool(0.3)
 			r := tl.Lookup(req)
+			r.T.Dirty = r.Dirty
 			d.flag(r.Hit)
 			d.tr(r.T)
-			d.flag(r.Dirty)
+			d.flag(r.T.Dirty)
 			d.lookupCost(r.Cost)
 			if cr, ok := tl.(CacheResident); ok {
 				for _, l := range cr.ProbedLines() {
