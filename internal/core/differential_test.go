@@ -110,7 +110,7 @@ func conform(t *testing.T, name string, tl tlb.TLB, e *diffEnv) {
 			// hierarchy would. 1GB entries are refused by contract and
 			// simply never hit.
 			if dem, ok := tl.(tlb.Demoter); ok {
-				dem.Demote(walk.Translation, false)
+				dem.Demote(walk.Translation)
 			} else {
 				tl.Fill(tlb.Request{VA: va, PC: uint64(i)}, walk)
 			}

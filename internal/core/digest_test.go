@@ -136,7 +136,7 @@ func opStreamPTE(size addr.PageSize, svn, gen uint64, rng *simrand.Source) paget
 func opStreamDigest(m *MixTLB, seed uint64, n int) string {
 	rng := simrand.New(seed)
 	d := &digester{h: sha256.New()}
-	m.SetEvictionSink(func(t pagetable.Translation, dirty bool) {
+	m.SetEvictionSink(func(t pagetable.Translation) {
 		d.u64(0xe1)
 		d.tr(t)
 		d.flag(t.Dirty)

@@ -29,11 +29,11 @@ func TestDirtyGroupsSeededAtFill(t *testing.T) {
 	}
 	m.Fill(tlb.Request{VA: line2[0].VA}, walkOf(line2...))
 	// Stores to group 0 members see dirty (no micro-op needed).
-	if r := look(m, addr.V(35)<<21); !r.Dirty {
+	if r := look(m, addr.V(35)<<21); !r.T.Dirty {
 		t.Error("all-dirty group not exempt")
 	}
 	// Group 1 members see clean.
-	if r := look(m, addr.V(40)<<21); r.Dirty {
+	if r := look(m, addr.V(40)<<21); r.T.Dirty {
 		t.Error("mixed group reported dirty")
 	}
 }
@@ -42,7 +42,7 @@ func TestRefreshDirtySetsGroup(t *testing.T) {
 	m := mustNew(L1Config())
 	a, b := dtr(32, 100, false), dtr(33, 101, false)
 	m.Fill(tlb.Request{VA: a.VA}, walkOf(a, b))
-	if r := look(m, a.VA); r.Dirty {
+	if r := look(m, a.VA); r.T.Dirty {
 		t.Fatal("clean bundle dirty")
 	}
 	// A store dirties a's PTE; the assist reads the line where b is still
@@ -56,10 +56,10 @@ func TestRefreshDirtySetsGroup(t *testing.T) {
 	if !m.RefreshDirty(a.VA, []pagetable.Translation{a, b}) {
 		t.Error("group not refreshed with all members dirty")
 	}
-	if r := look(m, a.VA); !r.Dirty {
+	if r := look(m, a.VA); !r.T.Dirty {
 		t.Error("member not dirty after group refresh")
 	}
-	if r := look(m, b.VA); !r.Dirty {
+	if r := look(m, b.VA); !r.T.Dirty {
 		t.Error("sibling not dirty after group refresh")
 	}
 }
@@ -71,7 +71,7 @@ func TestRefreshDirtyPlain4K(t *testing.T) {
 	if !m.RefreshDirty(p.VA, []pagetable.Translation{p}) {
 		t.Error("4KB refresh failed")
 	}
-	if !look(m, p.VA).Dirty {
+	if !look(m, p.VA).T.Dirty {
 		t.Error("4KB entry not dirty")
 	}
 	// Absent VA: no refresh.
@@ -87,7 +87,7 @@ func TestNoDirtyGroupsAblation(t *testing.T) {
 	a, b := dtr(32, 100, true), dtr(33, 101, true)
 	m.Fill(tlb.Request{VA: a.VA}, walkOf(a, b))
 	// All-dirty fill still sets the whole-bundle bit (AND semantics).
-	if r := look(m, a.VA); !r.Dirty {
+	if r := look(m, a.VA); !r.T.Dirty {
 		t.Error("all-dirty bundle not dirty under ablation")
 	}
 	// But a clean member forces the paper's forever-micro-op behaviour:
@@ -105,14 +105,14 @@ func TestDirtyGroupsSurviveMergeConservatively(t *testing.T) {
 	// Bundle with group 0 all-dirty.
 	a, b := dtr(32, 100, true), dtr(33, 101, true)
 	m.Fill(tlb.Request{VA: a.VA}, walkOf(a, b))
-	if r := look(m, a.VA); !r.Dirty {
+	if r := look(m, a.VA); !r.T.Dirty {
 		t.Fatal("setup: group not dirty")
 	}
 	// A clean member in the same group merges in: the group's exemption
 	// must be revoked (it is no longer all-dirty).
 	c := dtr(34, 102, false)
 	m.Fill(tlb.Request{VA: c.VA}, walkOf(c))
-	if r := look(m, a.VA); r.Dirty {
+	if r := look(m, a.VA); r.T.Dirty {
 		t.Error("group exemption survived merging a clean member")
 	}
 	// A clean member in the *other* group leaves group 0 exempt.
@@ -120,7 +120,7 @@ func TestDirtyGroupsSurviveMergeConservatively(t *testing.T) {
 	m2.Fill(tlb.Request{VA: a.VA}, walkOf(a, b))
 	e := dtr(41, 109, false) // slot 9: group 1
 	m2.Fill(tlb.Request{VA: e.VA}, walkOf(e))
-	if r := look(m2, a.VA); !r.Dirty {
+	if r := look(m2, a.VA); !r.T.Dirty {
 		t.Error("unrelated group's clean member revoked group 0")
 	}
 }

@@ -313,7 +313,7 @@ func (m *MixTLB) reportEviction(i int) {
 	lo, hi := memberBounds(m.tags[i], &m.ways[i], m.cfg.Encoding)
 	for s := lo; s <= hi; s++ {
 		if m.holds(i, s) {
-			m.sink(m.memberTranslation(i, s), m.ways[i].memberDirty(s))
+			m.sink(m.memberTranslation(i, s))
 		}
 	}
 }
@@ -414,7 +414,8 @@ func (w *payload) memberPresent(enc Encoding, slot int) bool {
 
 // memberTranslation reconstructs the translation of way i's member in
 // slot: physical addresses come from concatenation/addition against the
-// bundle base (Fig 7 step 5).
+// bundle base (Fig 7 step 5). Its dirty bit, the one a store through the
+// slot sees, is the whole-entry bit or the slot's group bit.
 func (m *MixTLB) memberTranslation(i, slot int) pagetable.Translation {
 	t, w := m.tags[i], &m.ways[i]
 	shift := tagSize(t).Shift()
@@ -424,7 +425,7 @@ func (m *MixTLB) memberTranslation(i, slot int) pagetable.Translation {
 		Size:     tagSize(t),
 		Perm:     w.perm,
 		Accessed: true,
-		Dirty:    w.memberDirty(slot),
+		Dirty:    w.dirty || w.dgroups&(1<<(slot/8)) != 0,
 	}
 }
 
@@ -434,12 +435,6 @@ func (w *payload) memberCount(enc Encoding) int {
 		return bits.OnesCount64(w.bitmap)
 	}
 	return int(w.length)
-}
-
-// memberDirty reports the effective dirty state seen by a store to slot:
-// the whole-entry bit or the slot's group bit.
-func (w *payload) memberDirty(slot int) bool {
-	return w.dirty || w.dgroups&(1<<(slot/8)) != 0
 }
 
 // memberGroups has bit g set when slot group g holds a present member.
@@ -490,7 +485,6 @@ func (m *MixTLB) Lookup(req tlb.Request) tlb.Result {
 	m.stamps[i] = m.clock
 	res.Hit = true
 	res.T = m.memberTranslation(i, slot)
-	res.Dirty = res.T.Dirty
 	return res
 }
 

@@ -321,7 +321,7 @@ func TestDirtyPolicy(t *testing.T) {
 	dirtyTr.Dirty = true
 	clean := tr(33, 2, addr.Page2M)
 	m.Fill(tlb.Request{VA: dirtyTr.VA}, walkOf(dirtyTr, clean))
-	if r := look(m, dirtyTr.VA); r.Dirty {
+	if r := look(m, dirtyTr.VA); r.T.Dirty {
 		t.Error("mixed bundle reported dirty")
 	}
 	// Multi-member bundles refuse MarkDirty: every store keeps paying the
@@ -335,7 +335,7 @@ func TestDirtyPolicy(t *testing.T) {
 	d3 := tr(41, 6, addr.Page2M)
 	d3.Dirty = true
 	m.Fill(tlb.Request{VA: d2.VA}, walkOf(d2, d3))
-	if r := look(m, d2.VA); !r.Dirty {
+	if r := look(m, d2.VA); !r.T.Dirty {
 		t.Error("all-dirty bundle not dirty")
 	}
 	// Singleton bundles may set dirty on store.
@@ -344,13 +344,13 @@ func TestDirtyPolicy(t *testing.T) {
 	if !m.MarkDirty(solo.VA) {
 		t.Error("singleton refused MarkDirty")
 	}
-	if r := look(m, solo.VA); !r.Dirty {
+	if r := look(m, solo.VA); !r.T.Dirty {
 		t.Error("singleton not dirty after MarkDirty")
 	}
 	// 4KB entries behave conventionally.
 	p := tr(0x99, 0x11, addr.Page4K)
 	m.Fill(tlb.Request{VA: p.VA}, walkOf(p))
-	if !m.MarkDirty(p.VA) || !look(m, p.VA).Dirty {
+	if !m.MarkDirty(p.VA) || !look(m, p.VA).T.Dirty {
 		t.Error("4KB MarkDirty failed")
 	}
 }

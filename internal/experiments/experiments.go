@@ -203,6 +203,9 @@ type runEnv struct {
 	fault mmu.FaultHandler
 	base  addr.V
 	fp    uint64 // footprint actually mapped (capped under memory pressure)
+	// clean clears the D bits of the environment's page tables, which
+	// set-up leaves clean, so no design inherits an earlier one's stores.
+	clean func()
 	// labels follow the caller's on every run's telemetry; flush, when
 	// set, exports the environment's own telemetry after a run.
 	labels []string
@@ -232,12 +235,13 @@ func (e *runEnv) stream(cs Scale, spec workload.Spec) workload.Stream {
 }
 
 // run drives a cursor over built, the cell's stream of the named
-// workload, through an MMU built over the environment: it attaches
-// telemetry under the workload's labels, the caller's and then the
-// environment's, runs warmup and measurement (runStream), flushes the
-// MMU's and the environment's telemetry, and names the labelled run, the
-// design and the seed in any error.
+// workload, through an MMU built over the environment: it cleans the
+// PTEs, attaches telemetry under the workload's labels, the caller's and
+// then the environment's, runs warmup and measurement (runStream), flushes
+// the MMU's and the environment's telemetry, and names the labelled run,
+// the design and the seed in any error.
 func (e *runEnv) run(ctx context.Context, cs Scale, m *mmu.MMU, name string, built workload.Stream, labels ...string) (mmu.Stats, error) {
+	e.clean()
 	labels = append(append([]string{"workload", name}, labels...), e.labels...)
 	if cs.Telemetry != nil {
 		m.AttachTelemetry(cs.Telemetry.With(labels...))
@@ -368,7 +372,7 @@ func newNative(s Scale, policy osmm.Policy, memhogFrac float64) (*nativeEnv, err
 	}
 	env := &nativeEnv{phys: phys, hog: hog, as: as}
 	env.runEnv = runEnv{src: as.PageTable(), pt: as.PageTable(), fault: as.HandleFault,
-		base: base, fp: fp, flush: env.flushTelemetry}
+		base: base, fp: fp, clean: as.PageTable().ClearDirty, flush: env.flushTelemetry}
 	return env, nil
 }
 
@@ -508,8 +512,8 @@ func newVirt(s Scale, vms int, guestHogFrac float64) (*vmEnv, error) {
 			return nil, fmt.Errorf("VM %d populate: %w", i, err)
 		}
 		if i == 0 {
-			env.runEnv = runEnv{src: vm.Walker(), fault: vm.HandleFault,
-				base: base, fp: fp, labels: []string{"env", "virt"}}
+			env.runEnv = runEnv{src: vm.Walker(), fault: vm.HandleFault, base: base, fp: fp, labels: []string{"env", "virt"},
+				clean: func() { vm.GuestAS().PageTable().ClearDirty(); vm.NestedPT().ClearDirty() }}
 		}
 		env.vms = append(env.vms, vm)
 	}

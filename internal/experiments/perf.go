@@ -69,11 +69,12 @@ func Figure1(ctx context.Context, s Scale) (*stats.Table, error) {
 }
 
 // runGPU runs a kernel on a fresh GPU of the given design over the
-// environment, each core on a cursor over its stream in built: warmup,
-// reset, measure. A cell builds the kernel's streams once
+// cleaned environment, each core on a cursor over its stream in built:
+// warmup, reset, measure. A cell builds the kernel's streams once
 // (KernelSpec.Streams at the scale's core count) and never drives them.
 // It returns the measured stats and the cache hierarchy they charged.
 func runGPU(ctx context.Context, cs Scale, env *nativeEnv, built []workload.Stream, d string) (mmu.Stats, *cachesim.Hierarchy, error) {
+	env.clean()
 	caches := cachesim.DefaultHierarchy()
 	sys, err := gpu.New(cs.GPUCores, d, env.as, caches)
 	if err != nil {

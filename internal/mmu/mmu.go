@@ -666,14 +666,14 @@ func (m *MMU) translateOnce(req tlb.Request) Result {
 				lv.tlb.Invalidate(req.VA, r.T.Size)
 			}
 		}
-		m.handleDirty(req, r.Dirty, &res, nil)
-		if li == 0 && m.memoOK && (!req.Write || r.Dirty) {
+		m.handleDirty(req, r.T.Dirty, &res, nil)
+		if li == 0 && m.memoOK && (!req.Write || r.T.Dirty) {
 			// A pure first-level hit (no dirty transition): memoize it so
 			// consecutive same-page accesses replay without re-probing.
 			m.memo = memoEntry{
 				valid:  true,
 				vpn4k:  uint64(req.VA) >> addr.Shift4K,
-				dirty:  r.Dirty,
+				dirty:  r.T.Dirty,
 				size:   res.Size,
 				paBase: res.PA &^ ((1 << addr.Shift4K) - 1),
 				cycles: res.Cycles,
@@ -723,8 +723,8 @@ func (m *MMU) chargeCacheProbes(lv *hierLevel, res *Result) {
 // capacity-displaced feeder entry either lands in the victim level or is
 // accounted as a drop, and any victim-level entries displaced in turn are
 // counted — together the books the demotion-conservation property audits.
-func (m *MMU) demote(t pagetable.Translation, dirty bool) {
-	absorbed, evicted := m.levels[len(m.levels)-1].demoter.Demote(t, dirty)
+func (m *MMU) demote(t pagetable.Translation) {
+	absorbed, evicted := m.levels[len(m.levels)-1].demoter.Demote(t)
 	if absorbed {
 		m.stats.Demotions++
 	} else {

@@ -172,6 +172,29 @@ func TestDirtyMicroOpOnce(t *testing.T) {
 	}
 }
 
+// TestPromotedCopyKeepsDirty: a deep hit refills the level above with the
+// entry as it stands, so a store through an L1 copy promoted from a dirty
+// L2 entry injects no micro-op.
+func TestPromotedCopyKeepsDirty(t *testing.T) {
+	e := newEnv(t)
+	e.mapPage(t, 0x1000, addr.Page4K)
+	e.mapPage(t, 0x2000, addr.Page4K)
+	l1 := tlb.Must(tlb.NewSetAssoc("l1", addr.Page4K, 1, 1))
+	l2 := tlb.Must(tlb.NewSetAssoc("l2", addr.Page4K, 16, 4))
+	m := mustBuild(New(Config{Name: "promote", Levels: L(l1, l2)}, e.pt, e.caches, nil))
+	m.Translate(tlb.Request{VA: 0x1000, Write: true}) // walk, one micro-op
+	m.Translate(tlb.Request{VA: 0x2000})              // evicts 0x1000 from L1 only
+	if r := m.Translate(tlb.Request{VA: 0x1000, Write: true}); r.HitLevel != 1 {
+		t.Fatalf("store after L1 eviction served at level %d, want L2", r.HitLevel)
+	}
+	if r := m.Translate(tlb.Request{VA: 0x1000, Write: true}); r.HitLevel != 0 {
+		t.Fatalf("store through promoted copy served at level %d, want L1", r.HitLevel)
+	}
+	if n := m.Stats().DirtyMicroOps; n != 1 {
+		t.Fatalf("micro-ops = %d, want 1: the promoted copy lost the dirty bit", n)
+	}
+}
+
 func TestInvalidateShootdown(t *testing.T) {
 	e := newEnv(t)
 	e.mapPage(t, 0x200000, addr.Page2M)

@@ -351,6 +351,24 @@ func (pt *PageTable) update(va addr.V, set, clear uint64) bool {
 	return true
 }
 
+// ClearDirty clears the D bit of every PTE in one sweep of the table
+// pages. Set-up never sets one, so this returns a table to its
+// post-set-up state after a run's stores.
+func (pt *PageTable) ClearDirty() { pt.root.clearDirty() }
+
+func (d *dir) clearDirty() {
+	for i := range d.pte {
+		d.pte[i] &^= pteD
+		if t := d.leaves[i]; t != nil {
+			for j := range t {
+				t[j] &^= pteD
+			}
+		} else if d.dirs[i] != nil {
+			d.dirs[i].clearDirty()
+		}
+	}
+}
+
 // LeafRef is an opaque handle to the leaf PTE a Walk resolved. It lets the
 // MMU update the entry's A/D bits after a walk without re-traversing the
 // radix from the root (the fused store path). A zero LeafRef is invalid;

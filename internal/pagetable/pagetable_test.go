@@ -155,6 +155,34 @@ func TestAccessedDirtyBits(t *testing.T) {
 	}
 }
 
+// TestClearDirty: ClearDirty clears the D bit of every leaf, at every
+// page size, and leaves everything else a walk or lookup sees alone.
+func TestClearDirty(t *testing.T) {
+	pt := newPT(t)
+	maps := []Translation{
+		{VA: 0x5000, PA: 0x9000, Size: addr.Page4K, Perm: addr.PermRW},
+		{VA: 0x6000, PA: 0xa000, Size: addr.Page4K, Perm: addr.PermRead},
+		{VA: 0x400000, PA: 0xa00000, Size: addr.Page2M, Perm: addr.PermRW},
+		{VA: 0x80000000, PA: 0x40000000, Size: addr.Page1G, Perm: addr.PermRW},
+	}
+	for i, m := range maps {
+		if err := pt.Map(m.VA, m.PA, m.Size, m.Perm); err != nil {
+			t.Fatal(err)
+		}
+		pt.SetAccessed(m.VA)
+		if i != 1 {
+			pt.SetDirty(m.VA)
+		}
+	}
+	pt.ClearDirty()
+	for _, m := range maps {
+		m.Accessed = true
+		if tr, ok := pt.Lookup(m.VA); !ok || tr != m {
+			t.Errorf("after ClearDirty: %v, want %v", tr, m)
+		}
+	}
+}
+
 func TestWalkNative(t *testing.T) {
 	pt := newPT(t)
 	va := addr.V(0x7f0000201000)

@@ -467,6 +467,32 @@ func TestMemhogOwnsAndCompact(t *testing.T) {
 	}
 }
 
+// TestFailedCompactionKeepsFreeFrames: a compaction whose migration
+// fails leaves every frame where it was, so free memory is unchanged.
+func TestFailedCompactionKeepsFreeFrames(t *testing.T) {
+	b := NewBuddy(32 * addr.Size2M)
+	hog := NewMemhog(b, simrand.New(5))
+	hog.UnmovableFrac = 0
+	hog.ScatterFrac = 1
+	hog.ScatterClusterBias = 0
+	hog.CompactBudget = 1 << 20
+	hog.MigrateFailProb = 1 // every migration fails
+	hog.Run(0.6)
+	for {
+		if _, ok := b.AllocPage(addr.Page2M); !ok {
+			break
+		}
+	}
+	free, held := b.FreeFrames(), hog.Held()
+	if _, ok := hog.CompactFor(9); ok {
+		t.Fatal("compaction succeeded although every migration fails")
+	}
+	if b.FreeFrames() != free || hog.Held() != held || hog.Migrated != 0 {
+		t.Fatalf("after a failed compaction: %d free frames, %d held, %d migrated; want %d, %d, 0",
+			b.FreeFrames(), hog.Held(), hog.Migrated, free, held)
+	}
+}
+
 func TestMemhogUnmovableDefeatsCompaction(t *testing.T) {
 	b := NewBuddy(16 * addr.Size2M)
 	hog := NewMemhog(b, simrand.New(13))

@@ -45,10 +45,10 @@ func TestMemhogDigest(t *testing.T) {
 		"frames=33792/frac=0.8/seed=1":   "63abb907a6f46b6e523224ce0764d43926ae6c6d029e486b5a84d9e7f976e8b7",
 		"frames=33792/frac=0.8/seed=42":  "cad1c81838288cb3fd86f9aedc945a5c65c17dbca0e1b57dec1c80a3ad320373",
 		"frames=262144/frac=0.2/seed=1":  "eccd6e968298ee7b1e7adde89466d14377879162ee993fb62afc1def9071b04d",
-		"frames=262144/frac=0.2/seed=42": "3283fd828f2bafac70545c33849d352a22d2efec7786c36c0b4bcb048f25ede1",
-		"frames=262144/frac=0.6/seed=1":  "f58208488850e07f22c9c004cf29abd91ce7c9c1c4685a4104bac3789270874d",
-		"frames=262144/frac=0.6/seed=42": "e0e394e31c660ae7f70324c7cf750861f0a19a5c8c2e3624fadf285f8cde209e",
-		"frames=262144/frac=0.8/seed=1":  "9bb19543be196c0d73183e553c74ca486e3c26e44e1d8fe9cf710d5b1aadb2bd",
+		"frames=262144/frac=0.2/seed=42": "059f396f9b2937c77bf7065dfceb8783ba6943da053bde351503e832e123bad0",
+		"frames=262144/frac=0.6/seed=1":  "e90e71592d576056ece975f83fd085c16b58ec8834fc332ce68ebca834cfd3f4",
+		"frames=262144/frac=0.6/seed=42": "500d453b8a85e0182bf346722f14c519e7ba72363b1d31d4ef9392f1fdba4bc9",
+		"frames=262144/frac=0.8/seed=1":  "7d67a4e0a3d90739707db4f27b8e321e0fb2d4e6ef370c6d86e7a384879bd69d",
 		"frames=262144/frac=0.8/seed=42": "195f3fd89871816b4b57d6116143e7e82cdce92c5a5417d7ccfeb05010764c8b",
 	}
 	for _, frames := range []uint64{1283, 8192, 33792, 262144} {

@@ -310,19 +310,19 @@ func (m *Memhog) tryCompactRegion(start, size uint64) (uint64, bool) {
 		}
 		return 0, false
 	}
+	// Per-page migration can fail (pinned or un-isolatable pages); any
+	// failure aborts the region untouched, as Linux's THP compaction does.
+	for range movers {
+		if m.rng.Float64() < m.MigrateFailProb {
+			return 0, false
+		}
+	}
 	// Pin the region's free frames so migration destinations land
 	// elsewhere, then move each hog frame out.
 	var pins []uint64
 	for f := start; f < start+size; f++ {
 		if !m.Owns(f) && m.buddy.AllocFrameAt(f) {
 			pins = append(pins, f)
-		}
-	}
-	// Per-page migration can fail (pinned or un-isolatable pages); any
-	// failure aborts the region, as Linux's THP compaction does.
-	for range movers {
-		if m.rng.Float64() < m.MigrateFailProb {
-			return 0, false
 		}
 	}
 	// Allocate every destination before freeing any source, so migrants

@@ -33,7 +33,7 @@ func benchWalks(n int) []pagetable.WalkResult {
 // the translation, every other kind fills it.
 func benchFill(tl TLB, walk *pagetable.WalkResult) {
 	if dm, ok := tl.(Demoter); ok {
-		dm.Demote(walk.Translation, false)
+		dm.Demote(walk.Translation)
 		return
 	}
 	sinkCost = tl.Fill(Request{VA: walk.Translation.VA}, *walk)

@@ -35,7 +35,7 @@ func TestColtRefreshDirty(t *testing.T) {
 	a := mk2M(4, 100, addr.PermRW, true)
 	b := mk2M(5, 101, addr.PermRW, true)
 	c.Fill(Request{VA: a.VA}, walkLine(a, b))
-	if lookup(c, a.VA).Dirty {
+	if lookup(c, a.VA).T.Dirty {
 		t.Fatal("fresh bundle dirty")
 	}
 	// One member dirty: refresh refuses.
@@ -48,7 +48,7 @@ func TestColtRefreshDirty(t *testing.T) {
 	if !c.RefreshDirty(a.VA, []pagetable.Translation{a, b}) {
 		t.Error("refresh with all dirty failed")
 	}
-	if !lookup(c, a.VA).Dirty || !lookup(c, b.VA).Dirty {
+	if !lookup(c, a.VA).T.Dirty || !lookup(c, b.VA).T.Dirty {
 		t.Error("bundle not dirty after refresh")
 	}
 	// Miss: refresh is a no-op.

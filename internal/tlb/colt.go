@@ -121,7 +121,6 @@ func (t *Colt) Lookup(req Request) Result {
 		t.groups.Touch(i)
 		res.Hit = true
 		res.T = t.member(&t.data[i], g, slot)
-		res.Dirty = t.data[i].dirty
 	}
 	return res
 }

@@ -70,11 +70,11 @@ func TestInterfaceConformance(t *testing.T) {
 			// Dirty flow: fresh entries are clean; single-translation
 			// MarkDirty may or may not be precise (coalesced designs),
 			// but a reported true must be visible on the next lookup.
-			if r.Dirty {
+			if r.T.Dirty {
 				t.Errorf("%s/%v: fresh entry dirty", name, c.size)
 			}
 			if tl.MarkDirty(req.VA) {
-				if r2 := tl.Lookup(req); !r2.Dirty {
+				if r2 := tl.Lookup(req); !r2.T.Dirty {
 					t.Errorf("%s/%v: MarkDirty=true not visible", name, c.size)
 				}
 			}

@@ -208,8 +208,7 @@ func opStreamDigest(tl TLB, seed uint64, n int) string {
 	rng := simrand.New(seed)
 	d := &streamDigester{h: sha256.New()}
 	if en, ok := tl.(EvictionNotifier); ok {
-		en.SetEvictionSink(func(t pagetable.Translation, dirty bool) {
-			t.Dirty = dirty
+		en.SetEvictionSink(func(t pagetable.Translation) {
 			d.u64(0xe1)
 			d.tr(t)
 			d.flag(t.Dirty)
@@ -235,14 +234,13 @@ func opStreamDigest(tl TLB, seed uint64, n int) string {
 				// or set while the entry was resident.
 				tr, dirty := walk.Translation, rng.Bool(0.3)
 				tr.Dirty = tr.Dirty || dirty
-				absorbed, evicted := dm.Demote(tr, false)
+				absorbed, evicted := dm.Demote(tr)
 				d.flag(absorbed)
 				d.u64(uint64(evicted))
 			}
 		case u < 0.72:
 			req.Write = rng.Bool(0.3)
 			r := tl.Lookup(req)
-			r.T.Dirty = r.Dirty
 			d.flag(r.Hit)
 			d.tr(r.T)
 			d.flag(r.T.Dirty)

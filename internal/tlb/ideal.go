@@ -38,7 +38,7 @@ func (t *Ideal) Lookup(req Request) Result {
 	}
 	res.Hit = true
 	res.T = tr
-	res.Dirty = true // never inject dirty micro-ops: zero overhead by construction
+	res.T.Dirty = true // never inject dirty micro-ops: zero overhead by construction
 	return res
 }
 

@@ -19,6 +19,19 @@ func TestResultSize(t *testing.T) {
 	}
 }
 
+// TestWaySize pins the single-translation designs' storage: a way holds
+// the translation alone, whose Dirty field is the entry's dirty bit.
+func TestWaySize(t *testing.T) {
+	var sa SetAssoc
+	var hr HashRehash
+	if a, b := unsafe.Sizeof(sa.data[0]), unsafe.Sizeof(hr.data[0]); a > 24 || b > 24 {
+		t.Errorf("set-associative way %d bytes, hash-rehash way %d bytes, want at most 24", a, b)
+	}
+	if n := unsafe.Sizeof(entrySlot{}); n > 40 {
+		t.Errorf("skew entry is %d bytes, want at most 40", n)
+	}
+}
+
 // TestSplitSumsPredictorAccesses: a split probes its components in
 // parallel, so its lookup costs the slowest component's rounds and the
 // sum of every component's ways and predictor reads and writes — a

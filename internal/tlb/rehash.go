@@ -26,7 +26,7 @@ type HashRehash struct {
 	// pages is tagged by sizedKey(page size, page number); data holds
 	// each way's translation.
 	pages lru.Array
-	data  []slotData
+	data  []pagetable.Translation
 	sink  EvictionSink // capacity-eviction feed (nil = detached)
 }
 
@@ -45,7 +45,7 @@ func NewHashRehash(name string, sets, ways int, sizes ...addr.PageSize) (*HashRe
 	}
 	t := &HashRehash{
 		name: name, sizes: sizes, sets: sets, ways: ways, mask: uint64(sets - 1),
-		pages: lru.New(sets, ways), data: make([]slotData, sets*ways),
+		pages: lru.New(sets, ways), data: make([]pagetable.Translation, sets*ways),
 	}
 	for _, s := range addr.Sizes() {
 		t.shifts[s] = s.Shift()
@@ -90,7 +90,7 @@ func (t *HashRehash) ReachBytes() uint64 {
 	var b uint64
 	for i := range t.data {
 		if t.pages.Valid(i) {
-			b += t.data[i].t.Size.Bytes()
+			b += t.data[i].Size.Bytes()
 		}
 	}
 	return b
@@ -126,8 +126,7 @@ func (t *HashRehash) lookupOrdered(req Request, order []addr.PageSize) Result {
 		if i := t.pages.Find(t.locate(req.VA, s)); i >= 0 {
 			t.pages.Touch(i)
 			res.Hit = true
-			res.T = t.data[i].t
-			res.Dirty = t.data[i].dirty
+			res.T = t.data[i]
 			return res
 		}
 	}
@@ -143,11 +142,11 @@ func (t *HashRehash) Fill(req Request, walk pagetable.WalkResult) Cost {
 	set, _ := t.locate(req.VA, tr.Size)
 	i := t.pages.Victim(set)
 	if t.pages.Valid(i) && t.sink != nil {
-		t.sink(t.data[i].t, t.data[i].dirty)
+		t.sink(t.data[i])
 	}
 	_, key := t.locate(tr.VA, tr.Size)
 	t.pages.Put(i, key)
-	t.data[i] = slotData{t: tr, dirty: tr.Dirty}
+	t.data[i] = tr
 	return Cost{SetsFilled: 1, EntriesWritten: 1}
 }
 
@@ -155,7 +154,7 @@ func (t *HashRehash) Fill(req Request, walk pagetable.WalkResult) Cost {
 func (t *HashRehash) MarkDirty(va addr.V) bool {
 	for _, s := range t.sizes {
 		if i := t.pages.Find(t.locate(va, s)); i >= 0 {
-			t.data[i].dirty = true
+			t.data[i].Dirty = true
 			return true
 		}
 	}

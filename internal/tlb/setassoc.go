@@ -21,7 +21,7 @@ type SetAssoc struct {
 	mask  uint64
 	// vpns is tagged by page number; data holds each way's translation.
 	vpns lru.Array
-	data []slotData
+	data []pagetable.Translation
 	sink EvictionSink // capacity-eviction feed (nil = detached)
 }
 
@@ -39,7 +39,7 @@ func NewSetAssoc(name string, s addr.PageSize, sets, ways int) (*SetAssoc, error
 		shift: s.Shift(),
 		mask:  uint64(sets - 1),
 		vpns:  lru.New(sets, ways),
-		data:  make([]slotData, sets*ways),
+		data:  make([]pagetable.Translation, sets*ways),
 	}, nil
 }
 
@@ -84,8 +84,7 @@ func (t *SetAssoc) Lookup(req Request) Result {
 	if i := t.vpns.Find(t.locate(req.VA)); i >= 0 {
 		t.vpns.Touch(i)
 		res.Hit = true
-		res.T = t.data[i].t
-		res.Dirty = t.data[i].dirty
+		res.T = t.data[i]
 	}
 	return res
 }
@@ -99,17 +98,17 @@ func (t *SetAssoc) Fill(req Request, walk pagetable.WalkResult) Cost {
 	set, _ := t.locate(req.VA)
 	i := t.vpns.Victim(set)
 	if t.vpns.Valid(i) && t.sink != nil {
-		t.sink(t.data[i].t, t.data[i].dirty)
+		t.sink(t.data[i])
 	}
 	t.vpns.Put(i, uint64(walk.Translation.VA)>>t.shift)
-	t.data[i] = slotData{t: walk.Translation, dirty: walk.Translation.Dirty}
+	t.data[i] = walk.Translation
 	return Cost{SetsFilled: 1, EntriesWritten: 1}
 }
 
 // MarkDirty implements TLB.
 func (t *SetAssoc) MarkDirty(va addr.V) bool {
 	if i := t.vpns.Find(t.locate(va)); i >= 0 {
-		t.data[i].dirty = true
+		t.data[i].Dirty = true
 		return true
 	}
 	return false

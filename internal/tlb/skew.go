@@ -100,7 +100,7 @@ func (t *Skew) lookupWays(req Request, ways []int) (Result, bool) {
 		e := &t.data[w][t.index(req.VA, w)]
 		if e.valid && e.t.Size == s && e.t.VA.PageNum(s) == req.VA.PageNum(s) {
 			e.stamp = t.clock
-			return Result{Hit: true, T: e.t, Dirty: e.dirty}, true
+			return Result{Hit: true, T: e.t}, true
 		}
 	}
 	return Result{}, false
@@ -163,7 +163,7 @@ func (t *Skew) Fill(req Request, walk pagetable.WalkResult) Cost {
 		}
 	}
 	e := &t.data[victimWay][t.index(req.VA, victimWay)]
-	*e = entrySlot{valid: true, t: walk.Translation, dirty: walk.Translation.Dirty, stamp: t.clock}
+	*e = entrySlot{valid: true, t: walk.Translation, stamp: t.clock}
 	return Cost{SetsFilled: 1, EntriesWritten: 1}
 }
 
@@ -173,7 +173,7 @@ func (t *Skew) MarkDirty(va addr.V) bool {
 		s := t.waySize[w]
 		e := &t.data[w][t.index(va, w)]
 		if e.valid && e.t.Size == s && e.t.VA.PageNum(s) == va.PageNum(s) {
-			e.dirty = true
+			e.t.Dirty = true
 			return true
 		}
 	}
@@ -209,6 +209,5 @@ func (t *Skew) Flush() {
 type entrySlot struct {
 	valid bool
 	t     pagetable.Translation
-	dirty bool
 	stamp uint64
 }

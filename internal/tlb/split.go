@@ -139,7 +139,6 @@ func (s *Split) Lookup(req Request) Result {
 		if r.Hit && !out.Hit {
 			out.Hit = true
 			out.T = r.T
-			out.Dirty = r.Dirty
 		}
 	}
 	return out

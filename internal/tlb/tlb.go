@@ -88,19 +88,17 @@ const maxSplitLeaves = math.MaxUint8
 
 // Result is the outcome of a lookup. Every probe returns one by value (a
 // Split gets one from each component), so it stays a few words: its cost
-// is a LookupCost, and T leads so that the flags and the 12-byte cost
+// is a LookupCost, and T leads so that the flag and the 12-byte cost
 // pack into 40 bytes.
 type Result struct {
 	// T is the matching translation (page-aligned), valid when Hit. For
 	// coalesced entries it describes the specific member page covering
-	// the request.
-	T   pagetable.Translation
-	Hit bool
-	// Dirty is the TLB entry's dirty bit. When false, a store through
-	// this translation must inject a PTE dirty-bit update micro-op
-	// (Sec 4.4).
-	Dirty bool
-	Cost  LookupCost
+	// the request. T.Dirty is the entry's dirty bit as it stands now:
+	// when false, a store through this translation must inject a PTE
+	// dirty-bit update micro-op (Sec 4.4).
+	T    pagetable.Translation
+	Hit  bool
+	Cost LookupCost
 }
 
 // TLB is the interface every design implements.
@@ -170,9 +168,8 @@ type ReplayConsistent interface {
 
 // EvictionSink receives a translation displaced from a TLB by a capacity
 // replacement (never by Invalidate or Flush — those are removals the
-// software asked for, not pressure). dirty is the evicted entry's TLB
-// dirty bit, which can be sharper than the translation's own Dirty flag.
-type EvictionSink func(t pagetable.Translation, dirty bool)
+// software asked for, not pressure).
+type EvictionSink func(t pagetable.Translation)
 
 // EvictionNotifier is implemented by TLBs that can report capacity
 // evictions to a sink — the feed of an eviction-driven victim level. The
@@ -187,7 +184,7 @@ type EvictionNotifier interface {
 // (the MMU's demotion-drop counter); evicted counts resident entries the
 // absorption displaced in turn.
 type Demoter interface {
-	Demote(t pagetable.Translation, dirty bool) (absorbed bool, evicted int)
+	Demote(t pagetable.Translation) (absorbed bool, evicted int)
 }
 
 // CacheResident marks a level whose storage lives in the data-cache
@@ -214,13 +211,6 @@ type ReachReporter interface {
 // simulation statistics never read it.
 type OccupancyReporter interface {
 	OccupancyBySet() []int
-}
-
-// slotData is the payload of the single-translation designs' ways: the
-// translation and the entry's TLB dirty bit.
-type slotData struct {
-	t     pagetable.Translation
-	dirty bool
 }
 
 // sizeKeyShift places a page size above a page or bundle number in the

@@ -124,13 +124,13 @@ func TestSetAssocInvalidateAndFlush(t *testing.T) {
 func TestSetAssocDirty(t *testing.T) {
 	tl := Must(NewSetAssoc("t", addr.Page4K, 2, 2))
 	tl.Fill(Request{VA: 0x1000}, walkFor(0x1000, 0x1000, addr.Page4K))
-	if r := lookup(tl, 0x1000); r.Dirty {
+	if r := lookup(tl, 0x1000); r.T.Dirty {
 		t.Error("fresh entry dirty")
 	}
 	if !tl.MarkDirty(0x1000) {
 		t.Error("MarkDirty failed")
 	}
-	if r := lookup(tl, 0x1000); !r.Dirty {
+	if r := lookup(tl, 0x1000); !r.T.Dirty {
 		t.Error("entry not dirty after MarkDirty")
 	}
 	if tl.MarkDirty(0x999000) {
@@ -493,7 +493,7 @@ func TestColtDirtyPolicy(t *testing.T) {
 	if !c2.MarkDirty(line[0].VA) {
 		t.Error("singleton bundle refused MarkDirty")
 	}
-	if !lookup(c2, line[0].VA).Dirty {
+	if !lookup(c2, line[0].VA).T.Dirty {
 		t.Error("dirty bit not visible")
 	}
 }
@@ -515,7 +515,7 @@ func TestIdealTLB(t *testing.T) {
 	if lookup(ideal, 0x40000000).Hit {
 		t.Error("ideal hit on unmapped VA")
 	}
-	if !r.Dirty {
+	if !r.T.Dirty {
 		t.Error("ideal must never inject dirty micro-ops")
 	}
 	if ideal.Entries() != 0 {

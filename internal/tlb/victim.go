@@ -112,7 +112,6 @@ func (t *Victim) Lookup(req Request) Result {
 			t.bundles.Touch(i)
 			res.Hit = true
 			res.T = tr
-			res.Dirty = tr.Dirty
 			return res
 		}
 	}
@@ -133,14 +132,13 @@ func (t *Victim) Fill(req Request, walk pagetable.WalkResult) Cost { return Cost
 // level above. absorbed is false when the victim refuses the page
 // (invalid or 1GB); evicted counts PTEs displaced when absorbing forced
 // out a resident bundle.
-func (t *Victim) Demote(tr pagetable.Translation, dirty bool) (absorbed bool, evicted int) {
+func (t *Victim) Demote(tr pagetable.Translation) (absorbed bool, evicted int) {
 	if !tr.Valid() || (tr.Size != addr.Page4K && tr.Size != addr.Page2M) {
 		return false, 0
 	}
 	// A demoted entry was resident and used; its bundle slot carries the
-	// accessed bit and the sharpest dirty knowledge the SRAM level had.
+	// accessed bit and the entry's dirty bit.
 	tr.Accessed = true
-	tr.Dirty = tr.Dirty || dirty
 	set, _, key := t.locate(tr.VA, tr.Size)
 	// Merge into the resident bundle if one exists, else allocate. Way
 	// indexes never move: they are the storage lines the MMU charges.

@@ -28,7 +28,7 @@ func tr2m(i uint64) pagetable.Translation {
 func TestVictimBasicFlow(t *testing.T) {
 	v := Must(NewVictim("v", 8, 2))
 	for _, tr := range []pagetable.Translation{tr4k(1), tr4k(2), tr2m(3)} {
-		if ok, _ := v.Demote(tr, false); !ok {
+		if ok, _ := v.Demote(tr); !ok {
 			t.Fatalf("Demote(%v) refused", tr)
 		}
 		r := v.Lookup(Request{VA: tr.VA + 0x123})
@@ -38,13 +38,13 @@ func TestVictimBasicFlow(t *testing.T) {
 		if got, want := r.T.Translate(tr.VA+0x123), tr.PA+0x123; got != want {
 			t.Fatalf("PA = %v, want %v", got, want)
 		}
-		if r.Dirty {
+		if r.T.Dirty {
 			t.Fatalf("fresh demotion dirty")
 		}
 		if !v.MarkDirty(tr.VA) {
 			t.Fatalf("MarkDirty refused")
 		}
-		if r := v.Lookup(Request{VA: tr.VA}); !r.Dirty {
+		if r := v.Lookup(Request{VA: tr.VA}); !r.T.Dirty {
 			t.Fatalf("MarkDirty not visible")
 		}
 		if n := v.Invalidate(tr.VA, tr.Size); n != 1 {
@@ -54,10 +54,12 @@ func TestVictimBasicFlow(t *testing.T) {
 			t.Fatalf("hit after Invalidate")
 		}
 	}
-	if ok, _ := v.Demote(tr4k(9), true); !ok {
+	dirty := tr4k(9)
+	dirty.Dirty = true
+	if ok, _ := v.Demote(dirty); !ok {
 		t.Fatal("dirty demote refused")
 	}
-	if r := v.Lookup(Request{VA: tr4k(9).VA}); !r.Hit || !r.Dirty {
+	if r := v.Lookup(Request{VA: tr4k(9).VA}); !r.Hit || !r.T.Dirty {
 		t.Fatalf("dirty bit lost across demotion: %+v", r)
 	}
 	v.Flush()
@@ -88,7 +90,8 @@ func TestVictimDemotionConservation(t *testing.T) {
 		default:
 			tr = tr4k(i)
 		}
-		ok, ev := v.Demote(tr, rng.Bool(0.3))
+		tr.Dirty = rng.Bool(0.3)
+		ok, ev := v.Demote(tr)
 		if tr.Size == addr.Page1G || !tr.Valid() {
 			if ok || ev != 0 {
 				t.Fatalf("demotion of %v accepted (ok=%v ev=%d)", tr, ok, ev)
@@ -139,7 +142,7 @@ func TestEvictionSinkConservation(t *testing.T) {
 				t.Fatalf("%T does not notify evictions", tl)
 			}
 			evicted := 0
-			en.SetEvictionSink(func(tr pagetable.Translation, dirty bool) {
+			en.SetEvictionSink(func(tr pagetable.Translation) {
 				if !tr.Valid() {
 					t.Fatalf("sink got invalid translation %+v", tr)
 				}

@@ -249,19 +249,21 @@ if ! cmp -s "$tmpdir/xisa.golden" "$tmpdir/xisa1.csv"; then
     exit 1
 fi
 
-# Host-time gate: HEAD's mixtlb against the working tree's, and the
-# tree's against itself with journaling and with the cycle ledger and
-# tail recorder armed. One cell of one unchanged command spreads up to
-# 1.6x across runs on a shared host, so each of the four arms runs the
-# same fig15r command once per round for 20 rounds, the arm order
-# rotating each round, and benchtrend gates each comparison with its
-# paired rule (see cmd/benchtrend): slower in at least 18 of 20 pairs,
-# which noise alone reaches in one cell with chance 211/1048576 (at 10
-# rounds, 9 of 10 pairs: 11/1024, over 18 cell tests per block). HEAD is
-# built from `git archive` with the module proxy and toolchain downloads
-# off.
+# Host-time gate: HEAD's mixtlb against the working tree's, plain and
+# with the cycle ledger and tail recorder armed, and the tree's against
+# itself with journaling. An armed ledger costs real time (1.01-1.10x per
+# cell), so it is compared across the two commits, which bounds what a
+# change adds to it, not against the unarmed tree. One cell of one
+# unchanged command spreads up to 1.6x across runs on a shared host, so
+# each of the five arms runs the same fig15r command once per round for
+# 20 rounds, the arm order rotating each round, and benchtrend gates each
+# comparison with its paired rule (see cmd/benchtrend): slower in at
+# least 18 of 20 pairs, which noise alone reaches in one cell with chance
+# 211/1048576 (at 10 rounds, 9 of 10 pairs: 11/1024, over 18 cell tests
+# per block). HEAD is built from `git archive` with the module proxy and
+# toolchain downloads off.
 rounds=20
-echo "== host-time gate ($rounds rounds of 4 arms)"
+echo "== host-time gate ($rounds rounds of 5 arms)"
 mkdir "$tmpdir/head"
 git archive HEAD | tar -x -C "$tmpdir/head"
 (cd "$tmpdir/head" && GOPROXY=off GOTOOLCHAIN=local go build -o "$tmpdir/mixtlb-head" ./cmd/mixtlb)
@@ -273,28 +275,31 @@ time_arm() { # ARM ROUND
     head) "$tmpdir/mixtlb-head" $fig15r -bench-out "$out" ;;
     tree) "$tmpdir/mixtlb" $fig15r -bench-out "$out" ;;
     journal) "$tmpdir/mixtlb" $fig15r -journal "$tmpdir/gate.journal" -bench-out "$out" ;;
-    ledger) "$tmpdir/mixtlb" $fig15r -ledger-audit -tail 8 -bench-out "$out" ;;
+    head-ledger) "$tmpdir/mixtlb-head" $fig15r -ledger-audit -tail 8 -bench-out "$out" ;;
+    tree-ledger) "$tmpdir/mixtlb" $fig15r -ledger-audit -tail 8 -bench-out "$out" ;;
     esac > "$tmpdir/arm.log" 2>&1 || {
         echo "FAIL: host-time arm $1 failed in round $2:" >&2
         cat "$tmpdir/arm.log" >&2
         exit 1
     }
 }
-mkdir "$tmpdir/bench-head" "$tmpdir/bench-tree" "$tmpdir/bench-journal" "$tmpdir/bench-ledger"
+mkdir "$tmpdir/bench-head" "$tmpdir/bench-tree" "$tmpdir/bench-journal" \
+    "$tmpdir/bench-head-ledger" "$tmpdir/bench-tree-ledger"
 round=0
 while [ "$round" -lt "$rounds" ]; do
-    case $((round % 4)) in
-    0) order="head tree journal ledger" ;;
-    1) order="tree journal ledger head" ;;
-    2) order="journal ledger head tree" ;;
-    3) order="ledger head tree journal" ;;
+    case $((round % 5)) in
+    0) order="head tree journal head-ledger tree-ledger" ;;
+    1) order="tree journal head-ledger tree-ledger head" ;;
+    2) order="journal head-ledger tree-ledger head tree" ;;
+    3) order="head-ledger tree-ledger head tree journal" ;;
+    4) order="tree-ledger head tree journal head-ledger" ;;
     esac
     for arm in $order; do
         time_arm "$arm" "$round"
     done
     round=$((round + 1))
 done
-for pair in "head tree" "tree journal" "tree ledger"; do
+for pair in "head tree" "tree journal" "head-ledger tree-ledger"; do
     set -- $pair
     if ! "$tmpdir/benchtrend" "$tmpdir/bench-$1" "$tmpdir/bench-$2" > "$tmpdir/trend.txt" 2>&1; then
         echo "FAIL: host time $1 -> $2 (benchtrend bench-$1 bench-$2):" >&2
